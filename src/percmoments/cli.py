@@ -15,7 +15,9 @@ empty cells.  Floats are written with ``repr`` so they round-trip exactly.
 
 Exit codes: 0 on success, 1 on runtime failures, 2 on usage errors or
 refused preconditions (bad parameters, invalid graphs, enumeration over the
-edge cap).  The cap honors the ``PERCMOMENTS_ORACLE_CAP`` variable.
+edge cap, an ``--output`` path that cannot be written).  The cap honors the
+``PERCMOMENTS_ORACLE_CAP`` variable.  ``--workers`` exists only where it
+schedules Monte Carlo blocks (``simulate`` and ``sweep``).
 """
 
 from __future__ import annotations
@@ -159,13 +161,14 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--output", help="write to this file instead of stdout")
 
-    def add_reps(sp: argparse.ArgumentParser) -> None:
+    def add_reps(sp: argparse.ArgumentParser, with_workers: bool = True) -> None:
         sp.add_argument(
             "--reps", type=int, default=100_000, help="replicates (default 100000)"
         )
-        sp.add_argument(
-            "--workers", type=int, default=1, help="worker threads (default 1)"
-        )
+        if with_workers:
+            sp.add_argument(
+                "--workers", type=int, default=1, help="worker threads (default 1)"
+            )
 
     sp = sub.add_parser("bounds", help="closed-form moment bounds at one p")
     add_common(sp)
@@ -199,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "dominance", help="tail comparison of birth process vs branching envelope"
     )
     add_common(sp)
-    add_reps(sp)
+    add_reps(sp, with_workers=False)
 
     return parser
 
@@ -382,32 +385,38 @@ def execute(request: CommandRequest, out: TextIO | None = None) -> int:
             rows, columns = _dominance_rows(request, graph), DOMINANCE_COLUMNS
         else:
             rows, columns = _moment_rows(request, graph), MOMENT_COLUMNS
+        buffer = io.StringIO()
+        _write_rows(buffer, rows, columns, request.output_format)
+        _deliver(request, stream, buffer.getvalue())
     except PercmomentsError as exc:
         return _emit_error(request, stream, exc)
     except OSError as exc:
         print(f"percmoments: {exc}", file=sys.stderr)
         return 2
-
-    buffer = io.StringIO()
-    _write_rows(buffer, rows, columns, request.output_format)
-    _deliver(request, stream, buffer.getvalue())
     return 0
 
 
 def _deliver(request: CommandRequest, stream: TextIO, text: str) -> None:
-    if request.output_path is not None:
+    if request.output_path is None:
+        stream.write(text)
+        return
+    try:
         with open(request.output_path, "w", newline="") as fh:
             fh.write(text)
-    else:
-        stream.write(text)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+        raise BadParameterError(
+            f"cannot write --output {request.output_path!r}: {reason}"
+        ) from None
 
 
 def _emit_error(request: CommandRequest, stream: TextIO, exc: PercmomentsError) -> int:
     code = 1 if isinstance(exc, RetryLimitError) else 2
     print(f"percmoments: {exc}", file=sys.stderr)
     if request.output_format == "json":
+        # always the stream, never --output: that file may be what failed
         payload = {"error": exc.name, "message": str(exc)}
-        _deliver(request, stream, json.dumps(payload, indent=2) + "\n")
+        stream.write(json.dumps(payload, indent=2) + "\n")
     return code
 
 

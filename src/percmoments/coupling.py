@@ -11,6 +11,14 @@ dropped: the first individual has ``Binomial(D, p)`` offspring and every
 later individual ``Binomial(D-1, p)``.  Its generation sizes stochastically
 dominate the birth process; :func:`dominance_report` checks this empirically
 via tail probabilities.
+
+:func:`run_birth_process` grows one trace, with per-particle detail.
+:func:`dominance_report` needs only the generation counts of many
+realizations, so it draws them as Monte Carlo does: birth replicate ``r``
+of seed ``s`` is replicate ``r`` of :func:`~percmoments.estimate_moments`
+(counter-based streams, see :mod:`percmoments.rng`), and blocks of 8192
+replicates advance together in a level-synchronous breadth-first search
+over a (vertices x replicates) boolean matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ import numpy as np
 
 from .errors import BadIndexError, BadParameterError
 from .graphs import Graph
+from .montecarlo import _BLOCK, _block_draws, _relax_edges
 from .percolation import EdgeConfig, _check_config, _check_probability
 
 __all__ = [
@@ -216,36 +225,66 @@ def _tails(values: np.ndarray, k_max: int, replicates: int) -> tuple[np.ndarray,
     return tail, se
 
 
+def _birth_counts(graph: Graph, p: float, seed: int, replicates: int) -> np.ndarray:
+    """Birth-process generation counts of replicates ``0 .. replicates-1``.
+
+    Entry ``[n, r]`` is the size of generation ``n`` of replicate ``r``, the
+    number of vertices at open-path distance ``n`` from its start vertex;
+    it equals ``run_birth_process(graph, config, x).counts[n]`` for
+    ``(x, config) = replicate_realization(graph, p, seed, r)``.
+    """
+    n = graph.n_vertices
+    counts = np.zeros((n, replicates), dtype=np.int64)
+    counts[0] = 1
+    for lo in range(0, replicates, _BLOCK):
+        hi = min(lo + _BLOCK, replicates)
+        b = hi - lo
+        starts, open_edges = _block_draws(graph, p, seed, lo, hi)
+        frontier = np.zeros((n, b), dtype=bool)
+        frontier[starts, np.arange(b)] = True
+        reach = frontier.copy()
+        born = np.empty_like(frontier)
+        for gen in range(1, n):
+            born.fill(False)
+            _relax_edges(graph.edges, open_edges, frontier, born)
+            np.greater(born, reach, out=born)  # born and not yet reached
+            if not born.any():
+                break
+            reach |= born
+            counts[gen, lo:hi] = born.sum(axis=0)
+            frontier, born = born, frontier
+    return counts
+
+
 def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> DominanceReport:
     """Compare birth-process and branching generation sizes tail by tail.
 
-    Birth samples come from fresh percolation realizations with a uniform
-    start vertex; branching samples are independent runs with the same degree
-    and probability, truncated at horizon ``N - 1`` (both ensembles then span
-    generations ``0 .. N-1``).  A row is flagged when the birth tail exceeds
-    the branching tail by more than three standard errors of the difference.
+    Birth sample ``r`` is Monte Carlo replicate ``r`` of ``seed``: the same
+    counter-based streams as :func:`~percmoments.estimate_moments`, so
+    ``replicate_realization(graph, p, seed, r)`` reconstructs its start
+    vertex and edge configuration, and :func:`run_birth_process` on them
+    reproduces its generation counts.  Branching samples are independent
+    runs with the same degree and probability, drawn from
+    ``numpy.random.default_rng(seed)`` and truncated at horizon ``N - 1``
+    (both ensembles then span generations ``0 .. N-1``).  A row is flagged
+    when the birth tail exceeds the branching tail by more than three
+    standard errors of the difference.
     """
     p = _check_probability(p)
     if replicates < 1:
         raise BadParameterError(f"replicates must be >= 1, got {replicates}")
+    if seed < 0:
+        raise BadParameterError(f"seed must be >= 0, got {seed}")
 
-    n = graph.n_vertices
-    horizon = n - 1
-    rng = np.random.default_rng(seed)
-
-    starts = rng.integers(n, size=replicates)
-    open_rows = rng.random((replicates, graph.n_edges)) < p
-    birth = np.zeros((replicates, n), dtype=np.int64)
-    for r in range(replicates):
-        config = EdgeConfig(open_flags=tuple(map(bool, open_rows[r])), p=p)
-        trace = run_birth_process(graph, config, int(starts[r]))
-        birth[r] = trace.counts
-
-    branching = branching_generation_samples(graph.degree, p, horizon, replicates, rng)
+    horizon = graph.n_vertices - 1
+    birth = _birth_counts(graph, p, seed, replicates)
+    branching = branching_generation_samples(
+        graph.degree, p, horizon, replicates, np.random.default_rng(seed)
+    )
 
     rows: list[TailRow] = []
     for gen in range(horizon + 1):
-        y = birth[:, gen]
+        y = birth[gen]
         xg = branching[:, gen]
         k_max = max(1, int(y.max()), int(xg.max()))
         y_tail, y_se = _tails(y, k_max, replicates)

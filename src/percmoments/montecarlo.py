@@ -24,7 +24,7 @@ from .errors import BadParameterError
 from .graphs import Graph
 from .oracle import moment_polynomial
 from .percolation import EdgeConfig, _check_probability
-from .rng import derive_key, uniform_matrix
+from .rng import derive_key, edge_draws, uniform_matrix
 from .stats import RunningMoments
 
 __all__ = [
@@ -71,24 +71,43 @@ class SweepResult:
     rows: tuple[SweepRow, ...] = field(repr=False)
 
 
+def _block_draws(
+    graph: Graph, p: float, seed: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start vertices and edge-major open flags of replicates [lo, hi)."""
+    n = graph.n_vertices
+    u0, open_edges = edge_draws(seed, lo, hi - lo, graph.n_edges, p)
+    starts = np.minimum((u0 * n).astype(np.int64), n - 1)
+    return starts, open_edges
+
+
+def _relax_edges(
+    edges: tuple[tuple[int, int], ...], open_edges: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> None:
+    """Spread ``src`` one open edge into ``dst``, per replicate column.
+
+    With ``src is dst`` a sweep can cross several edges (the fixpoint's
+    in-place pass); with distinct arrays it is one exact BFS step.
+    """
+    for e, (v0, v1) in enumerate(edges):
+        t = open_edges[e]
+        dst[v1] |= src[v0] & t
+        dst[v0] |= src[v1] & t
+
+
 def _block_cluster_sizes(
     graph: Graph, p: float, seed: int, lo: int, hi: int
 ) -> np.ndarray:
     """Cluster sizes of replicates [lo, hi) as an int64 array."""
     n = graph.n_vertices
     b = hi - lo
-    u = uniform_matrix(seed, lo, b, graph.n_edges + 1)
-    starts = np.minimum((u[:, 0] * n).astype(np.int64), n - 1)
-    open_t = np.ascontiguousarray((u[:, 1:] < p).T)
+    starts, open_edges = _block_draws(graph, p, seed, lo, hi)
 
     member = np.zeros((n, b), dtype=bool)
     member[starts, np.arange(b)] = True
     prev = b
     for _ in range(n - 1):
-        for e, (v0, v1) in enumerate(graph.edges):
-            t = open_t[e]
-            member[v1] |= member[v0] & t
-            member[v0] |= member[v1] & t
+        _relax_edges(graph.edges, open_edges, member, member)
         cur = int(member.sum())
         if cur == prev:
             break
@@ -114,17 +133,14 @@ def replicate_realization(
     return x, EdgeConfig(open_flags=flags, p=p)
 
 
-def _moments_of(values: np.ndarray) -> RunningMoments:
-    mean = float(values.mean())
-    m2 = float(((values - mean) ** 2).sum())
-    return RunningMoments(count=values.size, mean=mean, m2=m2)
-
-
 def _block_stats(
     graph: Graph, p: float, seed: int, lo: int, hi: int
 ) -> tuple[RunningMoments, RunningMoments]:
     sizes = _block_cluster_sizes(graph, p, seed, lo, hi).astype(np.float64)
-    return _moments_of(sizes), _moments_of(sizes * sizes)
+    acc_s, acc_s2 = RunningMoments(), RunningMoments()
+    acc_s.add_batch(sizes)
+    acc_s2.add_batch(sizes * sizes)
+    return acc_s, acc_s2
 
 
 def estimate_moments(

@@ -4,22 +4,41 @@ The construction is a two-level SplitMix64: a 64-bit stream key is derived
 from ``(seed, stream index)``, and draw ``j`` of that stream is the SplitMix64
 finalizer applied at counter position ``j``.  Every draw is a pure function of
 ``(seed, stream, j)``, so the same replicate produces the same numbers no
-matter how replicates are partitioned across workers.
+matter how replicates are partitioned across workers.  This is the
+counter-based design of Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3" (SC 2011), with SplitMix64 (Steele, Lea & Flood, OOPSLA 2014) as
+the bijection.
 
-Uniforms are doubles in ``[0, 1)`` built from the top 53 bits.
+Uniforms are doubles in ``[0, 1)`` built from the top 53 bits of a word
+``z``: ``u = (z >> 11) * 2^-53``.
+
+Monte Carlo blocks never need the uniforms of the edge draws, only whether
+each is below ``p``.  :func:`edge_draws` therefore compares the integer
+``k = z >> 11`` with ``T = ceil(p * 2^53)`` instead.  The two tests agree
+exactly: ``k < 2^53`` converts to a double without rounding and scaling by
+``2^-53`` is exact, so ``u < p`` iff ``k < p * 2^53``; ``p * 2^53`` is
+itself exact, and for an integer ``k`` that holds iff ``k < T``.  For
+``p = 0`` no edge opens (``T = 0``); for ``p = 1`` every edge opens
+(``T = 2^53 > k``).  The words are mixed in place over row chunks of about
+1 MB and written straight into an edge-major boolean matrix, so a block
+allocates neither a float matrix nor its transpose.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["derive_key", "stream_uniforms", "uniform_matrix"]
+__all__ = ["derive_key", "stream_uniforms", "uniform_matrix", "edge_draws"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U53 = 2.0**-53
+# Working-set size of one chunk of edge rows in edge_draws.
+_CHUNK_BYTES = 1 << 20
 
 
 def _mix64_scalar(z: int) -> int:
@@ -34,6 +53,23 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
     return z ^ (z >> np.uint64(31))
+
+
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
+    """:func:`_mix64_array` overwriting ``z``, with ``tmp`` as scratch."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+
+
+def _stream_keys(seed: int, first_stream: int, n_streams: int) -> np.ndarray:
+    """``derive_key(seed, r)`` for ``r`` in ``first_stream .. + n_streams``."""
+    base = np.uint64(_mix64_scalar(seed & _MASK))
+    idx = np.arange(first_stream + 1, first_stream + n_streams + 1, dtype=np.uint64)
+    return _mix64_array(base + np.uint64(_GOLDEN) * idx)
 
 
 def derive_key(seed: int, index: int) -> int:
@@ -60,9 +96,39 @@ def uniform_matrix(seed: int, first_stream: int, n_streams: int, n_draws: int) -
     derived from ``seed``; identical to calling :func:`stream_uniforms` on
     each ``derive_key(seed, r)`` but vectorized.
     """
-    base = np.uint64(_mix64_scalar(seed & _MASK))
-    idx = np.arange(first_stream + 1, first_stream + n_streams + 1, dtype=np.uint64)
-    keys = _mix64_array(base + np.uint64(_GOLDEN) * idx)
+    keys = _stream_keys(seed, first_stream, n_streams)
     c = np.arange(1, n_draws + 1, dtype=np.uint64)
     z = _mix64_array(keys[:, None] + np.uint64(_GOLDEN) * c[None, :])
     return (z >> np.uint64(11)).astype(np.float64) * _U53
+
+
+def edge_draws(
+    seed: int, first_stream: int, n_streams: int, n_edges: int, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start uniforms and edge-major open flags of a block of streams.
+
+    Returns ``(starts, open_edges)``: ``starts[i]`` is draw 0 of stream
+    ``first_stream + i`` as a uniform, and ``open_edges[e, i]`` says whether
+    its draw ``e + 1`` is below ``p`` (``0 <= p <= 1``).  Bit-identical to
+    ``uniform_matrix(seed, first_stream, n_streams, n_edges + 1)`` followed
+    by ``u[:, 0]`` and ``(u[:, 1:] < p).T``; see the module docstring.
+    """
+    keys = _stream_keys(seed, first_stream, n_streams)
+    starts = _mix64_array(keys + np.uint64(_GOLDEN))
+    starts = (starts >> np.uint64(11)).astype(np.float64) * _U53
+
+    threshold = np.uint64(math.ceil(p * 2.0**53))
+    open_edges = np.empty((n_edges, n_streams), dtype=bool)
+    rows = max(1, _CHUNK_BYTES // (8 * max(n_streams, 1)))
+    z = np.empty((min(rows, n_edges), n_streams), dtype=np.uint64)
+    tmp = np.empty_like(z)
+    for lo in range(0, n_edges, rows):
+        hi = min(lo + rows, n_edges)
+        zc, tc = z[: hi - lo], tmp[: hi - lo]
+        # edge e is draw e + 1, i.e. counter position e + 2
+        offsets = np.uint64(_GOLDEN) * np.arange(lo + 2, hi + 2, dtype=np.uint64)
+        np.add(offsets[:, None], keys[None, :], out=zc)
+        _mix64_inplace(zc, tc)
+        zc >>= np.uint64(11)
+        np.less(zc, threshold, out=open_edges[lo:hi])
+    return starts, open_edges

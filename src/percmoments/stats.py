@@ -28,8 +28,8 @@ class RunningMoments:
         n = values.size
         if n == 0:
             return
-        chunk = RunningMoments(n, float(values.mean()), float(((values - values.mean()) ** 2).sum()))
-        self.merge(chunk)
+        mean = values.mean()
+        self.merge(RunningMoments(n, float(mean), float(((values - mean) ** 2).sum())))
 
     def merge(self, other: "RunningMoments") -> None:
         if other.count == 0:

@@ -45,6 +45,15 @@ def test_parse_defaults():
     )
 
 
+def test_dominance_refuses_workers_flag(capsys):
+    # --workers only schedules Monte Carlo blocks; dominance has none to schedule
+    with pytest.raises(SystemExit) as exc:
+        main(["dominance", "--graph", "cube", "--p", "0.3", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert parse_args(["simulate", "--graph", "cube", "--p", "0.3", "--workers", "2"]).workers == 2
+
+
 def test_parse_rejects_missing_and_conflicting_sources(tmp_path):
     with pytest.raises(SystemExit) as exc:
         parse_args(["bounds", "--p", "0.5"])
@@ -251,3 +260,17 @@ def test_output_file(tmp_path):
 def test_main_returns_codes():
     assert main(["bounds", "--graph", "cube", "--p", "0.5", "--output", "/dev/null"]) == 0
     assert main(["oracle", "--graph", "dodecahedron", "--p", "0.5", "--output", "/dev/null"]) == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_unwritable_output_exits_2_with_message(tmp_path, capsys, fmt):
+    argv = ["bounds", "--graph", "cube", "--p", "0.5", "--format", fmt]
+    for target in (tmp_path, tmp_path / "missing" / "row.csv"):
+        code, out = run_cli(argv + ["--output", str(target)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("percmoments: cannot write --output") and "Traceback" not in err
+        if fmt == "json":
+            assert json.loads(out)["error"] == "BadParameter"
+        else:
+            assert out == ""

@@ -8,11 +8,13 @@ from percmoments import (
     cluster_of,
     dominance_report,
     generate_builtin,
+    replicate_realization,
     run_birth_process,
     sample_branching_generations,
     sample_config,
 )
-from percmoments.coupling import branching_generation_samples
+from percmoments.coupling import _birth_counts, branching_generation_samples
+from percmoments.montecarlo import _BLOCK
 
 
 def open_distances(graph, config, x):
@@ -156,3 +158,20 @@ def test_dominance_report_is_seeded(tetrahedron):
     a = dominance_report(tetrahedron, 0.3, 2000, seed=4)
     b = dominance_report(tetrahedron, 0.3, 2000, seed=4)
     assert a.rows == b.rows
+
+
+@pytest.mark.parametrize("name,p", [("dodecahedron", 0.45), ("octahedron", 0.3), ("cube", 1.0)])
+def test_block_birth_counts_match_replayed_replicates(name, p):
+    # replicates on both sides of the first block boundary, and the last one
+    g = generate_builtin(name)
+    seed, reps = 13, _BLOCK + 50
+    counts = _birth_counts(g, p, seed, reps)
+    assert counts.shape == (g.n_vertices, reps)
+    for r in list(range(_BLOCK - 50, reps)) + [0, 1]:
+        x, cfg = replicate_realization(g, p, seed, r)
+        assert tuple(counts[:, r]) == run_birth_process(g, cfg, x).counts
+
+
+def test_dominance_report_rejects_negative_seed(tetrahedron):
+    with pytest.raises(BadParameterError):
+        dominance_report(tetrahedron, 0.3, 100, seed=-1)

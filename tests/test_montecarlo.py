@@ -7,6 +7,8 @@ from percmoments import (
     cluster_of,
     estimate_moments,
     exact_moments,
+    generate_builtin,
+    generate_random_regular,
     replicate_realization,
     sweep,
 )
@@ -122,3 +124,34 @@ def test_sweep_rejects_bad_grid(k3):
         sweep(k3, [], 100, seed=0)
     with pytest.raises(BadParameterError):
         sweep(k3, [0.5, 1.2], 100, seed=0)
+
+
+# Seeded results pinned to the values the uniform-matrix kernel produced, so
+# that a change of RNG layout or kernel cannot move a single bit unnoticed.
+GOLDEN_ESTIMATES = [
+    ("dodecahedron", 0.35, 2 * _BLOCK + 100, 3,
+     (3.9582018927444795, 0.026477270247844256, 27.22270080077651, 0.36460291024640246)),
+    ("random(60,3,5)", 0.5, 5000, 11,
+     (13.5494, 0.1831556199635295, 351.2826, 7.7944529177297195)),
+]
+GOLDEN_SWEEP = [  # icosahedron, 10000 replicates, seed 7
+    (0.1, 9672475392221035855, (1.7735, 0.012152964430724113, 4.6221, 0.07781333208689271)),
+    (0.3, 5573481420429128725, (6.2476, 0.03805067948698081, 53.5096, 0.4862981794906676)),
+    (0.5, 17358316652931856208, (10.8962, 0.024703513563018437, 124.8292, 0.3641701041031131)),
+]
+
+
+def _values(est):
+    return (est.mean_s, est.se_s, est.mean_s2, est.se_s2)
+
+
+@pytest.mark.parametrize("name,p,reps,seed,expected", GOLDEN_ESTIMATES)
+def test_estimates_match_pinned_values(name, p, reps, seed, expected):
+    g = generate_random_regular(60, 3, 5) if name.startswith("random") else generate_builtin(name)
+    assert _values(estimate_moments(g, p, reps, seed)) == expected
+
+
+def test_sweep_matches_pinned_values():
+    result = sweep(generate_builtin("icosahedron"), [0.5, 0.1, 0.3], 10000, seed=7)
+    got = [(row.p, row.estimate.seed, _values(row.estimate)) for row in result.rows]
+    assert got == GOLDEN_SWEEP

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from percmoments.rng import derive_key, stream_uniforms, uniform_matrix
+from percmoments import rng
+from percmoments.rng import derive_key, edge_draws, stream_uniforms, uniform_matrix
 
 
 def test_stream_is_deterministic():
@@ -57,3 +59,59 @@ def test_marginals_look_uniform(seed):
     assert abs(u.mean() - 0.5) < 5 * se_mean
     # second moment of U(0,1) is 1/3
     assert abs((u * u).mean() - 1 / 3) < 6 * se_mean
+
+
+# p values at and next to the 2^-53 lattice the integer threshold lives on
+_dyadic_p = st.builds(
+    lambda k, step: float(np.clip(np.nextafter(k * 2.0**-53, step), 0.0, 1.0)),
+    st.integers(0, 2**53),
+    st.sampled_from([-np.inf, 0.5, np.inf]),
+)
+
+
+def _reference(seed, first, n_streams, n_edges, p):
+    u = uniform_matrix(seed, first, n_streams, n_edges + 1)
+    return u[:, 0], (u[:, 1:] < p).T
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**40),
+    n_streams=st.integers(1, 40),
+    n_edges=st.integers(1, 40),
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), _dyadic_p),
+    chunk_bytes=st.sampled_from([8, 64, 1000, rng._CHUNK_BYTES]),
+)
+def test_edge_draws_match_uniform_threshold(seed, first, n_streams, n_edges, p, chunk_bytes):
+    saved = rng._CHUNK_BYTES
+    rng._CHUNK_BYTES = chunk_bytes
+    try:
+        starts, open_edges = edge_draws(seed, first, n_streams, n_edges, p)
+    finally:
+        rng._CHUNK_BYTES = saved
+    ref_starts, ref_open = _reference(seed, first, n_streams, n_edges, p)
+    assert open_edges.shape == (n_edges, n_streams) and open_edges.dtype == bool
+    np.testing.assert_array_equal(starts, ref_starts)
+    np.testing.assert_array_equal(open_edges, ref_open)
+
+
+def test_edge_draws_threshold_at_drawn_values():
+    # p equal to a drawn uniform closes that edge; the next double opens it
+    u = uniform_matrix(5, 0, 3, 9)
+    for i, j in ((0, 1), (1, 4), (2, 8)):
+        at = u[i, j]
+        for p, is_open in ((np.nextafter(at, 0.0), False), (at, False), (np.nextafter(at, 1.0), True)):
+            _, open_edges = edge_draws(5, 0, 3, 8, float(p))
+            assert open_edges[j - 1, i] == is_open
+            np.testing.assert_array_equal(open_edges, (u[:, 1:] < p).T)
+
+
+def test_edge_draws_span_several_default_chunks():
+    # a full 8192-stream block holds 16 edge rows per chunk at the default size
+    n_streams, n_edges, p = 8192, 50, 0.45
+    assert n_edges * n_streams * 8 > 3 * rng._CHUNK_BYTES
+    starts, open_edges = edge_draws(17, 8192, n_streams, n_edges, p)
+    ref_starts, ref_open = _reference(17, 8192, n_streams, n_edges, p)
+    np.testing.assert_array_equal(starts, ref_starts)
+    np.testing.assert_array_equal(open_edges, ref_open)
