@@ -10,11 +10,14 @@ probability p, written in terms of nu = (D-1)p and q = 1-p:
 
 Neither family dominates the other, so :func:`best_bounds` takes the
 componentwise minimum.  All formulas handle the removable singularity at
-nu = 1 by switching to the analytic limit inside a small window.
+nu = 1 by switching to the analytic limit inside a small window.  On large
+supercritical graphs the branching terms can exceed the double range; they
+are then ``inf`` and :func:`best_bounds` falls back to the isolation family.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import BadParameterError
@@ -89,11 +92,22 @@ class BoundParams:
         object.__setattr__(self, "horizon", self.n_vertices - 1)
 
 
+def _power(base: float, exponent: int) -> float:
+    """``base ** exponent`` for ``base >= 0``, or ``inf`` where a double overflows."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def _geometric_sum(nu: float, horizon: int) -> float:
-    """sum_{n=0}^{horizon-1} nu^n, with the nu -> 1 limit patched in."""
+    """sum_{n=0}^{horizon-1} nu^n, with the nu -> 1 limit patched in.
+
+    ``inf`` once nu^horizon overflows, which needs nu > 1.
+    """
     if abs(1.0 - nu) < NU_WINDOW:
         return float(horizon)
-    return (1.0 - nu**horizon) / (1.0 - nu)
+    return (1.0 - _power(nu, horizon)) / (1.0 - nu)
 
 
 def _variance_kernel(nu: float, horizon: int) -> float:
@@ -104,7 +118,8 @@ def _variance_kernel(nu: float, horizon: int) -> float:
     cancels catastrophically near nu = 1 while this sum has only nonnegative
     terms.  Inside the singular window the exact nu = 1 limit is returned:
     R(R+1)(2R+1)/6, the sum of the first R squares, which is also what the
-    sum degenerates to there.
+    sum degenerates to there.  Supercritical terms that overflow a double
+    become ``inf``, never an error.
     """
     r = horizon
     if abs(1.0 - nu) < NU_WINDOW:
@@ -138,11 +153,15 @@ def branching_total_second_moment(degree: int, p: float, horizon: int) -> float:
     """E of the squared branching total, truncated at the horizon.
 
     Mean squared plus the variance D p (1-p) * kernel(nu, horizon); the
-    kernel collapses the double sum of generation covariances.
+    kernel collapses the double sum of generation covariances.  ``inf``
+    where a supercritical term overflows a double.
     """
     mean = branching_total_first_moment(degree, p, horizon)
+    scale = degree * p * (1.0 - p)
+    if scale == 0.0:  # p in {0, 1}: the total is deterministic
+        return _power(mean, 2)
     nu = (degree - 1) * p
-    return mean**2 + degree * p * (1.0 - p) * _variance_kernel(nu, horizon)
+    return _power(mean, 2) + scale * _variance_kernel(nu, horizon)
 
 
 def _variance_term_expanded(degree: int, p: float, horizon: int) -> float:

@@ -26,6 +26,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -86,6 +87,8 @@ DOMINANCE_COLUMNS = [
 ]
 
 _ENV_CAP = "PERCMOMENTS_ORACLE_CAP"
+# Longest --p-grid accepted, in steps (a step of 1e-5 over [0, 1]).
+MAX_GRID_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,8 @@ def parse_p_grid(text: str) -> tuple[float, ...]:
     """Parse ``start:end:step`` into an inclusive grid of probabilities.
 
     The final point is clamped to ``end`` so rounding of repeated step
-    addition never drops or overshoots the endpoint.
+    addition never drops or overshoots the endpoint.  Grids of more than
+    ``MAX_GRID_STEPS`` steps are refused before any point is built.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -119,11 +123,15 @@ def parse_p_grid(text: str) -> tuple[float, ...]:
         start, end, step = (float(s) for s in parts)
     except ValueError:
         raise BadParameterError(f"p grid has non-numeric parts: {text!r}") from None
-    if step <= 0:
-        raise BadParameterError(f"p grid step must be positive, got {step}")
+    if not 0.0 < step < math.inf:  # also refuses nan, which never ends the grid
+        raise BadParameterError(f"p grid step must be positive and finite, got {step}")
     if not 0.0 <= start <= end <= 1.0:
         raise BadParameterError(
             f"p grid must satisfy 0 <= start <= end <= 1, got {start}..{end}"
+        )
+    if (end - start) / step > MAX_GRID_STEPS:
+        raise BadParameterError(
+            f"p grid {text!r} has more than {MAX_GRID_STEPS} steps"
         )
     points = []
     i = 0

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BadIndexError, BadParameterError
 from .graphs import Graph
-from .montecarlo import _BLOCK, _block_draws, _relax_edges
+from .montecarlo import _BLOCK, _block_draws, _edge_plan, _relax_edges
 from .percolation import EdgeConfig, _check_config, _check_probability
 
 __all__ = [
@@ -234,19 +234,20 @@ def _birth_counts(graph: Graph, p: float, seed: int, replicates: int) -> np.ndar
     ``(x, config) = replicate_realization(graph, p, seed, r)``.
     """
     n = graph.n_vertices
+    plan = _edge_plan(graph)
     counts = np.zeros((n, replicates), dtype=np.int64)
     counts[0] = 1
     for lo in range(0, replicates, _BLOCK):
         hi = min(lo + _BLOCK, replicates)
         b = hi - lo
-        starts, open_edges = _block_draws(graph, p, seed, lo, hi)
+        starts, open_edges = _block_draws(graph, plan, p, seed, lo, hi)
         frontier = np.zeros((n, b), dtype=bool)
         frontier[starts, np.arange(b)] = True
         reach = frontier.copy()
         born = np.empty_like(frontier)
         for gen in range(1, n):
             born.fill(False)
-            _relax_edges(graph.edges, open_edges, frontier, born)
+            _relax_edges(plan, open_edges, frontier, born)
             np.greater(born, reach, out=born)  # born and not yet reached
             if not born.any():
                 break

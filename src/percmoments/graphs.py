@@ -284,25 +284,33 @@ def generate_random_regular(
 # ---------------------------------------------------------------------------
 
 
+def _int_pair(path: Path, line: str, what: str) -> tuple[int, int]:
+    parts = line.split()
+    try:
+        if len(parts) == 2:
+            return int(parts[0]), int(parts[1])
+    except ValueError:
+        pass
+    raise BadParameterError(f"{path}: {what} must be two integers, got {line!r}")
+
+
 def load_edge_file(path: str | Path) -> Graph:
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise BadParameterError(
+            f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from None
     lines = [
         ln.strip()
-        for ln in path.read_text().splitlines()
+        for ln in text.splitlines()
         if ln.strip() and not ln.strip().startswith("#")
     ]
     if not lines:
         raise BadParameterError(f"{path}: no content")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise BadParameterError(f"{path}: first line must be 'N D', got {lines[0]!r}")
-    n, declared_degree = int(head[0]), int(head[1])
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise BadParameterError(f"{path}: bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+    n, declared_degree = _int_pair(path, lines[0], "first line 'N D'")
+    edges = [_int_pair(path, ln, "edge line 'u v'") for ln in lines[1:]]
     graph = build_from_edge_list(n, edges, label=path.stem)
     if graph.degree != declared_degree:
         raise BadParameterError(

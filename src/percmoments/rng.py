@@ -21,7 +21,9 @@ itself exact, and for an integer ``k`` that holds iff ``k < T``.  For
 ``p = 0`` no edge opens (``T = 0``); for ``p = 1`` every edge opens
 (``T = 2^53 > k``).  The words are mixed in place over row chunks of about
 1 MB and written straight into an edge-major boolean matrix, so a block
-allocates neither a float matrix nor its transpose.
+allocates neither a float matrix nor its transpose.  The rows can come out
+in any edge order the caller needs: a row's counter position depends only
+on the edge it holds, never on where the row sits.
 """
 
 from __future__ import annotations
@@ -103,7 +105,12 @@ def uniform_matrix(seed: int, first_stream: int, n_streams: int, n_draws: int) -
 
 
 def edge_draws(
-    seed: int, first_stream: int, n_streams: int, n_edges: int, p: float
+    seed: int,
+    first_stream: int,
+    n_streams: int,
+    n_edges: int,
+    p: float,
+    order: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Start uniforms and edge-major open flags of a block of streams.
 
@@ -112,6 +119,11 @@ def edge_draws(
     its draw ``e + 1`` is below ``p`` (``0 <= p <= 1``).  Bit-identical to
     ``uniform_matrix(seed, first_stream, n_streams, n_edges + 1)`` followed
     by ``u[:, 0]`` and ``(u[:, 1:] < p).T``; see the module docstring.
+
+    ``order``, a permutation of ``range(n_edges)``, sets the row order: row
+    ``k`` then holds edge ``order[k]`` (draw ``order[k] + 1``), so
+    ``edge_draws(..., order=order)[1][k]`` equals ``edge_draws(...)[1][order[k]]``
+    bit for bit, without a permuted copy.
     """
     keys = _stream_keys(seed, first_stream, n_streams)
     starts = _mix64_array(keys + np.uint64(_GOLDEN))
@@ -122,11 +134,15 @@ def edge_draws(
     rows = max(1, _CHUNK_BYTES // (8 * max(n_streams, 1)))
     z = np.empty((min(rows, n_edges), n_streams), dtype=np.uint64)
     tmp = np.empty_like(z)
+    # edge e is draw e + 1, i.e. counter position e + 2
+    if order is None:
+        positions = np.arange(2, n_edges + 2, dtype=np.uint64)
+    else:
+        positions = np.asarray(order, dtype=np.uint64) + np.uint64(2)
     for lo in range(0, n_edges, rows):
         hi = min(lo + rows, n_edges)
         zc, tc = z[: hi - lo], tmp[: hi - lo]
-        # edge e is draw e + 1, i.e. counter position e + 2
-        offsets = np.uint64(_GOLDEN) * np.arange(lo + 2, hi + 2, dtype=np.uint64)
+        offsets = np.uint64(_GOLDEN) * positions[lo:hi]
         np.add(offsets[:, None], keys[None, :], out=zc)
         _mix64_inplace(zc, tc)
         zc >>= np.uint64(11)

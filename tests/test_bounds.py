@@ -172,3 +172,28 @@ def test_bound_params_validation():
     assert params.nu == 0.5
     assert params.q == 0.75
     assert params.horizon == 19
+
+
+def test_overflowing_branching_terms_are_infinite():
+    # hypercube(10) at p = 1/2: nu = 4.5, nu^1023 is past the double range
+    params = BoundParams(degree=10, n_vertices=1024, p=0.5)
+    assert branching_total_first_moment(10, 0.5, params.horizon) == math.inf
+    assert branching_total_second_moment(10, 0.5, params.horizon) == math.inf
+    assert _variance_kernel(params.nu, params.horizon) == math.inf
+    best = best_bounds(params)
+    iso = isolation_bounds(params)
+    assert (best.first, best.second) == (iso.first, iso.second)
+    assert math.isfinite(best.first) and math.isfinite(best.second)
+
+
+def test_overflow_at_p_one_is_inf_not_nan():
+    # at p = 1 the variance factor p(1-p) is 0 and must not meet an inf kernel
+    pair = branching_bounds(BoundParams(degree=10, n_vertices=1024, p=1.0))
+    assert pair.first == math.inf and pair.second == math.inf
+
+
+def test_finite_first_moment_with_overflowing_square():
+    # nu = 2, horizon 665: E(total) ~ 3e200 is finite, its square is not
+    first = branching_total_first_moment(5, 0.5, 665)
+    assert math.isfinite(first) and first > 1e200
+    assert branching_total_second_moment(5, 0.5, 665) == math.inf

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from percmoments import (
 from percmoments.bounds import BoundParams, isolation_bounds
 from percmoments.cli import (
     DOMINANCE_COLUMNS,
+    MAX_GRID_STEPS,
     MOMENT_COLUMNS,
     CommandRequest,
     execute,
@@ -81,7 +83,8 @@ def test_parse_p_grid_clamps_overshoot():
     assert len(grid) == 5  # 0, 0.3, 0.6, 0.9, 1.0
 
 
-@pytest.mark.parametrize("bad", ["0:1", "0:1:0", "0:1:-0.1", "0.5:0.2:0.1", "0:2:0.5", "a:b:c"])
+@pytest.mark.parametrize("bad", ["0:1", "0:1:0", "0:1:-0.1", "0.5:0.2:0.1", "0:2:0.5", "a:b:c",
+                                 "0:1:nan", "0:1:inf"])
 def test_parse_p_grid_rejections(bad):
     with pytest.raises(BadParameterError):
         parse_p_grid(bad)
@@ -274,3 +277,37 @@ def test_unwritable_output_exits_2_with_message(tmp_path, capsys, fmt):
             assert json.loads(out)["error"] == "BadParameter"
         else:
             assert out == ""
+
+
+# ---------------------------------------------------------------- input robustness
+
+
+@pytest.mark.parametrize("content", [b"4 3\n0 x\n", b"4 x\n0 1\n", b"4 3\n0 1\xff\n"],
+                         ids=["edge token", "header token", "not utf-8"])
+def test_malformed_edge_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "bad.edges"
+    path.write_bytes(content)
+    assert main(["bounds", "--edge-file", str(path), "--p", "0.5"]) == 2
+    assert "bad.edges" in capsys.readouterr().err
+
+
+def test_supercritical_bounds_fall_back_to_isolation():
+    # the branching terms overflow a double on hypercube(10) at p = 0.5
+    code, out = run_cli(["bounds", "--graph", "hypercube(10)", "--p", "0.5"])
+    assert code == 0
+    _, rows = read_csv(out)
+    row = dict(zip(MOMENT_COLUMNS, rows[0]))
+    assert row["thm1_first"] == "inf" and row["thm1_second"] == "inf"
+    iso = isolation_bounds(BoundParams(degree=10, n_vertices=1024, p=0.5))
+    assert float(row["best_first"]) == iso.first
+    assert float(row["best_second"]) == iso.second
+
+
+def test_oversized_p_grid_is_refused_at_once(capsys):
+    with pytest.raises(BadParameterError):
+        parse_p_grid("0:1:1e-9")
+    start = time.perf_counter()
+    assert main(["sweep", "--graph", "cube", "--p-grid", "0:1:1e-9", "--reps", "10"]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "p grid" in capsys.readouterr().err
+    assert len(parse_p_grid(f"0:1:{1 / MAX_GRID_STEPS}")) == MAX_GRID_STEPS + 1

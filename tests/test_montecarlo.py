@@ -1,5 +1,8 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from percmoments import (
     BadParameterError,
@@ -12,6 +15,7 @@ from percmoments import (
     replicate_realization,
     sweep,
 )
+from percmoments import montecarlo
 from percmoments.montecarlo import _BLOCK, _block_cluster_sizes
 
 
@@ -155,3 +159,101 @@ def test_sweep_matches_pinned_values():
     result = sweep(generate_builtin("icosahedron"), [0.5, 0.1, 0.3], 10000, seed=7)
     got = [(row.p, row.estimate.seed, _values(row.estimate)) for row in result.rows]
     assert got == GOLDEN_SWEEP
+
+
+# ---------------------------------------------------------------- block kernel
+# Graphs of 100 edges or more drop converged columns (compaction); smaller
+# ones do not.
+
+
+@functools.lru_cache(maxsize=None)
+def _random_graph(n, d, graph_seed):
+    return generate_random_regular(n, d, graph_seed)
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "icosahedron", "hypercube(5)", "random(200,3,1)",
+                                  "random(60,6,2)"])
+def test_edge_plan_classes_are_matchings(name):
+    if name.startswith("random("):
+        g = _random_graph(*map(int, name[len("random("):-1].split(",")))
+    else:
+        g = generate_builtin(name)
+    plan = montecarlo._edge_plan(g)
+    assert sorted(plan.order.tolist()) == list(range(g.n_edges))
+    edges = g.edge_array()
+    np.testing.assert_array_equal(plan.heads, edges[plan.order, 0])
+    np.testing.assert_array_equal(plan.tails, edges[plan.order, 1])
+    assert len(plan.classes) <= 2 * g.degree - 1
+    assert plan.classes[0][0] == 0 and plan.classes[-1][1] == g.n_edges
+    for (_, stop), (start, _) in zip(plan.classes, plan.classes[1:]):
+        assert stop == start
+    for start, stop in plan.classes:
+        ends = np.concatenate([plan.heads[start:stop], plan.tails[start:stop]])
+        assert len(set(ends.tolist())) == 2 * (stop - start)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(20, 3), (60, 4), (200, 3), (260, 3), (100, 6)]),
+    graph_seed=st.integers(0, 3),
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32),
+    lo=st.integers(0, 2**20),
+    width=st.integers(1, 48),
+    piece_bytes=st.sampled_from([1, 100, montecarlo._PIECE_BYTES]),
+)
+def test_block_sizes_match_per_replicate_clusters(
+    shape, graph_seed, p, seed, lo, width, piece_bytes
+):
+    g = _random_graph(*shape, graph_seed)
+    saved = montecarlo._PIECE_BYTES
+    montecarlo._PIECE_BYTES = piece_bytes  # down to one edge row per piece
+    try:
+        sizes = _block_cluster_sizes(g, p, seed, lo, lo + width)
+    finally:
+        montecarlo._PIECE_BYTES = saved
+    expected = []
+    for r in range(lo, lo + width):
+        x, cfg = replicate_realization(g, p, seed, r)
+        expected.append(cluster_of(g, cfg, x).size)
+    np.testing.assert_array_equal(sizes, expected)
+
+
+def test_compaction_engages_and_keeps_sizes(monkeypatch):
+    g = _random_graph(200, 3, 0)
+    assert g.n_edges >= montecarlo._COMPACT_MIN_EDGES
+    calls = []
+    drop = montecarlo._drop_columns
+
+    def spy(matrix, keep):
+        calls.append(matrix.shape)
+        return drop(matrix, keep)
+
+    monkeypatch.setattr(montecarlo, "_drop_columns", spy)
+    p, seed, width = 0.5, 4, 300
+    sizes = _block_cluster_sizes(g, p, seed, 0, width)
+    assert len(calls) >= 4  # two matrices per compaction
+    for r in range(0, width, 7):
+        x, cfg = replicate_realization(g, p, seed, r)
+        assert cluster_of(g, cfg, x).size == sizes[r]
+
+
+@pytest.mark.parametrize("piece_bytes", [1, 24, 1 << 18])
+def test_drop_columns_in_place(monkeypatch, piece_bytes):
+    monkeypatch.setattr(montecarlo, "_PIECE_BYTES", piece_bytes)
+    rng = np.random.default_rng(3)
+    matrix = rng.random((37, 23)) < 0.5
+    keep = rng.random(23) < 0.4
+    expected = matrix[:, keep]
+    out = montecarlo._drop_columns(matrix, keep)
+    np.testing.assert_array_equal(out, expected)
+    assert out.flags.c_contiguous and np.shares_memory(out, matrix)
+
+
+@pytest.mark.parametrize("workers", [2, 4])
+def test_worker_count_never_changes_compacted_results(workers):
+    g = _random_graph(200, 3, 1)
+    assert g.n_edges >= montecarlo._COMPACT_MIN_EDGES
+    reps = 2 * _BLOCK + 100
+    serial = estimate_moments(g, 0.5, reps, seed=5, workers=1)
+    assert estimate_moments(g, 0.5, reps, seed=5, workers=workers) == serial

@@ -115,3 +115,26 @@ def test_edge_draws_span_several_default_chunks():
     ref_starts, ref_open = _reference(17, 8192, n_streams, n_edges, p)
     np.testing.assert_array_equal(starts, ref_starts)
     np.testing.assert_array_equal(open_edges, ref_open)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**40),
+    n_streams=st.integers(1, 40),
+    n_edges=st.integers(1, 60),
+    p=st.floats(0.0, 1.0),
+    chunk_bytes=st.sampled_from([8, 64, 1000, rng._CHUNK_BYTES]),
+    perm_seed=st.integers(0, 2**32),
+)
+def test_edge_draws_row_order(seed, first, n_streams, n_edges, p, chunk_bytes, perm_seed):
+    order = np.random.default_rng(perm_seed).permutation(n_edges)
+    saved = rng._CHUNK_BYTES
+    rng._CHUNK_BYTES = chunk_bytes
+    try:
+        starts, ordered = edge_draws(seed, first, n_streams, n_edges, p, order=order)
+    finally:
+        rng._CHUNK_BYTES = saved
+    ref_starts, ref_open = edge_draws(seed, first, n_streams, n_edges, p)
+    np.testing.assert_array_equal(starts, ref_starts)
+    np.testing.assert_array_equal(ordered, ref_open[order])
