@@ -1,22 +1,20 @@
 """Layered growth of one open cluster.
 
-Samples a percolation configuration on the dodecahedron and grows the
-cluster of a start vertex one generation at a time: generation n holds
+Replays one Monte Carlo replicate on the dodecahedron (its start vertex
+and edge configuration, exactly as a seeded run saw them) and grows the
+cluster of the start vertex one generation at a time: generation n holds
 the vertices at open-path distance n. The generation counts always sum
 to the cluster size, which is the identity behind the moment bounds.
 """
 
-import numpy as np
-
-from percmoments import cluster_of, generate_builtin, run_birth_process, sample_config
+from percmoments import cluster_of, generate_builtin, replicate_realization, run_birth_process
 
 
 def main() -> None:
-    rng = np.random.default_rng(20)
     g = generate_builtin("dodecahedron")
-    p = 0.45
-    config = sample_config(g, p, rng)
-    x = int(rng.integers(g.n_vertices))
+    p, seed, index = 0.45, 20, 7
+    x, config = replicate_realization(g, p, seed, index)
+    print(f"replicate {index} of seed {seed}")
 
     trace = run_birth_process(g, config, x)
     print(f"graph: {g.label}  p={p}  start vertex {trace.start_vertex}")

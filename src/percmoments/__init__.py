@@ -21,14 +21,12 @@ from .bounds import (
     isolation_bounds,
 )
 from .coupling import (
-    BranchingTrace,
     DominanceReport,
     GenerationTrace,
     TailRow,
     branching_generation_samples,
     dominance_report,
     run_birth_process,
-    sample_branching_generations,
 )
 from .errors import (
     BadIndexError,
@@ -71,9 +69,6 @@ from .percolation import (
     ClusterResult,
     EdgeConfig,
     cluster_of,
-    config_from_uniforms,
-    sample_config,
-    sample_realization,
 )
 
 __version__ = "0.1.0"
@@ -83,7 +78,6 @@ __all__ = [
     "BadParameterError",
     "BadProbabilityError",
     "BoundParams",
-    "BranchingTrace",
     "ClusterResult",
     "ConnectivityTable",
     "DominanceReport",
@@ -111,7 +105,6 @@ __all__ = [
     "branching_total_second_moment",
     "build_from_edge_list",
     "cluster_of",
-    "config_from_uniforms",
     "connectivity_moments",
     "dominance_report",
     "estimate_moments",
@@ -125,8 +118,5 @@ __all__ = [
     "pair_connectivity",
     "replicate_realization",
     "run_birth_process",
-    "sample_branching_generations",
-    "sample_config",
-    "sample_realization",
     "sweep",
 ]

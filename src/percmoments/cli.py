@@ -11,11 +11,14 @@ Subcommands::
 Moment-producing subcommands share one fixed CSV schema (see
 :data:`MOMENT_COLUMNS`); cells a subcommand does not produce are left empty.
 ``--format json`` emits the same rows as a JSON array with nulls instead of
-empty cells.  Floats are written with ``repr`` so they round-trip exactly.
+empty cells and, since strict JSON has no infinity or nan, a non-finite
+float as the string its CSV cell holds (``"inf"``, ``"-inf"``, ``"nan"``).
+Floats are written with ``repr`` so they round-trip exactly.
 
 Exit codes: 0 on success, 1 on runtime failures, 2 on usage errors or
 refused preconditions (bad parameters, invalid graphs, enumeration over the
-edge cap, an ``--output`` path that cannot be written).  The cap honors the
+edge cap, a builtin family or dominance run over its size cap, an
+``--output`` path that cannot be written).  The cap honors the
 ``PERCMOMENTS_ORACLE_CAP`` variable.  ``--workers`` exists only where it
 schedules Monte Carlo blocks (``simulate`` and ``sweep``).
 """
@@ -364,9 +367,16 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(value)
+    return value
+
+
 def _write_rows(out: TextIO, rows: list[dict], columns: list[str], fmt: str) -> None:
     if fmt == "json":
-        out.write(json.dumps(rows, indent=2))
+        cells = [{col: _json_cell(value) for col, value in row.items()} for row in rows]
+        out.write(json.dumps(cells, indent=2, allow_nan=False))
         out.write("\n")
         return
     writer = csv.writer(out, lineterminator="\n")

@@ -34,17 +34,18 @@ from .percolation import EdgeConfig, _check_config, _check_probability
 
 __all__ = [
     "GenerationTrace",
-    "BranchingTrace",
     "TailRow",
     "DominanceReport",
     "run_birth_process",
-    "sample_branching_generations",
     "branching_generation_samples",
     "dominance_report",
 ]
 
 # Largest generation size that can still be fed to a 64-bit binomial sampler.
 _SIZE_LIMIT = 1 << 62
+# Largest N x replicates accepted by dominance_report: the birth counts and
+# the branching samples are each one int64 matrix of that many cells (1 GiB).
+MAX_DOMINANCE_CELLS = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -69,27 +70,13 @@ class GenerationTrace:
         return sum(self.counts)
 
 
-@dataclass(frozen=True)
-class BranchingTrace:
-    """Generation sizes of one branching run, truncated at the horizon."""
-
-    generation_sizes: tuple[int, ...]
-    total: int
-
-
-def run_birth_process(
-    graph: Graph,
-    config: EdgeConfig,
-    x: int,
-    order_rng: np.random.Generator | None = None,
-) -> GenerationTrace:
+def run_birth_process(graph: Graph, config: EdgeConfig, x: int) -> GenerationTrace:
     """Grow the open cluster of ``x`` generation by generation.
 
-    Particles within a generation act sequentially: by default in canonical
-    order (parent order, then adjacency order), which makes traces
-    reproducible.  ``order_rng`` shuffles the within-generation order instead;
-    layers-as-sets and counts are invariant to that choice, only the
-    parent/child attribution moves.
+    Particles within a generation act sequentially in canonical order
+    (parent order, then adjacency order), which makes traces reproducible.
+    Layers as sets and counts do not depend on that order; only the
+    parent/child attribution would move.
     """
     if not 0 <= x < graph.n_vertices:
         raise BadIndexError(f"vertex {x} out of range [0, {graph.n_vertices})")
@@ -110,8 +97,6 @@ def run_birth_process(
     current = [x]
 
     while current and len(layers) < graph.n_vertices:
-        if order_rng is not None:
-            current = [current[i] for i in order_rng.permutation(len(current))]
         next_layer: list[int] = []
         counts_here: list[int] = []
         for z in current:
@@ -149,29 +134,16 @@ def _check_branching_args(degree: int, p: float, horizon: int) -> float:
     return _check_probability(p)
 
 
-def sample_branching_generations(
-    degree: int, p: float, horizon: int, rng: np.random.Generator
-) -> BranchingTrace:
-    """One branching run: sizes ``X_0 .. X_horizon``.
-
-    Generation 1 is ``Binomial(D, p)``; thereafter each of the ``X_n``
-    individuals contributes ``Binomial(D-1, p)`` offspring, which is drawn as
-    the aggregate ``Binomial(X_n * (D-1), p)`` (same distribution, one draw).
-    """
-    p = _check_branching_args(degree, p, horizon)
-    sizes = [1, int(rng.binomial(degree, p))]
-    for _ in range(2, horizon + 1):
-        n_trials = sizes[-1] * (degree - 1)
-        if n_trials > _SIZE_LIMIT:
-            raise BadParameterError("branching generation size exceeds 2^62")
-        sizes.append(int(rng.binomial(n_trials, p)) if n_trials else 0)
-    return BranchingTrace(generation_sizes=tuple(sizes), total=sum(sizes))
-
-
 def branching_generation_samples(
     degree: int, p: float, horizon: int, replicates: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Generation-size matrix of shape (replicates, horizon+1), vectorized."""
+    """Generation sizes ``X_0 .. X_horizon`` of independent branching runs.
+
+    Returns a matrix of shape (replicates, horizon+1).  Generation 1 is
+    ``Binomial(D, p)``; thereafter each of the ``X_n`` individuals
+    contributes ``Binomial(D-1, p)`` offspring, drawn as the aggregate
+    ``Binomial(X_n * (D-1), p)`` (same distribution, one draw per run).
+    """
     p = _check_branching_args(degree, p, horizon)
     if replicates < 1:
         raise BadParameterError(f"replicates must be >= 1, got {replicates}")
@@ -269,13 +241,20 @@ def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> Domi
     ``numpy.random.default_rng(seed)`` and truncated at horizon ``N - 1``
     (both ensembles then span generations ``0 .. N-1``).  A row is flagged
     when the birth tail exceeds the branching tail by more than three
-    standard errors of the difference.
+    standard errors of the difference.  Runs of more than
+    ``MAX_DOMINANCE_CELLS`` vertex-replicate cells are refused before any
+    sampling.
     """
     p = _check_probability(p)
     if replicates < 1:
         raise BadParameterError(f"replicates must be >= 1, got {replicates}")
     if seed < 0:
         raise BadParameterError(f"seed must be >= 0, got {seed}")
+    if graph.n_vertices * replicates > MAX_DOMINANCE_CELLS:
+        raise BadParameterError(
+            f"{replicates} replicates on {graph.n_vertices} vertices exceed the "
+            f"{MAX_DOMINANCE_CELLS} vertex-replicate cells of a dominance run"
+        )
 
     horizon = graph.n_vertices - 1
     birth = _birth_counts(graph, p, seed, replicates)

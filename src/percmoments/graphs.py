@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 BUILTIN_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
+# Most edges a ring(N), complete(N) or hypercube(d) may have; building one
+# costs ~0.5 KB of Python objects per edge, so this is ~0.5 GB.
+MAX_FAMILY_EDGES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -194,7 +197,10 @@ _NAME_RE = re.compile(r"^([a-z]+)(?:\((\d+)\))?$")
 
 def generate_builtin(name: str) -> Graph:
     """Build a named graph: one of the five Platonic solids, or the
-    parameterized families ``ring(N)``, ``complete(N)``, ``hypercube(d)``."""
+    parameterized families ``ring(N)``, ``complete(N)``, ``hypercube(d)``.
+
+    A family member with more than ``MAX_FAMILY_EDGES`` edges is refused
+    before any edge is built."""
     m = _NAME_RE.match(name.strip().lower())
     if not m:
         raise BadParameterError(f"cannot parse graph name {name!r}")
@@ -216,18 +222,31 @@ def generate_builtin(name: str) -> Graph:
     if base in ("ring", "complete", "hypercube"):
         if arg is None:
             raise BadParameterError(f"{base} needs a parameter, e.g. {base}(8)")
+        # every family has at least k edges; int() of a long digit run is slow or refused
+        if len(arg.lstrip("0")) > len(str(MAX_FAMILY_EDGES)):
+            raise BadParameterError(
+                f"{base} parameter of {len(arg)} digits is past the cap of "
+                f"{MAX_FAMILY_EDGES} edges for builtin families"
+            )
         k = int(arg)
         if base == "ring":
             if k < 3:
                 raise BadParameterError("ring needs N >= 3")
-            return build_from_edge_list(k, _ring_edges(k), label=f"ring({k})")
-        if base == "complete":
+            n, n_edges, edges_of = k, k, _ring_edges
+        elif base == "complete":
             if k < 2:
                 raise BadParameterError("complete needs N >= 2")
-            return build_from_edge_list(k, _complete_edges(k), label=f"complete({k})")
-        if k < 1:
-            raise BadParameterError("hypercube needs d >= 1")
-        return build_from_edge_list(1 << k, _hypercube_edges(k), label=f"hypercube({k})")
+            n, n_edges, edges_of = k, k * (k - 1) // 2, _complete_edges
+        else:
+            if k < 1:
+                raise BadParameterError("hypercube needs d >= 1")
+            n, n_edges, edges_of = 1 << k, k << (k - 1), _hypercube_edges
+        if n_edges > MAX_FAMILY_EDGES:
+            raise BadParameterError(
+                f"{base}({k}) has more than {MAX_FAMILY_EDGES} edges, the cap for "
+                "builtin families"
+            )
+        return build_from_edge_list(n, edges_of(k), label=f"{base}({k})")
 
     raise BadParameterError(f"unknown graph name {name!r}")
 

@@ -1,8 +1,11 @@
 """Bond-percolation realizations and open-cluster extraction.
 
-A realization keeps one open/closed flag per edge index.  Sampling goes
-through per-edge uniforms (edge open iff ``u < p``) so that realizations at
-different ``p`` can be coupled on the same draws, which makes cluster growth
+A realization keeps one open/closed flag per edge index.  Realizations have
+one source: replicate ``r`` of seed ``s``, drawn from the counter-based
+streams of :mod:`percmoments.rng` (:func:`~percmoments.rng.edge_draws` for
+whole blocks, :func:`~percmoments.replicate_realization` for one replicate).
+An edge is open iff its uniform ``u`` satisfies ``u < p``, so realizations
+at different ``p`` on the same draws are coupled and cluster growth is
 monotone in ``p`` per realization.
 """
 
@@ -10,20 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BadIndexError, BadParameterError, BadProbabilityError
 from .graphs import Graph
 
 __all__ = [
     "EdgeConfig",
     "ClusterResult",
-    "sample_edge_uniforms",
-    "config_from_uniforms",
-    "sample_config",
     "cluster_of",
-    "cluster_of_bfs",
-    "sample_realization",
 ]
 
 
@@ -33,10 +29,6 @@ class EdgeConfig:
 
     open_flags: tuple[bool, ...]
     p: float
-
-    @property
-    def n_open(self) -> int:
-        return sum(self.open_flags)
 
 
 @dataclass(frozen=True)
@@ -53,28 +45,6 @@ def _check_probability(p: float) -> float:
     if not 0.0 <= p <= 1.0:
         raise BadProbabilityError(f"p must be in [0, 1], got {p}")
     return p
-
-
-def sample_edge_uniforms(graph: Graph, rng: np.random.Generator) -> np.ndarray:
-    """One uniform per edge, in edge-index order."""
-    return rng.random(graph.n_edges)
-
-
-def config_from_uniforms(graph: Graph, uniforms: np.ndarray, p: float) -> EdgeConfig:
-    """Threshold per-edge uniforms: edge open iff ``u < p``."""
-    p = _check_probability(p)
-    uniforms = np.asarray(uniforms, dtype=np.float64)
-    if uniforms.shape != (graph.n_edges,):
-        raise BadParameterError(
-            f"expected {graph.n_edges} uniforms, got shape {uniforms.shape}"
-        )
-    return EdgeConfig(open_flags=tuple(bool(u < p) for u in uniforms), p=p)
-
-
-def sample_config(graph: Graph, p: float, rng: np.random.Generator) -> EdgeConfig:
-    """Draw a fresh realization: each edge open independently with probability p."""
-    p = _check_probability(p)
-    return config_from_uniforms(graph, sample_edge_uniforms(graph, rng), p)
 
 
 def _check_config(graph: Graph, config: EdgeConfig) -> None:
@@ -110,40 +80,3 @@ def cluster_of(graph: Graph, config: EdgeConfig, x: int) -> ClusterResult:
     rx = find(x)
     members = frozenset(v for v in range(graph.n_vertices) if find(v) == rx)
     return ClusterResult(start_vertex=x, members=members, size=len(members))
-
-
-def cluster_of_bfs(graph: Graph, config: EdgeConfig, x: int) -> ClusterResult:
-    """Same cluster via breadth-first traversal; kept as an independent oracle."""
-    if not 0 <= x < graph.n_vertices:
-        raise BadIndexError(f"vertex {x} out of range [0, {graph.n_vertices})")
-    _check_config(graph, config)
-
-    open_adj: list[list[int]] = [[] for _ in range(graph.n_vertices)]
-    for is_open, (u, v) in zip(config.open_flags, graph.edges):
-        if is_open:
-            open_adj[u].append(v)
-            open_adj[v].append(u)
-
-    members = {x}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in open_adj[v]:
-                if w not in members:
-                    members.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return ClusterResult(start_vertex=x, members=frozenset(members), size=len(members))
-
-
-def sample_realization(graph: Graph, p: float, rng: np.random.Generator) -> ClusterResult:
-    """One replicate of the cluster size: uniform start vertex, fresh realization.
-
-    The start vertex is drawn first, from the same stream as the edge
-    uniforms, so a replicate is a fixed number of draws.
-    """
-    p = _check_probability(p)
-    x = int(rng.integers(graph.n_vertices))
-    config = sample_config(graph, p, rng)
-    return cluster_of(graph, config, x)

@@ -1,6 +1,31 @@
+from collections import deque
+
 import pytest
 
-from percmoments import generate_builtin
+from percmoments import EdgeConfig, generate_builtin
+
+
+def generator_config(graph, p, rng):
+    """A realization from a ``numpy`` Generator: one uniform per edge, open iff ``u < p``."""
+    return EdgeConfig(tuple(bool(b) for b in rng.random(graph.n_edges) < p), p)
+
+
+def open_distances(graph, config, x):
+    """BFS distances in the open subgraph, the reference for layer membership."""
+    adj = [[] for _ in range(graph.n_vertices)]
+    for flag, (u, v) in zip(config.open_flags, graph.edges):
+        if flag:
+            adj[u].append(v)
+            adj[v].append(u)
+    dist = {x: 0}
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
 
 
 @pytest.fixture(scope="session")

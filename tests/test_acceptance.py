@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from conftest import generator_config
 from percmoments import (
     BoundParams,
     branching_bounds,
@@ -26,7 +27,6 @@ from percmoments import (
     moment_polynomial,
     pair_connectivity,
     run_birth_process,
-    sample_config,
     sweep,
 )
 from percmoments.cli import execute, parse_args
@@ -96,7 +96,7 @@ def test_criterion_04_generation_counts_sum_to_cluster_size():
         g = generate_builtin(name)
         for _ in range(10_000):
             p = float(rng.uniform(0, 1))
-            cfg = sample_config(g, p, rng)
+            cfg = generator_config(g, p, rng)
             x = int(rng.integers(g.n_vertices))
             total += 1
             if run_birth_process(g, cfg, x).total != cluster_of(g, cfg, x).size:

@@ -311,3 +311,27 @@ def test_oversized_p_grid_is_refused_at_once(capsys):
     assert time.perf_counter() - start < 5.0
     assert "p grid" in capsys.readouterr().err
     assert len(parse_p_grid(f"0:1:{1 / MAX_GRID_STEPS}")) == MAX_GRID_STEPS + 1
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_json_output_is_strict():
+    # overflowing branching bounds are the strings of their CSV cells, not Infinity
+    code, out = run_cli(
+        ["bounds", "--graph", "hypercube(10)", "--p", "0.5", "--format", "json"]
+    )
+    assert code == 0
+    row = json.loads(out, parse_constant=_refuse_constant)[0]
+    assert row["thm1_first"] == "inf" and row["thm1_second"] == "inf"
+    iso = isolation_bounds(BoundParams(degree=10, n_vertices=1024, p=0.5))
+    assert row["best_first"] == iso.first and row["best_second"] == iso.second
+
+
+def test_oversized_dominance_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    argv = ["dominance", "--graph", "dodecahedron", "--p", "0.3", "--reps", "1000000000"]
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "cells" in capsys.readouterr().err

@@ -1,8 +1,7 @@
-from collections import deque
-
 import numpy as np
 import pytest
 
+from conftest import generator_config, open_distances
 from percmoments import (
     BadParameterError,
     cluster_of,
@@ -10,33 +9,13 @@ from percmoments import (
     generate_builtin,
     replicate_realization,
     run_birth_process,
-    sample_branching_generations,
-    sample_config,
 )
 from percmoments.coupling import _birth_counts, branching_generation_samples
 from percmoments.montecarlo import _BLOCK
 
 
-def open_distances(graph, config, x):
-    """BFS distances in the open subgraph, the reference for layer membership."""
-    adj = [[] for _ in range(graph.n_vertices)]
-    for flag, (u, v) in zip(config.open_flags, graph.edges):
-        if flag:
-            adj[u].append(v)
-            adj[v].append(u)
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
 def test_trace_shape_and_padding(tetrahedron):
-    cfg = sample_config(tetrahedron, 0.0, np.random.default_rng(0))
+    cfg = generator_config(tetrahedron, 0.0, np.random.default_rng(0))
     tr = run_birth_process(tetrahedron, cfg, 2)
     assert tr.start_vertex == 2
     assert tr.counts == (1, 0, 0, 0)
@@ -45,7 +24,7 @@ def test_trace_shape_and_padding(tetrahedron):
 
 
 def test_full_open_layers_are_bfs_layers(cube):
-    cfg = sample_config(cube, 1.0, np.random.default_rng(0))
+    cfg = generator_config(cube, 1.0, np.random.default_rng(0))
     tr = run_birth_process(cube, cfg, 0)
     assert tr.counts == (1, 3, 3, 1, 0, 0, 0, 0)
     assert tr.total == 8
@@ -57,7 +36,7 @@ def test_total_equals_cluster_size_and_layers_match_distances():
         g = generate_builtin(name)
         for _ in range(200):
             p = float(rng.uniform(0, 1))
-            cfg = sample_config(g, p, rng)
+            cfg = generator_config(g, p, rng)
             x = int(rng.integers(g.n_vertices))
             tr = run_birth_process(g, cfg, x)
             cl = cluster_of(g, cfg, x)
@@ -71,54 +50,43 @@ def test_total_equals_cluster_size_and_layers_match_distances():
 def test_offspring_counts_are_consistent(octahedron):
     rng = np.random.default_rng(2)
     for _ in range(50):
-        cfg = sample_config(octahedron, 0.5, rng)
+        cfg = generator_config(octahedron, 0.5, rng)
         tr = run_birth_process(octahedron, cfg, 0)
         for n in range(octahedron.n_vertices - 1):
             assert len(tr.per_particle_offspring[n]) == tr.counts[n]
             assert sum(tr.per_particle_offspring[n]) == tr.counts[n + 1]
 
 
-def test_claim_order_does_not_change_counts(dodecahedron):
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        cfg = sample_config(dodecahedron, 0.45, rng)
-        x = int(rng.integers(20))
-        base = run_birth_process(dodecahedron, cfg, x)
-        shuffled = run_birth_process(
-            dodecahedron, cfg, x, order_rng=np.random.default_rng(rng.integers(2**32))
-        )
-        assert shuffled.counts == base.counts
-        for a, b in zip(base.layers, shuffled.layers):
-            assert set(a) == set(b)
+def one_branching_run(degree, p, horizon, rng):
+    return tuple(int(v) for v in branching_generation_samples(degree, p, horizon, 1, rng)[0])
 
 
 def test_branching_deterministic_cases():
-    tr = sample_branching_generations(3, 1.0, 4, np.random.default_rng(0))
-    assert tr.generation_sizes == (1, 3, 6, 12, 24)
-    assert tr.total == 46
-    tr = sample_branching_generations(4, 0.0, 3, np.random.default_rng(0))
-    assert tr.generation_sizes == (1, 0, 0, 0)
+    sizes = one_branching_run(3, 1.0, 4, np.random.default_rng(0))
+    assert sizes == (1, 3, 6, 12, 24)
+    assert sum(sizes) == 46
+    sizes = one_branching_run(4, 0.0, 3, np.random.default_rng(0))
+    assert sizes == (1, 0, 0, 0)
     # D = 1: no second-generation capacity
-    tr = sample_branching_generations(1, 0.9, 5, np.random.default_rng(0))
-    assert tr.generation_sizes[2:] == (0, 0, 0, 0)
-    assert tr.generation_sizes[1] in (0, 1)
+    sizes = one_branching_run(1, 0.9, 5, np.random.default_rng(0))
+    assert sizes[2:] == (0, 0, 0, 0)
+    assert sizes[1] in (0, 1)
 
 
 def test_branching_trace_shape():
-    tr = sample_branching_generations(3, 0.4, 9, np.random.default_rng(5))
-    assert len(tr.generation_sizes) == 10
-    assert tr.generation_sizes[0] == 1
-    assert tr.total == sum(tr.generation_sizes)
+    mat = branching_generation_samples(3, 0.4, 9, 1, np.random.default_rng(5))
+    assert mat.shape == (1, 10)
+    assert mat[0, 0] == 1
 
 
 def test_branching_args_validated():
     rng = np.random.default_rng(0)
     with pytest.raises(BadParameterError):
-        sample_branching_generations(0, 0.5, 3, rng)
+        branching_generation_samples(0, 0.5, 3, 1, rng)
     with pytest.raises(BadParameterError):
-        sample_branching_generations(3, 0.5, 0, rng)
+        branching_generation_samples(3, 0.5, 0, 1, rng)
     with pytest.raises(BadParameterError):
-        sample_branching_generations(3, 1.5, 3, rng)
+        branching_generation_samples(3, 1.5, 3, 1, rng)
 
 
 def test_vectorized_branching_matches_aggregated_law():

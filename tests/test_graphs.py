@@ -16,6 +16,7 @@ from percmoments import (
     generate_random_regular,
     load_edge_file,
 )
+from percmoments.graphs import MAX_FAMILY_EDGES
 
 
 def bfs_layer_sizes(graph, start):
@@ -114,6 +115,23 @@ def test_ring_and_complete_structure():
 def test_builtin_name_rejections(bad):
     with pytest.raises(BadParameterError):
         generate_builtin(bad)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        f"ring({MAX_FAMILY_EDGES + 1})",
+        "complete(1449)",  # 1449 * 1448 / 2 = 1049076 edges
+        "hypercube(17)",  # 17 * 2^16 = 1114112 edges
+        "hypercube(40)",
+        "hypercube(9999999)",
+        "ring(" + "9" * 5000 + ")",
+    ],
+    ids=lambda name: name if len(name) < 30 else "5000-digit ring",
+)
+def test_oversized_families_are_refused(name):
+    with pytest.raises(BadParameterError, match=str(MAX_FAMILY_EDGES)):
+        generate_builtin(name)
 
 
 def test_builtin_names_are_case_insensitive():

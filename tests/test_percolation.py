@@ -2,53 +2,50 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import generator_config, open_distances
 from percmoments import (
     BadIndexError,
     BadParameterError,
     BadProbabilityError,
     EdgeConfig,
     cluster_of,
-    config_from_uniforms,
     generate_builtin,
-    sample_config,
-    sample_realization,
+    replicate_realization,
 )
-from percmoments.percolation import cluster_of_bfs, sample_edge_uniforms
+from percmoments.rng import uniform_matrix
 
 
 def test_endpoint_configs(tetrahedron):
     rng = np.random.default_rng(0)
-    closed = sample_config(tetrahedron, 0.0, rng)
-    assert closed.n_open == 0
-    opened = sample_config(tetrahedron, 1.0, rng)
-    assert opened.n_open == tetrahedron.n_edges
+    closed = generator_config(tetrahedron, 0.0, rng)
+    assert not any(closed.open_flags)
+    opened = generator_config(tetrahedron, 1.0, rng)
+    assert all(opened.open_flags)
 
 
 def test_threshold_is_strict(k3):
-    # an edge opens iff its uniform is strictly below p
-    u = np.array([0.2, 0.5, 0.8])
-    cfg = config_from_uniforms(k3, u, 0.5)
-    assert cfg.open_flags == (True, False, False)
-
-
-def test_uniform_shape_is_checked(k3):
-    with pytest.raises(BadParameterError):
-        config_from_uniforms(k3, np.zeros(2), 0.5)
+    # an edge opens iff its uniform is strictly below p: at p equal to the
+    # draw of edge e it is closed, one ulp above it is open
+    seed, index = 4, 9
+    u = uniform_matrix(seed, index, 1, k3.n_edges + 1)[0, 1:]
+    for e, ue in enumerate(u):
+        _, at = replicate_realization(k3, float(ue), seed, index)
+        _, above = replicate_realization(k3, float(np.nextafter(ue, 1.0)), seed, index)
+        assert not at.open_flags[e] and above.open_flags[e]
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
 def test_bad_probability(k3, p):
-    rng = np.random.default_rng(0)
     with pytest.raises(BadProbabilityError):
-        sample_config(k3, p, rng)
+        replicate_realization(k3, p, 0, 0)
 
 
 def test_cluster_extremes(cube):
     rng = np.random.default_rng(1)
-    closed = sample_config(cube, 0.0, rng)
+    closed = generator_config(cube, 0.0, rng)
     res = cluster_of(cube, closed, 3)
     assert res.size == 1 and res.members == frozenset({3})
-    opened = sample_config(cube, 1.0, rng)
+    opened = generator_config(cube, 1.0, rng)
     res = cluster_of(cube, opened, 3)
     assert res.size == 8
 
@@ -59,12 +56,11 @@ def test_union_find_agrees_with_bfs():
     for _ in range(100):
         g = graphs[rng.integers(len(graphs))]
         p = float(rng.uniform(0, 1))
-        cfg = sample_config(g, p, rng)
+        cfg = generator_config(g, p, rng)
         x = int(rng.integers(g.n_vertices))
         a = cluster_of(g, cfg, x)
-        b = cluster_of_bfs(g, cfg, x)
-        assert a.members == b.members
-        assert a.size == b.size == len(a.members)
+        assert a.members == set(open_distances(g, cfg, x))
+        assert a.size == len(a.members)
         assert x in a.members
 
 
@@ -74,26 +70,13 @@ def test_union_find_agrees_with_bfs_exhaustive_k4(bits, x):
     g = generate_builtin("tetrahedron")
     flags = tuple(bool((bits >> i) & 1) for i in range(6))
     cfg = EdgeConfig(open_flags=flags, p=0.5)
-    assert cluster_of(g, cfg, x).members == cluster_of_bfs(g, cfg, x).members
+    assert cluster_of(g, cfg, x).members == set(open_distances(g, cfg, x))
 
 
 def test_cluster_rejects_bad_inputs(k3):
-    cfg = sample_config(k3, 0.5, np.random.default_rng(0))
+    cfg = generator_config(k3, 0.5, np.random.default_rng(0))
     with pytest.raises(BadIndexError):
         cluster_of(k3, cfg, 5)
     short = EdgeConfig(open_flags=(True,), p=0.5)
     with pytest.raises(BadParameterError):
         cluster_of(k3, short, 0)
-
-
-def test_sample_realization_is_seeded(octahedron):
-    sizes_a = [sample_realization(octahedron, 0.4, np.random.default_rng(3)).size for _ in range(5)]
-    sizes_b = [sample_realization(octahedron, 0.4, np.random.default_rng(3)).size for _ in range(5)]
-    assert sizes_a == sizes_b
-    assert all(1 <= s <= octahedron.n_vertices for s in sizes_a)
-
-
-def test_edge_uniforms_shape(dodecahedron):
-    u = sample_edge_uniforms(dodecahedron, np.random.default_rng(0))
-    assert u.shape == (30,)
-    assert float(u.min()) >= 0.0 and float(u.max()) < 1.0
