@@ -17,8 +17,9 @@ Floats are written with ``repr`` so they round-trip exactly.
 
 Exit codes: 0 on success, 1 on runtime failures, 2 on usage errors or
 refused preconditions (bad parameters, invalid graphs, enumeration over the
-edge cap, a builtin family or dominance run over its size cap, an
-``--output`` path that cannot be written).  The cap honors the
+edge cap, a builtin family or dominance run over its size cap, ``--reps``
+or ``--workers`` over their Monte Carlo caps, an ``--output`` path that
+cannot be written).  The cap honors the
 ``PERCMOMENTS_ORACLE_CAP`` variable.  ``--workers`` exists only where it
 schedules Monte Carlo blocks (``simulate`` and ``sweep``).
 """
@@ -39,7 +40,7 @@ from .bounds import BoundParams, MomentPair, best_bounds, branching_bounds, isol
 from .coupling import dominance_report
 from .errors import BadParameterError, PercmomentsError, RetryLimitError
 from .graphs import Graph, generate_builtin, load_edge_file
-from .montecarlo import estimate_moments, sweep
+from .montecarlo import MAX_REPLICATES, MAX_WORKERS, estimate_moments, sweep
 from .oracle import exact_moments, moment_polynomial
 
 __all__ = [
@@ -174,11 +175,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_reps(sp: argparse.ArgumentParser, with_workers: bool = True) -> None:
         sp.add_argument(
-            "--reps", type=int, default=100_000, help="replicates (default 100000)"
+            "--reps",
+            type=int,
+            default=100_000,
+            help=f"replicates (default 100000, at most {MAX_REPLICATES} per run)",
         )
         if with_workers:
             sp.add_argument(
-                "--workers", type=int, default=1, help="worker threads (default 1)"
+                "--workers",
+                type=int,
+                default=1,
+                help=f"worker threads (default 1, at most {MAX_WORKERS})",
             )
 
     sp = sub.add_parser("bounds", help="closed-form moment bounds at one p")

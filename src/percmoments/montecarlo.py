@@ -48,6 +48,8 @@ from .rng import derive_key, edge_draws, uniform_matrix
 from .stats import RunningMoments
 
 __all__ = [
+    "MAX_REPLICATES",
+    "MAX_WORKERS",
     "MomentEstimate",
     "SweepRow",
     "SweepResult",
@@ -65,6 +67,11 @@ _PIECE_BYTES = 1 << 18
 # solids (12-30 edges), even at 60 edges, 16-29% faster from 120 edges on
 # (random 3-regular graphs, p from 0.3 to 0.8).
 _COMPACT_MIN_EDGES = 100
+# Largest replicate count one call may ask for (``sweep``: summed over the
+# grid), refused before any block bounds are built.
+MAX_REPLICATES = 1 << 30
+# Largest thread pool; more threads than cores only adds scheduling.
+MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -268,6 +275,11 @@ def _block_stats(
     return acc_s, acc_s2
 
 
+def _check_workers(workers: int) -> None:
+    if not 1 <= workers <= MAX_WORKERS:
+        raise BadParameterError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
+
+
 def estimate_moments(
     graph: Graph, p: float, replicates: int, seed: int, workers: int = 1
 ) -> MomentEstimate:
@@ -275,12 +287,17 @@ def estimate_moments(
 
     Deterministic in (seed, replicates): the worker count changes only how
     blocks are scheduled, never what they compute or the merge order.
+    More than ``MAX_REPLICATES`` replicates or ``MAX_WORKERS`` workers are
+    refused before any work.
     """
     p = _check_probability(p)
     if replicates < 2:
         raise BadParameterError(f"need at least 2 replicates, got {replicates}")
-    if workers < 1:
-        raise BadParameterError(f"workers must be >= 1, got {workers}")
+    if replicates > MAX_REPLICATES:
+        raise BadParameterError(
+            f"{replicates} replicates exceeds the cap of {MAX_REPLICATES}"
+        )
+    _check_workers(workers)
 
     plan = _edge_plan(graph)
     bounds_list = [(lo, min(lo + _BLOCK, replicates)) for lo in range(0, replicates, _BLOCK)]
@@ -323,12 +340,20 @@ def sweep(
     from (seed, sorted position), so points are independent and the whole
     sweep is reproducible.  With ``include_oracle`` the configuration
     enumeration runs once, as a polynomial in p evaluated per point.
+    The caps of :func:`estimate_moments` apply, ``MAX_REPLICATES`` to
+    replicates times grid points, before the enumeration or any point.
     """
     grid = sorted(float(p) for p in p_grid)
     if not grid:
         raise BadParameterError("p grid is empty")
     for p in grid:
         _check_probability(p)
+    if replicates * len(grid) > MAX_REPLICATES:
+        raise BadParameterError(
+            f"{replicates} replicates x {len(grid)} grid points exceeds the cap "
+            f"of {MAX_REPLICATES} replicates"
+        )
+    _check_workers(workers)
 
     poly = moment_polynomial(graph, max_oracle_edges) if include_oracle else None
 

@@ -10,6 +10,7 @@ from percmoments import (
     exact_moments,
     format_edge_file,
     moment_polynomial,
+    montecarlo,
 )
 from percmoments.bounds import BoundParams, isolation_bounds
 from percmoments.cli import (
@@ -23,6 +24,7 @@ from percmoments.cli import (
     parse_p_grid,
 )
 from percmoments.errors import BadParameterError
+from percmoments.montecarlo import MAX_REPLICATES, MAX_WORKERS
 
 
 def run_cli(argv):
@@ -335,3 +337,26 @@ def test_oversized_dominance_is_refused_at_once(capsys):
     assert main(argv) == 2
     assert time.perf_counter() - start < 5.0
     assert "cells" in capsys.readouterr().err
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was started")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["simulate", "--p", "0.3", "--reps", str(MAX_REPLICATES + 1)], "replicates"),
+        (["sweep", "--p-grid", "0:1:0.5", "--reps", str(MAX_REPLICATES // 2)], "grid points"),
+        (["simulate", "--p", "0.3", "--reps", "1000", "--workers", str(MAX_WORKERS + 1)],
+         "workers"),
+        (["sweep", "--p-grid", "0:1:0.5", "--oracle", "--reps", "1000",
+          "--workers", "1000000000"], "workers"),
+    ],
+)
+def test_oversized_reps_and_workers_are_refused_at_once(argv, reason, capsys, monkeypatch):
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_pool)
+    start = time.perf_counter()
+    assert main(argv[:1] + ["--graph", "cube"] + argv[1:]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert reason in capsys.readouterr().err

@@ -130,6 +130,32 @@ def test_sweep_rejects_bad_grid(k3):
         sweep(k3, [0.5, 1.2], 100, seed=0)
 
 
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were refused")
+
+
+def test_oversized_replicates_are_refused_before_work(k3, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_edge_plan", _no_work)
+    monkeypatch.setattr(montecarlo, "moment_polynomial", _no_work)
+    cap = montecarlo.MAX_REPLICATES
+    with pytest.raises(BadParameterError, match="replicates"):
+        estimate_moments(k3, 0.5, cap + 1, seed=0)
+    # each point alone is within the cap, the grid's total is not
+    with pytest.raises(BadParameterError, match="grid points"):
+        sweep(k3, [0.2, 0.4], cap // 2 + 1, seed=0, include_oracle=True)
+
+
+def test_oversized_worker_counts_are_refused_before_a_pool(k3, monkeypatch):
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_work)
+    monkeypatch.setattr(montecarlo, "_edge_plan", _no_work)
+    monkeypatch.setattr(montecarlo, "moment_polynomial", _no_work)
+    for workers in (montecarlo.MAX_WORKERS + 1, 10**9):
+        with pytest.raises(BadParameterError, match="workers"):
+            estimate_moments(k3, 0.5, 100, seed=0, workers=workers)
+        with pytest.raises(BadParameterError, match="workers"):
+            sweep(k3, [0.5], 100, seed=0, include_oracle=True, workers=workers)
+
+
 # Seeded results pinned to the values the uniform-matrix kernel produced, so
 # that a change of RNG layout or kernel cannot move a single bit unnoticed.
 GOLDEN_ESTIMATES = [

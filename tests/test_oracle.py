@@ -1,23 +1,22 @@
+import itertools
 import json
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
 
 from percmoments import (
+    EdgeConfig,
     TooManyEdgesError,
+    cluster_of,
     connectivity_moments,
     exact_moments,
     generate_builtin,
+    generate_random_regular,
     moment_polynomial,
     pair_connectivity,
 )
-from percmoments.oracle import (
-    DEFAULT_EDGE_CAP,
-    vertex_isolation_counts,
-    vertex_isolation_probability,
-)
+from percmoments.oracle import DEFAULT_EDGE_CAP
 
 SMALL = ("complete(2)", "complete(3)", "tetrahedron", "cube", "octahedron")
 
@@ -115,22 +114,6 @@ def test_edge_cap_enforced(dodecahedron, k3, tetrahedron):
         exact_moments(tetrahedron, 0.5, max_edges=4)
 
 
-def test_isolation_counts_are_binomials(tetrahedron):
-    # configurations isolating one vertex choose open edges among the
-    # |E| - D edges not touching it
-    counts = vertex_isolation_counts(tetrahedron, 0)
-    assert counts == (1, 3, 3, 1, 0, 0, 0)
-    assert counts == tuple(comb(3, m) if m <= 3 else 0 for m in range(7))
-    prob = vertex_isolation_probability(tetrahedron, 0.3, 0)
-    assert prob == pytest.approx(0.7**3, abs=1e-12)
-
-
-def test_isolation_counts_on_ring():
-    ring = generate_builtin("ring(4)")
-    counts = vertex_isolation_counts(ring, 2)
-    assert counts == tuple(comb(2, m) if m <= 2 else 0 for m in range(5))
-
-
 def test_polynomial_json_round_trip(cube):
     poly = moment_polynomial(cube)
     payload = json.loads(json.dumps(poly.to_json_dict()))
@@ -138,3 +121,57 @@ def test_polynomial_json_round_trip(cube):
     assert payload["denominator"] == 8
     assert [int(c) for c in payload["first_counts"]] == list(poly.first_counts)
     assert [int(c) for c in payload["second_counts"]] == list(poly.second_counts)
+
+
+def reference_counts(graph):
+    """Per-m sums of sum_x S_x and sum_x S_x^2 over every configuration.
+
+    Walks the configurations with ``itertools.product`` and finds clusters
+    with the union-find ``cluster_of``, which shares no code with the
+    enumeration kernel.  A cluster of size s adds s^2 and s^3.
+    """
+    first = [0] * (graph.n_edges + 1)
+    second = [0] * (graph.n_edges + 1)
+    for flags in itertools.product((False, True), repeat=graph.n_edges):
+        config = EdgeConfig(flags, 0.5)
+        m, seen = sum(flags), set()
+        for x in range(graph.n_vertices):
+            if x not in seen:
+                members = cluster_of(graph, config, x).members
+                seen |= members
+                first[m] += len(members) ** 2
+                second[m] += len(members) ** 3
+    return tuple(first), tuple(second)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [generate_builtin(name) for name in
+     ("complete(3)", "tetrahedron", "cube", "octahedron", "ring(13)")]
+    + [generate_random_regular(10, 3, seed) for seed in (1, 2)],
+    ids=lambda g: g.label,
+)
+def test_polynomial_counts_match_union_find_reference(graph):
+    # ring(13) and the 15-edge random graphs span several enumeration
+    # blocks, so the block bases over the high edges are exercised too
+    poly = moment_polynomial(graph)
+    assert (poly.first_counts, poly.second_counts) == reference_counts(graph)
+
+
+def test_ring16_golden_values():
+    # recorded before the enumeration kernel was rewritten; every output
+    # must stay bit-identical
+    ring = generate_builtin("ring(16)")
+    exact = exact_moments(ring, 0.4)
+    assert (exact.first.hex(), exact.second.hex()) == (
+        "0x1.2aaa689d26b95p+1", "0x1.eaa638c1d54a7p+2")
+    conn = connectivity_moments(ring, 0.4)
+    assert (conn.first.hex(), conn.second.hex()) == (
+        "0x1.2aaa689d26ba5p+1", "0x1.eaa638c1d54bbp+2")
+    poly = moment_polynomial(ring)
+    assert poly.first_counts == (
+        16, 288, 2432, 12800, 47040, 128128, 267904, 439296, 572000, 594880,
+        494208, 326144, 168896, 67200, 19840, 4096, 256)
+    assert poly.second_counts == (
+        16, 352, 3552, 22016, 94400, 298368, 722176, 1371136, 2072928,
+        2516800, 2461888, 1936896, 1217216, 603008, 230400, 65536, 4096)
