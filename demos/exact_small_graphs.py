@@ -27,7 +27,7 @@ def main() -> None:
     print(f"evaluated at p=0.5: {poly.evaluate(0.5)}")
 
     # third route: moments from the pairwise connection probabilities
-    # E(S) = mean_x sum_y P(x <-> y), E(S^2) via the triple probabilities
+    # E(S) = mean_x sum_y P(x <-> y), E(S^2) = mean_x E(S_x^2) via per-vertex sizes
     cm = connectivity_moments(k3, 0.5)
     print(f"connectivity route agrees: {cm}")
     table = pair_connectivity(k3, 0.5)

@@ -9,7 +9,10 @@ Subcommands::
     percmoments dominance --graph NAME --p P            birth vs branching tail table
 
 Moment-producing subcommands share one fixed CSV schema (see
-:data:`MOMENT_COLUMNS`); cells a subcommand does not produce are left empty.
+:data:`MOMENT_COLUMNS`), filled in one place, ``_moment_row``, from the
+library's result objects; cells a subcommand does not produce are left
+empty.  A dominance row is its run's graph and parameters followed by the
+fields of one :class:`~percmoments.coupling.TailRow`.
 ``--format json`` emits the same rows as a JSON array with nulls instead of
 empty cells and, since strict JSON has no infinity or nan, a non-finite
 float as the string its CSV cell holds (``"inf"``, ``"-inf"``, ``"nan"``).
@@ -40,7 +43,7 @@ from .bounds import BoundParams, MomentPair, best_bounds, branching_bounds, isol
 from .coupling import dominance_report
 from .errors import BadParameterError, PercmomentsError, RetryLimitError
 from .graphs import Graph, generate_builtin, load_edge_file
-from .montecarlo import MAX_REPLICATES, MAX_WORKERS, estimate_moments, sweep
+from .montecarlo import MAX_REPLICATES, MAX_WORKERS, MomentEstimate, estimate_moments, sweep
 from .oracle import exact_moments, moment_polynomial
 
 __all__ = [
@@ -157,57 +160,57 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp: argparse.ArgumentParser, with_p: bool = True) -> None:
+    def add_command(name: str, summary: str, with_p: bool = True) -> argparse.ArgumentParser:
+        # options left out stay out of the namespace: CommandRequest holds the defaults
+        sp = sub.add_parser(name, help=summary, argument_default=argparse.SUPPRESS)
         src = sp.add_mutually_exclusive_group(required=True)
         src.add_argument(
-            "--graph",
+            "--graph", dest="graph_name", metavar="GRAPH",
             help="builtin graph name: tetrahedron, cube, octahedron, "
             "dodecahedron, icosahedron, ring(N), complete(N), hypercube(D)",
         )
         src.add_argument("--edge-file", help="path to an edge-list file")
         if with_p:
             sp.add_argument("--p", type=float, required=True, help="edge probability")
-        sp.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
         sp.add_argument(
-            "--format", choices=("csv", "json"), default="csv", dest="output_format"
+            "--seed", type=int, help=f"base seed (default {CommandRequest.seed})"
         )
-        sp.add_argument("--output", help="write to this file instead of stdout")
+        sp.add_argument("--format", choices=("csv", "json"), dest="output_format")
+        sp.add_argument(
+            "--output", dest="output_path", metavar="OUTPUT",
+            help="write to this file instead of stdout",
+        )
+        return sp
 
     def add_reps(sp: argparse.ArgumentParser, with_workers: bool = True) -> None:
         sp.add_argument(
-            "--reps",
-            type=int,
-            default=100_000,
-            help=f"replicates (default 100000, at most {MAX_REPLICATES} per run)",
+            "--reps", type=int, dest="replicates", metavar="REPS",
+            help=f"replicates (default {CommandRequest.replicates}, "
+            f"at most {MAX_REPLICATES} per run)",
         )
         if with_workers:
             sp.add_argument(
                 "--workers",
                 type=int,
-                default=1,
-                help=f"worker threads (default 1, at most {MAX_WORKERS})",
+                help=f"worker threads (default {CommandRequest.workers}, "
+                f"at most {MAX_WORKERS})",
             )
 
-    sp = sub.add_parser("bounds", help="closed-form moment bounds at one p")
-    add_common(sp)
+    add_command("bounds", "closed-form moment bounds at one p")
 
-    sp = sub.add_parser("oracle", help="exact moments by enumeration at one p")
-    add_common(sp)
+    sp = add_command("oracle", "exact moments by enumeration at one p")
     sp.add_argument(
         "--polynomial",
         action="store_true",
+        dest="dump_polynomial",
         help="emit the exact moment polynomial as JSON instead of a row",
     )
 
-    sp = sub.add_parser("simulate", help="Monte Carlo moment estimate at one p")
-    add_common(sp)
+    sp = add_command("simulate", "Monte Carlo moment estimate at one p")
     add_reps(sp)
 
-    sp = sub.add_parser("sweep", help="bounds and estimates over a p grid")
-    add_common(sp, with_p=False)
-    sp.add_argument(
-        "--p-grid", required=True, help="probability grid as start:end:step"
-    )
+    sp = add_command("sweep", "bounds and estimates over a p grid", with_p=False)
+    sp.add_argument("--p-grid", required=True, help="probability grid as start:end:step")
     add_reps(sp)
     sp.add_argument(
         "--oracle",
@@ -216,37 +219,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also compute exact moments (graphs within the edge cap only)",
     )
 
-    sp = sub.add_parser(
-        "dominance", help="tail comparison of birth process vs branching envelope"
+    sp = add_command(
+        "dominance", "tail comparison of birth process vs branching envelope"
     )
-    add_common(sp)
     add_reps(sp, with_workers=False)
 
     return parser
 
 
 def parse_args(argv: list[str] | None = None) -> CommandRequest:
-    ns = _build_parser().parse_args(argv)
-    return CommandRequest(
-        subcommand=ns.subcommand,
-        graph_name=ns.graph,
-        edge_file=ns.edge_file,
-        p=getattr(ns, "p", None),
-        p_grid=parse_p_grid(ns.p_grid) if getattr(ns, "p_grid", None) else None,
-        replicates=getattr(ns, "reps", 100_000),
-        seed=ns.seed,
-        workers=getattr(ns, "workers", 1),
-        output_format=ns.output_format,
-        output_path=ns.output,
-        include_oracle=getattr(ns, "include_oracle", False),
-        dump_polynomial=getattr(ns, "polynomial", False),
-    )
+    fields = vars(_build_parser().parse_args(argv))
+    if "p_grid" in fields:
+        fields["p_grid"] = parse_p_grid(fields["p_grid"])
+    return CommandRequest(**fields)
 
 
 def _resolve_graph(request: CommandRequest) -> Graph:
     if request.graph_name is not None:
         return generate_builtin(request.graph_name)
-    assert request.edge_file is not None
+    if request.edge_file is None:
+        raise BadParameterError("no graph given: name a builtin graph or an edge file")
     return load_edge_file(request.edge_file)
 
 
@@ -260,108 +252,63 @@ def _oracle_cap() -> int | None:
         raise BadParameterError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
 
 
-def _empty_row() -> dict:
-    return {col: None for col in MOMENT_COLUMNS}
-
-
-def _fill_graph(row: dict, graph: Graph) -> None:
-    row["graph"] = graph.label
-    row["N"] = graph.n_vertices
-    row["D"] = graph.degree
-
-
-def _fill_bounds(row: dict, graph: Graph, p: float) -> None:
+def _bounds(graph: Graph, p: float) -> tuple[MomentPair, MomentPair, MomentPair]:
+    """The (branching, isolation, combined) bounds of ``graph`` at ``p``, in row order."""
     params = BoundParams(degree=graph.degree, n_vertices=graph.n_vertices, p=p)
-    b, i, c = branching_bounds(params), isolation_bounds(params), best_bounds(params)
-    row["thm1_first"], row["thm1_second"] = b.first, b.second
-    row["thm2_first"], row["thm2_second"] = i.first, i.second
-    row["best_first"], row["best_second"] = c.first, c.second
+    return branching_bounds(params), isolation_bounds(params), best_bounds(params)
 
 
-def _fill_exact(row: dict, pair: MomentPair) -> None:
-    row["exact_first"], row["exact_second"] = pair.first, pair.second
+def _moment_row(
+    graph: Graph,
+    p: float,
+    bounds: tuple[MomentPair, ...] = (),
+    est: MomentEstimate | None = None,
+    exact: MomentPair | None = None,
+) -> dict:
+    """The :data:`MOMENT_COLUMNS` row of the results given; other cells stay None."""
+    row = dict.fromkeys(MOMENT_COLUMNS)
+    row.update(graph=graph.label, N=graph.n_vertices, D=graph.degree, p=p)
+    if est is not None:
+        row.update(
+            reps=est.replicates, seed=est.seed, mean_s=est.mean_s, se_s=est.se_s,
+            mean_s2=est.mean_s2, se_s2=est.se_s2,
+        )
+    for name, pair in zip(("thm1", "thm2", "best"), bounds):
+        row[f"{name}_first"], row[f"{name}_second"] = pair.first, pair.second
+    if exact is not None:
+        row["exact_first"], row["exact_second"] = exact.first, exact.second
+    return row
 
 
 def _moment_rows(request: CommandRequest, graph: Graph) -> list[dict]:
-    rows: list[dict] = []
+    p = request.p
     if request.subcommand == "bounds":
-        row = _empty_row()
-        _fill_graph(row, graph)
-        row["p"] = request.p
-        _fill_bounds(row, graph, request.p)
-        rows.append(row)
-    elif request.subcommand == "oracle":
-        row = _empty_row()
-        _fill_graph(row, graph)
-        row["p"] = request.p
-        _fill_exact(row, exact_moments(graph, request.p, _oracle_cap()))
-        rows.append(row)
-    elif request.subcommand == "simulate":
-        row = _empty_row()
-        _fill_graph(row, graph)
-        row["p"] = request.p
-        row["reps"] = request.replicates
-        row["seed"] = request.seed
-        est = estimate_moments(
-            graph, request.p, request.replicates, request.seed, request.workers
-        )
-        row["mean_s"], row["se_s"] = est.mean_s, est.se_s
-        row["mean_s2"], row["se_s2"] = est.mean_s2, est.se_s2
-        _fill_bounds(row, graph, request.p)
-        rows.append(row)
-    else:  # sweep
-        result = sweep(
-            graph,
-            request.p_grid,
-            request.replicates,
-            request.seed,
-            include_oracle=request.include_oracle,
-            workers=request.workers,
-            max_oracle_edges=_oracle_cap(),
-        )
-        for sweep_row in result.rows:
-            row = _empty_row()
-            _fill_graph(row, graph)
-            row["p"] = sweep_row.p
-            row["reps"] = request.replicates
-            row["seed"] = sweep_row.estimate.seed
-            est = sweep_row.estimate
-            row["mean_s"], row["se_s"] = est.mean_s, est.se_s
-            row["mean_s2"], row["se_s2"] = est.mean_s2, est.se_s2
-            row["thm1_first"] = sweep_row.branching.first
-            row["thm1_second"] = sweep_row.branching.second
-            row["thm2_first"] = sweep_row.isolation.first
-            row["thm2_second"] = sweep_row.isolation.second
-            row["best_first"] = sweep_row.combined.first
-            row["best_second"] = sweep_row.combined.second
-            if sweep_row.exact is not None:
-                _fill_exact(row, sweep_row.exact)
-            rows.append(row)
-    return rows
+        return [_moment_row(graph, p, _bounds(graph, p))]
+    if request.subcommand == "oracle":
+        return [_moment_row(graph, p, exact=exact_moments(graph, p, _oracle_cap()))]
+    if request.subcommand == "simulate":
+        est = estimate_moments(graph, p, request.replicates, request.seed, request.workers)
+        return [_moment_row(graph, p, _bounds(graph, p), est)]
+    if request.subcommand != "sweep":
+        raise BadParameterError(f"unknown subcommand {request.subcommand!r}")
+    result = sweep(
+        graph, request.p_grid or (), request.replicates, request.seed,
+        include_oracle=request.include_oracle, workers=request.workers,
+        max_oracle_edges=_oracle_cap(),
+    )
+    return [
+        _moment_row(graph, r.p, (r.branching, r.isolation, r.combined), r.estimate, r.exact)
+        for r in result.rows
+    ]
 
 
 def _dominance_rows(request: CommandRequest, graph: Graph) -> list[dict]:
     report = dominance_report(graph, request.p, request.replicates, request.seed)
-    rows = []
-    for tail in report.rows:
-        rows.append(
-            {
-                "graph": graph.label,
-                "N": graph.n_vertices,
-                "D": graph.degree,
-                "p": request.p,
-                "reps": request.replicates,
-                "seed": request.seed,
-                "generation": tail.generation,
-                "k": tail.k,
-                "birth_tail": tail.birth_tail,
-                "branching_tail": tail.branching_tail,
-                "birth_se": tail.birth_se,
-                "branching_se": tail.branching_se,
-                "within_tolerance": tail.within_tolerance,
-            }
-        )
-    return rows
+    head = dict(
+        graph=graph.label, N=graph.n_vertices, D=graph.degree,
+        p=report.p, reps=report.replicates, seed=report.seed,
+    )
+    return [{**head, **vars(tail)} for tail in report.rows]
 
 
 def _format_cell(value) -> str:

@@ -212,7 +212,7 @@ def _birth_counts(graph: Graph, p: float, seed: int, replicates: int) -> np.ndar
     for lo in range(0, replicates, _BLOCK):
         hi = min(lo + _BLOCK, replicates)
         b = hi - lo
-        starts, open_edges = _block_draws(graph, plan, p, seed, lo, hi)
+        starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
         frontier = np.zeros((n, b), dtype=bool)
         frontier[starts, np.arange(b)] = True
         reach = frontier.copy()

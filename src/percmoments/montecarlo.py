@@ -44,7 +44,7 @@ from .errors import BadParameterError
 from .graphs import Graph
 from .oracle import moment_polynomial
 from .percolation import EdgeConfig, _check_probability
-from .rng import derive_key, edge_draws, uniform_matrix
+from .rng import derive_key, edge_draws
 from .stats import RunningMoments
 
 __all__ = [
@@ -144,11 +144,14 @@ def _edge_plan(graph: Graph) -> _EdgePlan:
 
 
 def _block_draws(
-    graph: Graph, plan: _EdgePlan, p: float, seed: int, lo: int, hi: int
+    graph: Graph, order: np.ndarray | None, p: float, seed: int, lo: int, hi: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Start vertices and open flags (rows in plan order) of replicates [lo, hi)."""
+    """Start vertices and open flags of replicates [lo, hi).
+
+    Row ``k`` of the flags is edge ``order[k]``, or edge ``k`` without an order.
+    """
     n = graph.n_vertices
-    u0, open_edges = edge_draws(seed, lo, hi - lo, graph.n_edges, p, order=plan.order)
+    u0, open_edges = edge_draws(seed, lo, hi - lo, graph.n_edges, p, order=order)
     starts = np.minimum((u0 * n).astype(np.int64), n - 1)
     return starts, open_edges
 
@@ -212,7 +215,7 @@ def _block_cluster_sizes(
     if plan is None:
         plan = _edge_plan(graph)
     b = hi - lo
-    starts, open_edges = _block_draws(graph, plan, p, seed, lo, hi)
+    starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
     member = np.zeros((graph.n_vertices, b), dtype=bool)
     member[starts, np.arange(b)] = True
 
@@ -252,17 +255,15 @@ def replicate_realization(
 ) -> tuple[int, EdgeConfig]:
     """Reconstruct the (start vertex, edge config) of one replicate.
 
-    Uses the same stream layout as :func:`estimate_moments`, so the returned
-    realization is exactly what replicate ``index`` of a run saw.
+    Draws it as a one-column block of :func:`estimate_moments`, rows in
+    edge-index order, so the returned realization is exactly what replicate
+    ``index`` of a run saw.
     """
     p = _check_probability(p)
     if index < 0:
         raise BadParameterError(f"replicate index must be >= 0, got {index}")
-    u = uniform_matrix(seed, index, 1, graph.n_edges + 1)[0]
-    n = graph.n_vertices
-    x = min(int(u[0] * n), n - 1)
-    flags = tuple(bool(ui < p) for ui in u[1:])
-    return x, EdgeConfig(open_flags=flags, p=p)
+    starts, open_edges = _block_draws(graph, None, p, seed, index, index + 1)
+    return int(starts[0]), EdgeConfig(open_flags=tuple(open_edges[:, 0].tolist()), p=p)
 
 
 def _block_stats(
@@ -343,11 +344,9 @@ def sweep(
     The caps of :func:`estimate_moments` apply, ``MAX_REPLICATES`` to
     replicates times grid points, before the enumeration or any point.
     """
-    grid = sorted(float(p) for p in p_grid)
+    grid = sorted(_check_probability(p) for p in p_grid)
     if not grid:
         raise BadParameterError("p grid is empty")
-    for p in grid:
-        _check_probability(p)
     if replicates * len(grid) > MAX_REPLICATES:
         raise BadParameterError(
             f"{replicates} replicates x {len(grid)} grid points exceeds the cap "

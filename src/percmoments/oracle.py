@@ -186,8 +186,7 @@ class MomentPolynomial:
 
     def evaluate(self, p: float) -> MomentPair:
         p = _check_probability(p)
-        m = np.arange(self.n_edges + 1)
-        weights = p**m * (1.0 - p) ** (self.n_edges - m)
+        weights = _config_weights(np.arange(self.n_edges + 1), self.n_edges, p)
         first = float(weights @ np.array(self.first_counts, dtype=np.float64))
         second = float(weights @ np.array(self.second_counts, dtype=np.float64))
         n = self.n_vertices
@@ -227,35 +226,23 @@ def moment_polynomial(graph: Graph, max_edges: int | None = None) -> MomentPolyn
 
 @dataclass(frozen=True)
 class ConnectivityTable:
-    """Pairwise (and optionally triple) connection probabilities."""
+    """Pairwise connection probabilities."""
 
     p: float
     pair_probs: np.ndarray = field(repr=False)
-    triple_probs: np.ndarray | None = field(repr=False, default=None)
 
 
 def pair_connectivity(
-    graph: Graph,
-    p: float,
-    include_triples: bool = False,
-    max_edges: int | None = None,
+    graph: Graph, p: float, max_edges: int | None = None
 ) -> ConnectivityTable:
-    """P(x <-> y) for all pairs; optionally P(x <-> y, x <-> z) triples.
-
-    The triple tensor is (N, N, N) and adds an einsum per block, so keep it
-    to small graphs.
-    """
+    """P(x <-> y) for all pairs of vertices."""
     p = _check_probability(p)
     n = graph.n_vertices
     pair = np.zeros((n, n))
-    triple = np.zeros((n, n, n)) if include_triples else None
     for n_open, labels, _, _, _ in _config_blocks(graph, max_edges):
         w = _config_weights(n_open, graph.n_edges, p)
-        same = _same_cluster(labels)
-        pair += np.tensordot(same, w, axes=([2], [0]))
-        if triple is not None:
-            triple += np.einsum("xyb,xzb,b->xyz", same, same, w)
-    return ConnectivityTable(p=p, pair_probs=pair, triple_probs=triple)
+        pair += np.tensordot(_same_cluster(labels), w, axes=([2], [0]))
+    return ConnectivityTable(p=p, pair_probs=pair)
 
 
 def connectivity_moments(

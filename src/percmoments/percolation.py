@@ -41,10 +41,13 @@ class ClusterResult:
 
 
 def _check_probability(p: float) -> float:
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise BadProbabilityError(f"p must be in [0, 1], got {p}")
-    return p
+    try:
+        value = float(p)
+    except (TypeError, ValueError):
+        raise BadProbabilityError(f"p must be a number in [0, 1], got {p!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise BadProbabilityError(f"p must be in [0, 1], got {value}")
+    return value
 
 
 def _check_config(graph: Graph, config: EdgeConfig) -> None:

@@ -24,6 +24,11 @@ itself exact, and for an integer ``k`` that holds iff ``k < T``.  For
 allocates neither a float matrix nor its transpose.  The rows can come out
 in any edge order the caller needs: a row's counter position depends only
 on the edge it holds, never on where the row sits.
+
+Every realization of the package is drawn by :func:`edge_draws`.
+:func:`stream_uniforms` and :func:`uniform_matrix` compute the same draws as
+plain uniforms, one stream or a matrix of streams at a time; they are not
+exported and serve as the reference that ``edge_draws`` is checked against.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import math
 
 import numpy as np
 
-__all__ = ["derive_key", "stream_uniforms", "uniform_matrix", "edge_draws"]
+__all__ = ["derive_key", "edge_draws"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15

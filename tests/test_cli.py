@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import time
@@ -140,6 +141,46 @@ def test_cli_output_is_byte_identical_across_runs():
     assert run_cli(args) == run_cli(args)
 
 
+# (argv, exit code, sha256 of stdout): every subcommand in CSV and JSON, the
+# polynomial dump, overflowing "inf" bound cells and a JSON error payload.
+GOLDEN_STDOUT = [
+    ("bounds --graph tetrahedron --p 0.5", 0,
+     "ed48a6f37bfb2e942daaa55f6084153398c92f20c46c4a36110f5bef101339e7"),
+    ("bounds --graph hypercube(10) --p 0.5", 0,
+     "5fdce00a31632f466e5d1d3239a4944784fbe383e782fff5019dd02370265ad8"),
+    ("bounds --graph hypercube(10) --p 0.5 --format json", 0,
+     "9c266b4b60537c16742ff2af6d3951f70f8fcb1af9aeaff386fedfcd10054c35"),
+    ("oracle --graph cube --p 0.3", 0,
+     "bed5f1d57758c0af83fc354e8ec502b97e85b433fc965b4a7bf3f888375870f5"),
+    ("oracle --graph octahedron --p 0.7 --format json", 0,
+     "b2b7b42e6730e2395056b5f76f08390044968a7098f7e9bde36b1097c19c63a1"),
+    ("oracle --graph cube --p 0.5 --polynomial --format json", 0,
+     "bc36d83acd245e1ccadcd96029b9ef6e7f6779c3420b0e0850698a35b3a112c6"),
+    ("oracle --graph dodecahedron --p 0.5 --format json", 2,
+     "943d0cb77925eea15f797474f03f0637b3720f89320281ef289d213571093c1e"),
+    ("simulate --graph octahedron --p 0.3 --reps 3000 --seed 5", 0,
+     "cb459973b5e617d880e0d6a2dd239d4e9c622a04ae8d1c2e60b9fb2fdf34a4a8"),
+    ("simulate --graph cube --p 0.6 --reps 2000 --workers 2 --format json", 0,
+     "274ab25c7fb22db2912a2d67aaa11a5c0a5f6adbbcd52b075f6c1cf0777bed31"),
+    ("sweep --graph tetrahedron --p-grid 0:1:0.25 --reps 2000 --oracle", 0,
+     "5b4ae15831d7b500c257a0076893d24770fdd69dc91eeebde19a1efc5c0be07d"),
+    ("sweep --graph cube --p-grid 0.2:0.4:0.2 --reps 1500 --seed 7 --format json", 0,
+     "cb053d0a27b3b033b7465ec86710374a42d2b660b2965e8a31f7d24970a28db6"),
+    ("dominance --graph complete(3) --p 0.5 --reps 2000", 0,
+     "14f723d8e6579ab1639f2d98043c57b446f3af395729fa338a42bc2db2d149ef"),
+    ("dominance --graph cube --p 0.3 --reps 1500 --seed 2 --format json", 0,
+     "d4e7530c3ba1ce622939571879171b01733ac8734a526bf2c74660fff27dc3c1"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN_STDOUT, ids=[g[0] for g in GOLDEN_STDOUT])
+def test_stdout_bytes_are_pinned(argv, code, digest):
+    # recorded before the row builder was rewritten: any changed byte fails
+    got_code, out = run_cli(argv.split())
+    assert got_code == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sweep_rows_and_oracle_flag():
     args = [
         "sweep", "--graph", "tetrahedron", "--p-grid", "0:1:0.5",
@@ -234,6 +275,33 @@ def test_unknown_graph_and_bad_p_exit_2():
     assert code == 2
     code, _ = run_cli(["bounds", "--graph", "cube", "--p", "1.5"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(subcommand="bounds", graph_name="cube"),
+        dict(subcommand="oracle", graph_name="cube"),
+        dict(subcommand="simulate", graph_name="cube", replicates=100),
+        dict(subcommand="dominance", graph_name="cube", replicates=100),
+        dict(subcommand="sweep", graph_name="cube", replicates=100),
+        dict(subcommand="bounds", p=0.3),
+        dict(subcommand="bounds", graph_name="cube", p="0.3x"),
+        dict(subcommand="frobnicate", graph_name="cube", p=0.3),
+    ],
+    ids=["bounds no p", "oracle no p", "simulate no p", "dominance no p", "sweep no grid",
+         "no graph", "p not a number", "unknown subcommand"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_incomplete_requests_exit_2(fields, fmt, capsys):
+    # requests built without parse_args are refused, never a traceback
+    buf = io.StringIO()
+    assert execute(CommandRequest(output_format=fmt, **fields), buf) == 2
+    assert capsys.readouterr().err.startswith("percmoments: ")
+    if fmt == "json":
+        assert json.loads(buf.getvalue())["error"] in ("BadParameter", "BadProbability")
+    else:
+        assert buf.getvalue() == ""
 
 
 def test_missing_edge_file_exits_2(tmp_path):

@@ -83,12 +83,9 @@ def test_enumeration_endpoints(name):
 
 
 def test_pair_connectivity_hand_values(k3):
-    table = pair_connectivity(k3, 0.5, include_triples=True)
+    table = pair_connectivity(k3, 0.5)
     assert table.pair_probs[0, 1] == pytest.approx(0.625, abs=1e-12)
     assert table.pair_probs[0, 0] == pytest.approx(1.0, abs=1e-12)
-    assert table.triple_probs[0, 1, 2] == pytest.approx(0.5, abs=1e-12)
-    # P(x<->y, x<->x) reduces to pair connectivity
-    assert table.triple_probs[0, 1, 0] == pytest.approx(0.625, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron"])

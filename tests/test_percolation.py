@@ -34,7 +34,7 @@ def test_threshold_is_strict(k3):
         assert not at.open_flags[e] and above.open_flags[e]
 
 
-@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan"), "0.3x", None])
 def test_bad_probability(k3, p):
     with pytest.raises(BadProbabilityError):
         replicate_realization(k3, p, 0, 0)
