@@ -93,6 +93,7 @@ DOMINANCE_COLUMNS = [
     "within_tolerance",
 ]
 
+_OUTPUT_FORMATS = ("csv", "json")
 _ENV_CAP = "PERCMOMENTS_ORACLE_CAP"
 # Longest --p-grid accepted, in steps (a step of 1e-5 over [0, 1]).
 MAX_GRID_STEPS = 100_000
@@ -175,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--seed", type=int, help=f"base seed (default {CommandRequest.seed})"
         )
-        sp.add_argument("--format", choices=("csv", "json"), dest="output_format")
+        sp.add_argument("--format", choices=_OUTPUT_FORMATS, dest="output_format")
         sp.add_argument(
             "--output", dest="output_path", metavar="OUTPUT",
             help="write to this file instead of stdout",
@@ -343,6 +344,11 @@ def execute(request: CommandRequest, out: TextIO | None = None) -> int:
     """Run one parsed command, writing rows to ``out`` (default stdout)."""
     stream = out if out is not None else sys.stdout
     try:
+        if request.output_format not in _OUTPUT_FORMATS:
+            raise BadParameterError(
+                f"output format must be one of {', '.join(_OUTPUT_FORMATS)}, "
+                f"got {request.output_format!r}"
+            )
         graph = _resolve_graph(request)
         if request.subcommand == "oracle" and request.dump_polynomial:
             if request.output_format != "json":

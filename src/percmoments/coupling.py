@@ -30,7 +30,7 @@ import numpy as np
 from .errors import BadIndexError, BadParameterError
 from .graphs import Graph
 from .montecarlo import _BLOCK, _block_draws, _edge_plan, _relax_edges
-from .percolation import EdgeConfig, _check_config, _check_probability
+from .percolation import EdgeConfig, _check_config, _check_integer, _check_probability
 
 __all__ = [
     "GenerationTrace",
@@ -246,6 +246,8 @@ def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> Domi
     sampling.
     """
     p = _check_probability(p)
+    replicates = _check_integer("replicates", replicates)
+    seed = _check_integer("seed", seed)
     if replicates < 1:
         raise BadParameterError(f"replicates must be >= 1, got {replicates}")
     if seed < 0:

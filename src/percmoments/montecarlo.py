@@ -22,6 +22,12 @@ a pass nor the number of passes can change a result.
   and ``m[b] |= u``.  A pass is some hundred numpy calls on large arrays
   instead of several per edge, and numpy drops the GIL inside each, so
   ``workers`` threads run blocks side by side.
+* **Packed columns.**  On graphs with fewer than ``_COMPACT_MIN_EDGES``
+  edges, the membership and open-flag matrices are bit-packed along the
+  replicate axis, eight columns per byte, before the fixpoint: the same
+  operations then move an eighth of the bytes.  A pass that leaves the
+  packed membership unchanged ends the fixpoint, and the sizes are read
+  once by unpacking.
 * **Compaction.**  A replicate column whose member count did not change in
   a full pass is at its fixpoint: no open edge leaves its member set.  Once
   at least half of the live columns are done, their sizes are stored and
@@ -43,7 +49,7 @@ from .bounds import BoundParams, MomentPair, best_bounds, branching_bounds, isol
 from .errors import BadParameterError
 from .graphs import Graph
 from .oracle import moment_polynomial
-from .percolation import EdgeConfig, _check_probability
+from .percolation import EdgeConfig, _check_integer, _check_probability
 from .rng import derive_key, edge_draws
 from .stats import RunningMoments
 
@@ -164,12 +170,14 @@ def _relax_edges(
     Rows of ``open_edges`` follow the plan.  With ``src is dst`` a pass can
     cross one edge per class (the fixpoint's in-place pass); with distinct
     arrays it is one exact BFS step.  Within a class the gathered rows are
-    distinct, so scattering them back never collides.
+    distinct, so scattering them back never collides.  The matrices are
+    bool, or uint8 with eight replicate columns packed per byte: every
+    operation acts on each bit lane alone.
     """
     width = src.shape[1]
     rows = max(1, _PIECE_BYTES // width)
     rows = min(rows, max(stop - start for start, stop in plan.classes))
-    scratch = np.empty((3, rows, width), dtype=bool)
+    scratch = np.empty((3, rows, width), dtype=src.dtype)
     for start, stop in plan.classes:
         for lo in range(start, stop, rows):
             hi = min(lo + rows, stop)
@@ -220,13 +228,15 @@ def _block_cluster_sizes(
     member[starts, np.arange(b)] = True
 
     if graph.n_edges < _COMPACT_MIN_EDGES:
-        prev = b
+        member = np.packbits(member, axis=1, bitorder="little")
+        open_edges = np.packbits(open_edges, axis=1, bitorder="little")
+        prev = np.empty_like(member)
         while True:
+            prev[...] = member
             _relax_edges(plan, open_edges, member, member)
-            cur = np.count_nonzero(member)
-            if cur == prev:
-                return member.sum(axis=0, dtype=np.int64)
-            prev = cur
+            if np.array_equal(member, prev):
+                bits = np.unpackbits(member, axis=1, count=b, bitorder="little")
+                return bits.sum(axis=0, dtype=np.int64)
 
     sizes = np.empty(b, dtype=np.int64)
     live = np.arange(b)  # block column of each column still in the matrices
@@ -260,7 +270,8 @@ def replicate_realization(
     ``index`` of a run saw.
     """
     p = _check_probability(p)
-    if index < 0:
+    seed = _check_integer("seed", seed)
+    if _check_integer("replicate index", index) < 0:
         raise BadParameterError(f"replicate index must be >= 0, got {index}")
     starts, open_edges = _block_draws(graph, None, p, seed, index, index + 1)
     return int(starts[0]), EdgeConfig(open_flags=tuple(open_edges[:, 0].tolist()), p=p)
@@ -277,7 +288,7 @@ def _block_stats(
 
 
 def _check_workers(workers: int) -> None:
-    if not 1 <= workers <= MAX_WORKERS:
+    if not 1 <= _check_integer("workers", workers) <= MAX_WORKERS:
         raise BadParameterError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
 
 
@@ -292,6 +303,8 @@ def estimate_moments(
     refused before any work.
     """
     p = _check_probability(p)
+    replicates = _check_integer("replicates", replicates)
+    seed = _check_integer("seed", seed)
     if replicates < 2:
         raise BadParameterError(f"need at least 2 replicates, got {replicates}")
     if replicates > MAX_REPLICATES:
@@ -344,9 +357,15 @@ def sweep(
     The caps of :func:`estimate_moments` apply, ``MAX_REPLICATES`` to
     replicates times grid points, before the enumeration or any point.
     """
-    grid = sorted(_check_probability(p) for p in p_grid)
+    try:
+        points = list(p_grid)
+    except TypeError:
+        raise BadParameterError(f"p grid must be a sequence, got {p_grid!r}") from None
+    grid = sorted(_check_probability(p) for p in points)
     if not grid:
         raise BadParameterError("p grid is empty")
+    replicates = _check_integer("replicates", replicates)
+    seed = _check_integer("seed", seed)
     if replicates * len(grid) > MAX_REPLICATES:
         raise BadParameterError(
             f"{replicates} replicates x {len(grid)} grid points exceeds the cap "

@@ -187,10 +187,28 @@ class MomentPolynomial:
     def evaluate(self, p: float) -> MomentPair:
         p = _check_probability(p)
         weights = _config_weights(np.arange(self.n_edges + 1), self.n_edges, p)
-        first = float(weights @ np.array(self.first_counts, dtype=np.float64))
-        second = float(weights @ np.array(self.second_counts, dtype=np.float64))
-        n = self.n_vertices
-        return MomentPair(first=first / n, second=second / n, kind="exact")
+        first, second = (
+            self._moment(counts, weights, p) for counts in (self.first_counts, self.second_counts)
+        )
+        return MomentPair(first=first, second=second, kind="exact")
+
+    def _moment(self, counts: tuple[int, ...], weights: np.ndarray, p: float) -> float:
+        """sum_m counts[m] p^m (1-p)^(|E|-m) / N.
+
+        Summed in float64 while every count is below 2^1023.  A larger count
+        would overflow float64, so the sum is then taken exactly: p = a / d
+        with d a power of two, so the sum times d^|E| is the integer
+        sum_m counts[m] a^m (d-a)^(|E|-m), built by Horner's rule in a, and
+        one int / int division rounds it.
+        """
+        if max(counts) < 1 << 1023:
+            return float(weights @ np.array(counts, dtype=np.float64)) / self.n_vertices
+        a, d = p.as_integer_ratio()
+        acc, b_pow = counts[-1], 1
+        for c in reversed(counts[:-1]):
+            b_pow *= d - a
+            acc = acc * a + c * b_pow
+        return acc / (d**self.n_edges * self.n_vertices)
 
     def to_json_dict(self) -> dict:
         """JSON-ready form; counts as strings so arbitrary ints survive."""

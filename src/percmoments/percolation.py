@@ -11,6 +11,7 @@ monotone in ``p`` per realization.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import BadIndexError, BadParameterError, BadProbabilityError
@@ -48,6 +49,16 @@ def _check_probability(p: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise BadProbabilityError(f"p must be in [0, 1], got {value}")
     return value
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float, string or None is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_config(graph: Graph, config: EdgeConfig) -> None:

@@ -13,17 +13,22 @@ Uniforms are doubles in ``[0, 1)`` built from the top 53 bits of a word
 ``z``: ``u = (z >> 11) * 2^-53``.
 
 Monte Carlo blocks never need the uniforms of the edge draws, only whether
-each is below ``p``.  :func:`edge_draws` therefore compares the integer
-``k = z >> 11`` with ``T = ceil(p * 2^53)`` instead.  The two tests agree
-exactly: ``k < 2^53`` converts to a double without rounding and scaling by
-``2^-53`` is exact, so ``u < p`` iff ``k < p * 2^53``; ``p * 2^53`` is
-itself exact, and for an integer ``k`` that holds iff ``k < T``.  For
-``p = 0`` no edge opens (``T = 0``); for ``p = 1`` every edge opens
-(``T = 2^53 > k``).  The words are mixed in place over row chunks of about
-1 MB and written straight into an edge-major boolean matrix, so a block
-allocates neither a float matrix nor its transpose.  The rows can come out
-in any edge order the caller needs: a row's counter position depends only
-on the edge it holds, never on where the row sits.
+each is below ``p``.  :func:`edge_draws` therefore compares the word ``z``
+itself with ``T * 2^11``, where ``T = ceil(p * 2^53)``.  The tests agree
+exactly.  First, ``u < p`` iff ``k < T`` for ``k = z >> 11``: ``k < 2^53``
+converts to a double without rounding and scaling by ``2^-53`` is exact,
+so ``u < p`` iff ``k < p * 2^53``; ``p * 2^53`` is itself exact, and for an
+integer ``k`` that holds iff ``k < T``.  Second, ``floor(z / 2^11) < T``
+iff ``z < T * 2^11``, so the shift is never computed.  For ``p < 1``,
+``T <= 2^53 - 1`` and ``T * 2^11 <= 2^64 - 2^11`` fits a 64-bit word.  At
+``p = 0`` no edge opens and at ``p = 1`` every edge does, whatever the
+words; there the flags are constants and no edge word is mixed (the start
+draws still are).  Otherwise the words are mixed in place over row chunks
+of about 512 KB, so that a chunk and its scratch fit together in a 2 MB
+per-core L2 cache, and compared straight into an edge-major boolean
+matrix: a block allocates neither a float matrix nor its transpose.  The
+rows can come out in any edge order the caller needs: a row's counter
+position depends only on the edge it holds, never on where the row sits.
 
 Every realization of the package is drawn by :func:`edge_draws`.
 :func:`stream_uniforms` and :func:`uniform_matrix` compute the same draws as
@@ -44,8 +49,9 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _U53 = 2.0**-53
-# Working-set size of one chunk of edge rows in edge_draws.
-_CHUNK_BYTES = 1 << 20
+# Bytes of one chunk of mixed words in edge_draws; with its scratch twin,
+# 1 MB of working set, small enough to stay in a 2 MB per-core L2 cache.
+_CHUNK_BYTES = 1 << 19
 
 
 def _mix64_scalar(z: int) -> int:
@@ -134,7 +140,9 @@ def edge_draws(
     starts = _mix64_array(keys + np.uint64(_GOLDEN))
     starts = (starts >> np.uint64(11)).astype(np.float64) * _U53
 
-    threshold = np.uint64(math.ceil(p * 2.0**53))
+    if p == 0.0 or p == 1.0:
+        return starts, np.full((n_edges, n_streams), p == 1.0)
+    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
     open_edges = np.empty((n_edges, n_streams), dtype=bool)
     rows = max(1, _CHUNK_BYTES // (8 * max(n_streams, 1)))
     z = np.empty((min(rows, n_edges), n_streams), dtype=np.uint64)
@@ -150,6 +158,5 @@ def edge_draws(
         offsets = np.uint64(_GOLDEN) * positions[lo:hi]
         np.add(offsets[:, None], keys[None, :], out=zc)
         _mix64_inplace(zc, tc)
-        zc >>= np.uint64(11)
         np.less(zc, threshold, out=open_edges[lo:hi])
     return starts, open_edges

@@ -304,6 +304,52 @@ def test_incomplete_requests_exit_2(fields, fmt, capsys):
         assert buf.getvalue() == ""
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        dict(subcommand="simulate", replicates=None),
+        dict(subcommand="simulate", replicates=100.5),
+        dict(subcommand="simulate", seed=None),
+        dict(subcommand="simulate", workers="2"),
+        dict(subcommand="sweep", p_grid=(0.2, 0.4), replicates="10"),
+        dict(subcommand="sweep", p_grid=(0.2, 0.4), seed=None),
+        dict(subcommand="dominance", replicates="10"),
+        dict(subcommand="dominance", seed=None),
+    ],
+    ids=["simulate None reps", "simulate float reps", "simulate None seed",
+         "simulate str workers", "sweep str reps", "sweep None seed",
+         "dominance str reps", "dominance None seed"],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_integer_request_fields_exit_2(fields, fmt, capsys, monkeypatch):
+    # refused before any block is drawn, never a traceback
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the request was refused")
+
+    monkeypatch.setattr(montecarlo, "_edge_plan", no_work)
+    monkeypatch.setattr("percmoments.coupling._birth_counts", no_work)
+    request = CommandRequest(graph_name="cube", p=0.3, output_format=fmt, **fields)
+    buf = io.StringIO()
+    assert execute(request, buf) == 2
+    assert capsys.readouterr().err.startswith("percmoments: ")
+    if fmt == "json":
+        assert json.loads(buf.getvalue())["error"] == "BadParameter"
+    else:
+        assert buf.getvalue() == ""
+
+
+@pytest.mark.parametrize("fmt", ["xml", "CSV", "", None])
+@pytest.mark.parametrize("subcommand", ["bounds", "simulate", "dominance"])
+def test_unknown_output_format_exits_2(fmt, subcommand, capsys):
+    request = CommandRequest(
+        subcommand=subcommand, graph_name="cube", p=0.3, replicates=100, output_format=fmt
+    )
+    buf = io.StringIO()
+    assert execute(request, buf) == 2
+    assert capsys.readouterr().err.startswith("percmoments: output format")
+    assert buf.getvalue() == ""
+
+
 def test_missing_edge_file_exits_2(tmp_path):
     code, _ = run_cli(["bounds", "--edge-file", str(tmp_path / "nope.edges"), "--p", "0.5"])
     assert code == 2

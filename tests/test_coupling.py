@@ -143,3 +143,13 @@ def test_block_birth_counts_match_replayed_replicates(name, p):
 def test_dominance_report_rejects_negative_seed(tetrahedron):
     with pytest.raises(BadParameterError):
         dominance_report(tetrahedron, 0.3, 100, seed=-1)
+
+
+@pytest.mark.parametrize("replicates, seed", [("10", 0), (10.0, 0), (None, 0), (10, None)])
+def test_dominance_report_rejects_non_integers(tetrahedron, monkeypatch, replicates, seed):
+    def no_work(*args):
+        raise AssertionError("sampling started before the arguments were refused")
+
+    monkeypatch.setattr("percmoments.coupling._birth_counts", no_work)
+    with pytest.raises(BadParameterError):
+        dominance_report(tetrahedron, 0.3, replicates, seed)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from percmoments import (
     BadParameterError,
+    EdgeConfig,
     TooManyEdgesError,
     cluster_of,
     estimate_moments,
@@ -283,3 +284,45 @@ def test_worker_count_never_changes_compacted_results(workers):
     reps = 2 * _BLOCK + 100
     serial = estimate_moments(g, 0.5, reps, seed=5, workers=1)
     assert estimate_moments(g, 0.5, reps, seed=5, workers=workers) == serial
+
+
+@pytest.mark.parametrize("name", ["octahedron", "dodecahedron", "icosahedron"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("lo, hi", [(0, _BLOCK), (4 * _BLOCK, 40_000)])
+def test_packed_full_blocks_match_per_replicate_clusters(name, p, lo, hi):
+    # full-width blocks of a 40 000-replicate run: 8192 columns, then the last 7232
+    g = generate_builtin(name)
+    assert g.n_edges < montecarlo._COMPACT_MIN_EDGES  # the bit-packed fixpoint
+    sizes = _block_cluster_sizes(g, p, 11, lo, hi)
+    starts, open_edges = montecarlo._block_draws(g, None, p, 11, lo, hi)
+    expected = [
+        cluster_of(g, EdgeConfig(tuple(open_edges[:, r].tolist()), p), int(x)).size
+        for r, x in enumerate(starts)
+    ]
+    np.testing.assert_array_equal(sizes, expected)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: estimate_moments(g, 0.5, 100.5, seed=0),
+        lambda g: estimate_moments(g, 0.5, None, seed=0),
+        lambda g: estimate_moments(g, 0.5, "10", seed=0),
+        lambda g: estimate_moments(g, 0.5, 100, seed=None),
+        lambda g: estimate_moments(g, 0.5, 100, seed=0, workers=None),
+        lambda g: sweep(g, None, 100, seed=0, include_oracle=True),
+        lambda g: sweep(g, 0.5, 100, seed=0, include_oracle=True),
+        lambda g: sweep(g, [0.5], 100.0, seed=0, include_oracle=True),
+        lambda g: sweep(g, [0.5], 100, seed=None, include_oracle=True),
+        lambda g: replicate_realization(g, 0.5, 0, None),
+        lambda g: replicate_realization(g, 0.5, None, 3),
+    ],
+    ids=["float reps", "None reps", "str reps", "None seed", "None workers",
+         "None grid", "scalar grid", "float sweep reps", "None sweep seed",
+         "None replicate index", "None replicate seed"],
+)
+def test_non_integer_arguments_are_refused_before_work(k3, monkeypatch, call):
+    monkeypatch.setattr(montecarlo, "_edge_plan", _no_work)
+    monkeypatch.setattr(montecarlo, "moment_polynomial", _no_work)
+    with pytest.raises(BadParameterError):
+        call(k3)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import json
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from percmoments import (
     EdgeConfig,
+    MomentPolynomial,
     TooManyEdgesError,
     cluster_of,
     connectivity_moments,
@@ -172,3 +174,29 @@ def test_ring16_golden_values():
     assert poly.second_counts == (
         16, 352, 3552, 22016, 94400, 298368, 722176, 1371136, 2072928,
         2516800, 2461888, 1936896, 1217216, 603008, 230400, 65536, 4096)
+
+
+def test_evaluate_past_float_range_is_exact():
+    # binomial counts C(1100, k) reach ~2^1095 and overflow float64, while the
+    # moments stay small: with K ~ Binomial(1100, p), E(K + 1) and E((K + 1)^2)
+    m = 1100
+    binom = [math.comb(m, k) for k in range(m + 1)]
+    assert max(binom) >= 1 << 1023
+    poly = MomentPolynomial(
+        n_vertices=1, n_edges=m,
+        first_counts=tuple((k + 1) * c for k, c in enumerate(binom)),
+        second_counts=tuple((k + 1) ** 2 * c for k, c in enumerate(binom)),
+    )
+    for p in (0.0, 2.0**-40, 0.3, 0.5, 1.0 - 2.0**-53, 1.0):
+        mean = m * Fraction(p)
+        pair = poly.evaluate(p)
+        assert pair.first == float(mean + 1)
+        assert pair.second == float(mean * (1 - Fraction(p)) + (mean + 1) ** 2)
+
+
+def test_evaluate_keeps_float_path_just_below_the_limit():
+    # the largest counts still summed in float64 give the float64 answer
+    counts = ((1 << 1023) - (1 << 970),) * 3
+    poly = MomentPolynomial(n_vertices=2, n_edges=2, first_counts=counts, second_counts=counts)
+    weights = np.array([0.7**2, 0.3 * 0.7, 0.3**2])
+    assert poly.evaluate(0.3).first == float(weights @ np.array(counts, dtype=np.float64)) / 2

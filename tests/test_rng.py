@@ -108,7 +108,7 @@ def test_edge_draws_threshold_at_drawn_values():
 
 
 def test_edge_draws_span_several_default_chunks():
-    # a full 8192-stream block holds 16 edge rows per chunk at the default size
+    # a full 8192-stream block holds 8 edge rows per chunk at the default size
     n_streams, n_edges, p = 8192, 50, 0.45
     assert n_edges * n_streams * 8 > 3 * rng._CHUNK_BYTES
     starts, open_edges = edge_draws(17, 8192, n_streams, n_edges, p)
@@ -138,3 +138,22 @@ def test_edge_draws_row_order(seed, first, n_streams, n_edges, p, chunk_bytes, p
     ref_starts, ref_open = edge_draws(seed, first, n_streams, n_edges, p)
     np.testing.assert_array_equal(starts, ref_starts)
     np.testing.assert_array_equal(ordered, ref_open[order])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [2.0**-53, 1.0 - 2.0**-53, 5e-324, 0.0, 1.0],
+    ids=["2^-53", "1-2^-53", "smallest subnormal", "0", "1"],
+)
+def test_edge_draws_at_extreme_thresholds(p):
+    # 1 - 2^-53 puts the word limit at its largest, 2^64 - 2^11
+    n_streams, n_edges = 8192, 30
+    starts, open_edges = edge_draws(23, 4096, n_streams, n_edges, p)
+    ref_starts, ref_open = _reference(23, 4096, n_streams, n_edges, p)
+    np.testing.assert_array_equal(starts, ref_starts)
+    np.testing.assert_array_equal(open_edges, ref_open)
+    assert open_edges.shape == (n_edges, n_streams) and open_edges.dtype == bool
+    order = np.arange(n_edges)[::-1]
+    _, ordered = edge_draws(23, 4096, n_streams, n_edges, p, order=order)
+    np.testing.assert_array_equal(ordered, ref_open[order])
+
