@@ -27,10 +27,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadIndexError, BadParameterError
+from .errors import BadParameterError
 from .graphs import Graph
 from .montecarlo import _BLOCK, _block_draws, _edge_plan, _relax_edges
-from .percolation import EdgeConfig, _check_config, _check_integer, _check_probability
+from .percolation import (
+    EdgeConfig,
+    _check_config,
+    _check_integer,
+    _check_probability,
+    _check_vertex,
+)
 
 __all__ = [
     "GenerationTrace",
@@ -78,8 +84,7 @@ def run_birth_process(graph: Graph, config: EdgeConfig, x: int) -> GenerationTra
     Layers as sets and counts do not depend on that order; only the
     parent/child attribution would move.
     """
-    if not 0 <= x < graph.n_vertices:
-        raise BadIndexError(f"vertex {x} out of range [0, {graph.n_vertices})")
+    x = _check_vertex(graph, x)
     _check_config(graph, config)
 
     open_adj: list[list[int]] = [[] for _ in range(graph.n_vertices)]
@@ -126,12 +131,24 @@ def run_birth_process(graph: Graph, config: EdgeConfig, x: int) -> GenerationTra
     )
 
 
-def _check_branching_args(degree: int, p: float, horizon: int) -> float:
+def _check_branching_args(
+    degree: int, p: float, horizon: int, replicates: int
+) -> tuple[int, float, int, int]:
+    degree = _check_integer("degree", degree)
+    horizon = _check_integer("horizon", horizon)
+    replicates = _check_integer("replicates", replicates)
     if degree < 1:
         raise BadParameterError(f"degree must be >= 1, got {degree}")
     if horizon < 1:
         raise BadParameterError(f"horizon must be >= 1, got {horizon}")
-    return _check_probability(p)
+    if replicates < 1:
+        raise BadParameterError(f"replicates must be >= 1, got {replicates}")
+    if replicates * (horizon + 1) > MAX_DOMINANCE_CELLS:
+        raise BadParameterError(
+            f"{replicates} replicates x {horizon + 1} generations exceed the "
+            f"{MAX_DOMINANCE_CELLS} cells of a branching sample"
+        )
+    return degree, _check_probability(p), horizon, replicates
 
 
 def branching_generation_samples(
@@ -143,10 +160,10 @@ def branching_generation_samples(
     ``Binomial(D, p)``; thereafter each of the ``X_n`` individuals
     contributes ``Binomial(D-1, p)`` offspring, drawn as the aggregate
     ``Binomial(X_n * (D-1), p)`` (same distribution, one draw per run).
+    Non-integer arguments, and more than ``MAX_DOMINANCE_CELLS`` cells of
+    that matrix, are refused before it is allocated.
     """
-    p = _check_branching_args(degree, p, horizon)
-    if replicates < 1:
-        raise BadParameterError(f"replicates must be >= 1, got {replicates}")
+    degree, p, horizon, replicates = _check_branching_args(degree, p, horizon, replicates)
     out = np.zeros((replicates, horizon + 1), dtype=np.int64)
     out[:, 0] = 1
     out[:, 1] = rng.binomial(degree, p, size=replicates)

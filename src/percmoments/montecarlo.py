@@ -2,32 +2,53 @@
 
 Replicate r of a run with seed s is a pure function of (s, r): its uniforms
 come from counter-based streams (see :mod:`percmoments.rng`), draw 0 picking
-the start vertex and draws 1..|E| the edge states.  Replicates are processed
-in fixed blocks whose partial statistics are merged in block order, so
-results are bit-identical for any worker count, and any single replicate can
-be reconstructed in isolation for auditing.
+the start vertex and draws 1..|E| the edge states.  Any single replicate can
+therefore be reconstructed in isolation for auditing, and replicates can be
+grouped in any way without changing what they draw.
 
-Cluster sizes are computed for a whole block at once: a boolean membership
+Statistics and work are grouped separately:
+
+* **Merge blocks.**  Replicates ``[8192 k, 8192 (k + 1))`` form merge block
+  ``k``.  Each block's sizes give one partial of S and one of S^2, and the
+  partials are merged in block order, so results are bit-identical for any
+  worker count and any grouping of the work.
+* **Spans.**  A span is the replicates that one draw
+  (:func:`percmoments.rng.edge_draws`) and one cluster fixpoint handle
+  together.  Its width comes from one byte budget, ``_SPAN_BYTES``, counted
+  per replicate column as |E| open flags, N membership flags and
+  ``_COLUMN_WORDS`` 8-byte per-replicate words.  A span takes as many whole
+  merge blocks as fit, so on small graphs a call of tens of thousands of
+  replicates is one draw and one fixpoint; with ``workers > 1`` spans are
+  narrowed, on block boundaries, until there are at least ``workers`` of
+  them.  Where one merge block does not fit, it is drawn and relaxed as
+  several sub-spans whose sizes are joined before its partials, so no
+  matrix grows past the budget however many edges the graph has.  Spans
+  come from a generator and their partials are merged as they arrive, so a
+  call holds a few spans' partials, never one per block of the run.
+
+Cluster sizes are computed for a whole span at once: a boolean membership
 matrix (vertices x replicates) is grown by passes over the edge list until a
 fixpoint, which reaches the full open cluster of each start vertex.  Sizes
 are integers fixed by connectivity, so neither the order of the edges within
-a pass nor the number of passes can change a result.
+a pass, nor the number of passes, nor the span a replicate shares can change
+a result.
 
 * **Matching classes.**  Once per call, the edge list is split by greedy
   edge colouring into at most ``2D - 1`` matchings, in which no vertex
-  appears twice.  The block's open flags are drawn with their rows in class
+  appears twice.  The span's open flags are drawn with their rows in class
   order (see :func:`percmoments.rng.edge_draws`), and a pass relaxes a
   class in pieces of about ``_PIECE_BYTES`` of gathered rows with a few
   whole-array operations: ``u = (m[a] | m[b]) & open``, then ``m[a] |= u``
   and ``m[b] |= u``.  A pass is some hundred numpy calls on large arrays
   instead of several per edge, and numpy drops the GIL inside each, so
-  ``workers`` threads run blocks side by side.
+  ``workers`` threads run spans side by side.
 * **Packed columns.**  On graphs with fewer than ``_COMPACT_MIN_EDGES``
   edges, the membership and open-flag matrices are bit-packed along the
-  replicate axis, eight columns per byte, before the fixpoint: the same
+  replicate axis, eight columns per byte, before the fixpoint (the flags
+  are drawn packed, so their bool matrix never exists whole): the same
   operations then move an eighth of the bytes.  A pass that leaves the
-  packed membership unchanged ends the fixpoint, and the sizes are read
-  once by unpacking.
+  packed membership unchanged ends the fixpoint, and the sizes are read by
+  unpacking one merge block of columns at a time.
 * **Compaction.**  A replicate column whose member count did not change in
   a full pass is at its fixpoint: no open edge leaves its member set.  Once
   at least half of the live columns are done, their sizes are stored and
@@ -40,6 +61,8 @@ a pass nor the number of passes can change a result.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -64,7 +87,15 @@ __all__ = [
     "sweep",
 ]
 
+# Replicates per merge block: the unit of the partial statistics.
 _BLOCK = 8192
+# Bytes one span may hold, counted per replicate column (see _span_width).
+# Above the 21 MB of one merge block on a 1500-edge, 1000-vertex graph, so
+# graphs of that size still draw one block per span.
+_SPAN_BYTES = 1 << 25
+# 8-byte words a span holds per replicate besides its flags: stream key,
+# start uniform and vertex, cluster size, and their temporaries.
+_COLUMN_WORDS = 8
 # Bytes of gathered membership rows per relaxation piece: 32 edge rows at a
 # full block, whole classes once few columns are left.
 _PIECE_BYTES = 1 << 18
@@ -150,14 +181,23 @@ def _edge_plan(graph: Graph) -> _EdgePlan:
 
 
 def _block_draws(
-    graph: Graph, order: np.ndarray | None, p: float, seed: int, lo: int, hi: int
+    graph: Graph,
+    order: np.ndarray | None,
+    p: float,
+    seed: int,
+    lo: int,
+    hi: int,
+    packed: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Start vertices and open flags of replicates [lo, hi).
 
-    Row ``k`` of the flags is edge ``order[k]``, or edge ``k`` without an order.
+    Row ``k`` of the flags is edge ``order[k]``, or edge ``k`` without an
+    order; ``packed`` packs them along the replicates (see ``edge_draws``).
     """
     n = graph.n_vertices
-    u0, open_edges = edge_draws(seed, lo, hi - lo, graph.n_edges, p, order=order)
+    u0, open_edges = edge_draws(
+        seed, lo, hi - lo, graph.n_edges, p, order=order, packed=packed
+    )
     starts = np.minimum((u0 * n).astype(np.int64), n - 1)
     return starts, open_edges
 
@@ -219,24 +259,30 @@ def _drop_columns(matrix: np.ndarray, keep: np.ndarray) -> np.ndarray:
 def _block_cluster_sizes(
     graph: Graph, p: float, seed: int, lo: int, hi: int, plan: _EdgePlan | None = None
 ) -> np.ndarray:
-    """Cluster sizes of replicates [lo, hi) as an int64 array."""
+    """Cluster sizes of replicates [lo, hi) as an int64 array, from one draw."""
     if plan is None:
         plan = _edge_plan(graph)
     b = hi - lo
-    starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
+    packed = graph.n_edges < _COMPACT_MIN_EDGES
+    starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi, packed)
     member = np.zeros((graph.n_vertices, b), dtype=bool)
     member[starts, np.arange(b)] = True
 
-    if graph.n_edges < _COMPACT_MIN_EDGES:
+    if packed:
         member = np.packbits(member, axis=1, bitorder="little")
-        open_edges = np.packbits(open_edges, axis=1, bitorder="little")
         prev = np.empty_like(member)
         while True:
             prev[...] = member
             _relax_edges(plan, open_edges, member, member)
             if np.array_equal(member, prev):
-                bits = np.unpackbits(member, axis=1, count=b, bitorder="little")
-                return bits.sum(axis=0, dtype=np.int64)
+                sizes = np.empty(b, dtype=np.int64)
+                for c in range(0, b, _BLOCK):  # _BLOCK is a multiple of 8
+                    piece = member[:, c // 8 : (c + _BLOCK) // 8]
+                    bits = np.unpackbits(
+                        piece, axis=1, count=min(_BLOCK, b - c), bitorder="little"
+                    )
+                    bits.sum(axis=0, dtype=np.int64, out=sizes[c : c + _BLOCK])
+                return sizes
 
     sizes = np.empty(b, dtype=np.int64)
     live = np.arange(b)  # block column of each column still in the matrices
@@ -277,14 +323,71 @@ def replicate_realization(
     return int(starts[0]), EdgeConfig(open_flags=tuple(open_edges[:, 0].tolist()), p=p)
 
 
+def _span_width(graph: Graph) -> int:
+    """Replicates one draw and fixpoint may take: ``_SPAN_BYTES`` over a column's bytes."""
+    column = graph.n_edges + graph.n_vertices + 8 * _COLUMN_WORDS
+    return max(1, _SPAN_BYTES // column)
+
+
+def _spans(graph: Graph, replicates: int, workers: int) -> Iterator[tuple[int, int]]:
+    """``[lo, hi)`` of each span of a run, in order, starting on merge-block bounds.
+
+    A span is as many whole merge blocks as ``_span_width`` allows, at least
+    one, and few enough that there are at least ``workers`` spans when the
+    run has that many blocks.
+    """
+    blocks = -(-replicates // _BLOCK)
+    per_span = max(1, min(_span_width(graph) // _BLOCK, blocks // workers))
+    step = per_span * _BLOCK
+    return ((lo, min(lo + step, replicates)) for lo in range(0, replicates, step))
+
+
 def _block_stats(
     graph: Graph, plan: _EdgePlan, p: float, seed: int, lo: int, hi: int
-) -> tuple[RunningMoments, RunningMoments]:
-    sizes = _block_cluster_sizes(graph, p, seed, lo, hi, plan).astype(np.float64)
-    acc_s, acc_s2 = RunningMoments(), RunningMoments()
-    acc_s.add_batch(sizes)
-    acc_s2.add_batch(sizes * sizes)
-    return acc_s, acc_s2
+) -> list[tuple[RunningMoments, RunningMoments]]:
+    """Partials of S and S^2 for each merge block of the span [lo, hi), in order.
+
+    The pool's worker body.  ``lo`` is a merge-block boundary.  The span is
+    one draw and one fixpoint when it is at most ``_span_width`` wide;
+    wider, it is a single merge block, relaxed in sub-spans of that width
+    whose sizes are joined before the block's partials.
+    """
+    width = _span_width(graph)
+    sizes = np.concatenate([
+        _block_cluster_sizes(graph, p, seed, start, min(start + width, hi), plan)
+        for start in range(lo, hi, width)
+    ])
+    partials = []
+    for start in range(0, hi - lo, _BLOCK):
+        block = sizes[start : start + _BLOCK].astype(np.float64)
+        acc_s, acc_s2 = RunningMoments(), RunningMoments()
+        acc_s.add_batch(block)
+        acc_s2.add_batch(block * block)
+        partials.append((acc_s, acc_s2))
+    return partials
+
+
+def _span_partials(
+    graph: Graph, plan: _EdgePlan, p: float, seed: int, replicates: int, workers: int
+) -> Iterator[list[tuple[RunningMoments, RunningMoments]]]:
+    """``_block_stats`` of every span, in span order.
+
+    With a pool, spans are submitted as results are taken, so at most
+    ``2 * workers`` spans are in flight and no list of all spans is built.
+    """
+    spans = _spans(graph, replicates, workers)
+    if workers == 1:
+        for lo, hi in spans:
+            yield _block_stats(graph, plan, p, seed, lo, hi)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for lo, hi in spans:
+            pending.append(pool.submit(_block_stats, graph, plan, p, seed, lo, hi))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _check_workers(workers: int) -> None:
@@ -297,10 +400,12 @@ def estimate_moments(
 ) -> MomentEstimate:
     """Monte Carlo estimate of E(S) and E(S^2) from i.i.d. realizations.
 
-    Deterministic in (seed, replicates): the worker count changes only how
-    blocks are scheduled, never what they compute or the merge order.
-    More than ``MAX_REPLICATES`` replicates or ``MAX_WORKERS`` workers are
-    refused before any work.
+    Deterministic in (seed, replicates): the worker count and the span
+    budget change only how replicates are drawn and scheduled, in spans of
+    whole merge blocks or sub-spans of one, never what a replicate computes,
+    the 8192-replicate merge blocks or their merge order.  More than
+    ``MAX_REPLICATES`` replicates or ``MAX_WORKERS`` workers are refused
+    before any work.
     """
     p = _check_probability(p)
     replicates = _check_integer("replicates", replicates)
@@ -314,20 +419,12 @@ def estimate_moments(
     _check_workers(workers)
 
     plan = _edge_plan(graph)
-    bounds_list = [(lo, min(lo + _BLOCK, replicates)) for lo in range(0, replicates, _BLOCK)]
-    if workers == 1:
-        partials = [_block_stats(graph, plan, p, seed, lo, hi) for lo, hi in bounds_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(lambda span: _block_stats(graph, plan, p, seed, *span), bounds_list)
-            )
-
     acc_s = RunningMoments()
     acc_s2 = RunningMoments()
-    for part_s, part_s2 in partials:
-        acc_s.merge(part_s)
-        acc_s2.merge(part_s2)
+    for partials in _span_partials(graph, plan, p, seed, replicates, workers):
+        for part_s, part_s2 in partials:
+            acc_s.merge(part_s)
+            acc_s2.merge(part_s2)
 
     return MomentEstimate(
         mean_s=acc_s.mean,

@@ -29,7 +29,7 @@ import numpy as np
 from .bounds import MomentPair
 from .errors import TooManyEdgesError
 from .graphs import Graph
-from .percolation import _check_probability
+from .percolation import _check_integer, _check_probability
 
 __all__ = [
     "DEFAULT_EDGE_CAP",
@@ -47,7 +47,7 @@ _BLOCK = 4096
 
 
 def _check_cap(graph: Graph, max_edges: int | None) -> None:
-    cap = DEFAULT_EDGE_CAP if max_edges is None else max_edges
+    cap = DEFAULT_EDGE_CAP if max_edges is None else _check_integer("max_edges", max_edges)
     if graph.n_edges > cap:
         raise TooManyEdgesError(
             f"{graph.n_edges} edges exceeds enumeration cap {cap}; "

@@ -61,6 +61,17 @@ def _check_integer(name: str, value) -> int:
     raise BadParameterError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_vertex(graph: Graph, x) -> int:
+    """``x`` as a vertex of ``graph``; a non-integer or one out of range is refused."""
+    try:
+        vertex = _check_integer("vertex", x)
+    except BadParameterError:
+        raise BadIndexError(f"vertex must be an integer, got {x!r}") from None
+    if not 0 <= vertex < graph.n_vertices:
+        raise BadIndexError(f"vertex {x} out of range [0, {graph.n_vertices})")
+    return vertex
+
+
 def _check_config(graph: Graph, config: EdgeConfig) -> None:
     if len(config.open_flags) != graph.n_edges:
         raise BadParameterError(
@@ -71,8 +82,7 @@ def _check_config(graph: Graph, config: EdgeConfig) -> None:
 
 def cluster_of(graph: Graph, config: EdgeConfig, x: int) -> ClusterResult:
     """Open cluster of ``x`` via union-find over the open edges."""
-    if not 0 <= x < graph.n_vertices:
-        raise BadIndexError(f"vertex {x} out of range [0, {graph.n_vertices})")
+    x = _check_vertex(graph, x)
     _check_config(graph, config)
 
     parent = list(range(graph.n_vertices))

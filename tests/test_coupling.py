@@ -3,6 +3,7 @@ import pytest
 
 from conftest import generator_config, open_distances
 from percmoments import (
+    BadIndexError,
     BadParameterError,
     cluster_of,
     dominance_report,
@@ -87,6 +88,24 @@ def test_branching_args_validated():
         branching_generation_samples(3, 0.5, 0, 1, rng)
     with pytest.raises(BadParameterError):
         branching_generation_samples(3, 1.5, 3, 1, rng)
+
+
+@pytest.mark.parametrize(
+    "degree, horizon, replicates",
+    [(3, 4, "10"), (3, 4.5, 10), ("3", 4, 10), (3, 4, None), (3, 4, 10**13)],
+    ids=["str reps", "float horizon", "str degree", "None reps", "over the cell cap"],
+)
+def test_branching_refuses_non_integers_and_oversized_runs(degree, horizon, replicates):
+    # refused before the (replicates, horizon + 1) matrix is allocated
+    with pytest.raises(BadParameterError):
+        branching_generation_samples(degree, 0.3, horizon, replicates, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("x", ["1", 1.5, None, -1, 4])
+def test_birth_process_rejects_bad_vertex(tetrahedron, x):
+    cfg = generator_config(tetrahedron, 0.5, np.random.default_rng(0))
+    with pytest.raises(BadIndexError):
+        run_birth_process(tetrahedron, cfg, x)
 
 
 def test_vectorized_branching_matches_aggregated_law():

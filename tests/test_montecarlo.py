@@ -146,6 +146,12 @@ def test_oversized_replicates_are_refused_before_work(k3, monkeypatch):
         sweep(k3, [0.2, 0.4], cap // 2 + 1, seed=0, include_oracle=True)
 
 
+def test_non_integer_oracle_cap_is_refused_before_work(k3, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_edge_plan", _no_work)
+    with pytest.raises(BadParameterError, match="max_edges"):
+        sweep(k3, [0.5], 100, seed=0, include_oracle=True, max_oracle_edges="5")
+
+
 def test_oversized_worker_counts_are_refused_before_a_pool(k3, monkeypatch):
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", _no_work)
     monkeypatch.setattr(montecarlo, "_edge_plan", _no_work)
@@ -300,6 +306,57 @@ def test_packed_full_blocks_match_per_replicate_clusters(name, p, lo, hi):
         for r, x in enumerate(starts)
     ]
     np.testing.assert_array_equal(sizes, expected)
+
+
+# ---------------------------------------------------------------- span schedule
+# A span is the replicates of one draw and one fixpoint: whole merge blocks
+# as the byte budget allows, or a sub-span of one block when a block does
+# not fit.  Neither the budget nor the worker count may move a bit.
+
+
+@pytest.mark.parametrize("name", ["dodecahedron", "random(80,3,4)"])
+@pytest.mark.parametrize("reps", [2, _BLOCK + 1, 2 * _BLOCK + 100])
+def test_span_budget_and_workers_never_change_results(name, reps, monkeypatch):
+    if name.startswith("random("):
+        g = _random_graph(80, 3, 4)
+        assert g.n_edges >= montecarlo._COMPACT_MIN_EDGES  # compaction
+    else:
+        g = generate_builtin(name)
+        assert g.n_edges < montecarlo._COMPACT_MIN_EDGES  # packed columns
+    widths = []
+    draws = montecarlo._block_draws
+
+    def spy(graph, order, p, seed, lo, hi, packed=False):
+        widths.append(hi - lo)
+        return draws(graph, order, p, seed, lo, hi, packed)
+
+    monkeypatch.setattr(montecarlo, "_block_draws", spy)
+    reference = repr(estimate_moments(g, 0.45, reps, seed=9))
+    blocks = -(-reps // _BLOCK)
+    column = g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
+    tiny = 200 * column  # 200-replicate sub-spans: no |E| x 8192 matrix
+    for budget in (tiny, montecarlo._SPAN_BYTES, 1 << 40):
+        monkeypatch.setattr(montecarlo, "_SPAN_BYTES", budget)
+        for workers in (1, 2, 3):
+            widths.clear()
+            got = estimate_moments(g, 0.45, reps, seed=9, workers=workers)
+            assert repr(got) == reference, (budget, workers)
+            assert sum(widths) == reps
+            if budget == tiny:
+                assert max(widths) == min(reps, 200)
+            elif workers == 1:  # one draw per call
+                assert widths == [reps]
+            else:  # a span for each worker, as far as there are blocks
+                assert len(widths) >= min(workers, blocks)
+
+
+def test_spans_are_streamed_on_block_bounds(k3):
+    # 2^30 replicates: spans come one at a time, never as a list of all
+    spans = montecarlo._spans(k3, montecarlo.MAX_REPLICATES, montecarlo.MAX_WORKERS)
+    assert not isinstance(spans, (list, tuple))
+    (lo, hi), (lo2, _) = next(spans), next(spans)
+    assert lo == 0 and hi == lo2 and hi % _BLOCK == 0
+    assert hi <= montecarlo._span_width(k3)
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from percmoments import (
+    BadParameterError,
     EdgeConfig,
     MomentPolynomial,
     TooManyEdgesError,
@@ -111,6 +112,21 @@ def test_edge_cap_enforced(dodecahedron, k3, tetrahedron):
     assert exact_moments(k3, 0.5, max_edges=4).first == pytest.approx(2.25, abs=1e-12)
     with pytest.raises(TooManyEdgesError):
         exact_moments(tetrahedron, 0.5, max_edges=4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: exact_moments(g, 0.3, "5"),
+        lambda g: moment_polynomial(g, "5"),
+        lambda g: connectivity_moments(g, 0.3, 5.0),
+        lambda g: pair_connectivity(g, 0.3, True),
+    ],
+    ids=["exact str", "polynomial str", "connectivity float", "pairs bool"],
+)
+def test_non_integer_edge_cap_is_refused(k3, call):
+    with pytest.raises(BadParameterError, match="max_edges"):
+        call(k3)
 
 
 def test_polynomial_json_round_trip(cube):

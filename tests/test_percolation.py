@@ -80,3 +80,11 @@ def test_cluster_rejects_bad_inputs(k3):
     short = EdgeConfig(open_flags=(True,), p=0.5)
     with pytest.raises(BadParameterError):
         cluster_of(k3, short, 0)
+
+
+@pytest.mark.parametrize("x", ["1", 1.5, None, True])
+def test_cluster_rejects_non_integer_vertex(k3, x):
+    cfg = generator_config(k3, 0.5, np.random.default_rng(0))
+    with pytest.raises(BadIndexError):
+        cluster_of(k3, cfg, x)
+    assert cluster_of(k3, cfg, np.int64(1)) == cluster_of(k3, cfg, 1)

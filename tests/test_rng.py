@@ -117,6 +117,49 @@ def test_edge_draws_span_several_default_chunks():
     np.testing.assert_array_equal(open_edges, ref_open)
 
 
+@pytest.mark.parametrize(
+    "n_streams, n_edges, packed",
+    [(8192, 50, True), (3 * 8192 * 8 + 5, 3, False), (3 * 8192 * 8 + 5, 3, True)],
+)
+def test_edge_draws_wide_and_packed_match_reference(n_streams, n_edges, packed):
+    # a row of 196 613 streams is wider than a default chunk, so chunks are
+    # slices of one row's streams (whole bytes of them when packed)
+    p = 0.45
+    assert n_edges * n_streams * 8 > 3 * rng._CHUNK_BYTES
+    starts, open_edges = edge_draws(17, 8192, n_streams, n_edges, p, packed=packed)
+    ref_starts, ref_open = _reference(17, 8192, n_streams, n_edges, p)
+    if packed:
+        ref_open = np.packbits(ref_open, axis=1, bitorder="little")
+    np.testing.assert_array_equal(starts, ref_starts)
+    np.testing.assert_array_equal(open_edges, ref_open)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**40),
+    n_streams=st.integers(1, 40),
+    n_edges=st.integers(1, 40),
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    chunk_bytes=st.sampled_from([8, 64, 1000, rng._CHUNK_BYTES]),
+    reverse=st.booleans(),
+)
+def test_packed_edge_draws_are_packed_flags(
+    seed, first, n_streams, n_edges, p, chunk_bytes, reverse
+):
+    order = np.arange(n_edges)[::-1] if reverse else None
+    saved = rng._CHUNK_BYTES
+    rng._CHUNK_BYTES = chunk_bytes
+    try:
+        starts, packed = edge_draws(seed, first, n_streams, n_edges, p, order, packed=True)
+    finally:
+        rng._CHUNK_BYTES = saved
+    ref_starts, ref_open = edge_draws(seed, first, n_streams, n_edges, p, order)
+    assert packed.shape == (n_edges, -(-n_streams // 8)) and packed.dtype == np.uint8
+    np.testing.assert_array_equal(starts, ref_starts)
+    np.testing.assert_array_equal(packed, np.packbits(ref_open, axis=1, bitorder="little"))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
