@@ -16,9 +16,12 @@ via tail probabilities.
 :func:`dominance_report` needs only the generation counts of many
 realizations, so it draws them as Monte Carlo does: birth replicate ``r``
 of seed ``s`` is replicate ``r`` of :func:`~percmoments.estimate_moments`
-(counter-based streams, see :mod:`percmoments.rng`), and blocks of 8192
+(counter-based streams, see :mod:`percmoments.rng`), and blocks of
 replicates advance together in a level-synchronous breadth-first search
-over a (vertices x replicates) boolean matrix.
+over (vertices x replicates) matrices bit-packed eight replicates per byte,
+one relaxation step of the Monte Carlo cluster kernel per generation.  A
+block is at most 8192 replicates, and fewer where the Monte Carlo span
+budget allows fewer on a large graph.
 """
 
 from __future__ import annotations
@@ -28,15 +31,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadParameterError
-from .graphs import Graph
-from .montecarlo import _BLOCK, _block_draws, _edge_plan, _relax_edges
-from .percolation import (
-    EdgeConfig,
-    _check_config,
-    _check_integer,
-    _check_probability,
-    _check_vertex,
+from .graphs import Graph, _check_integer, _check_vertex
+from .montecarlo import (
+    _BLOCK,
+    _block_draws,
+    _edge_plan,
+    _packed_starts,
+    _relax_edges,
+    _span_width,
 )
+from .percolation import EdgeConfig, _check_config, _check_probability
 
 __all__ = [
     "GenerationTrace",
@@ -224,24 +228,24 @@ def _birth_counts(graph: Graph, p: float, seed: int, replicates: int) -> np.ndar
     """
     n = graph.n_vertices
     plan = _edge_plan(graph)
+    width = min(_BLOCK, _span_width(graph))
     counts = np.zeros((n, replicates), dtype=np.int64)
     counts[0] = 1
-    for lo in range(0, replicates, _BLOCK):
-        hi = min(lo + _BLOCK, replicates)
-        b = hi - lo
+    for lo in range(0, replicates, width):
+        hi = min(lo + width, replicates)
         starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
-        frontier = np.zeros((n, b), dtype=bool)
-        frontier[starts, np.arange(b)] = True
-        reach = frontier.copy()
+        frontier = _packed_starts(n, starts)
+        unreached = ~frontier  # padding bits set here never reach born
         born = np.empty_like(frontier)
         for gen in range(1, n):
-            born.fill(False)
+            born.fill(0)
             _relax_edges(plan, open_edges, frontier, born)
-            np.greater(born, reach, out=born)  # born and not yet reached
+            born &= unreached
             if not born.any():
                 break
-            reach |= born
-            counts[gen, lo:hi] = born.sum(axis=0)
+            unreached ^= born
+            bits = np.unpackbits(born, axis=1, count=hi - lo, bitorder="little")
+            bits.sum(axis=0, dtype=np.int64, out=counts[gen, lo:hi])
             frontier, born = born, frontier
     return counts
 

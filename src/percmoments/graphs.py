@@ -28,6 +28,7 @@ hypercube(d)  vertices are d-bit words, edges join words at Hamming
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,13 +77,32 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if not 0 <= v < self.n_vertices:
-            raise BadIndexError(f"vertex {v} out of range [0, {self.n_vertices})")
-        return self.adjacency[v]
+        return self.adjacency[_check_vertex(self, v)]
 
     def edge_array(self) -> np.ndarray:
         """Edges as an (|E|, 2) int array, in edge-index order."""
         return np.asarray(self.edges, dtype=np.int64)
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float, string or None is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_vertex(graph: Graph, x) -> int:
+    """``x`` as a vertex of ``graph``; a non-integer or one out of range is refused."""
+    try:
+        vertex = _check_integer("vertex", x)
+    except BadParameterError:
+        raise BadIndexError(f"vertex must be an integer, got {x!r}") from None
+    if not 0 <= vertex < graph.n_vertices:
+        raise BadIndexError(f"vertex {x} out of range [0, {graph.n_vertices})")
+    return vertex
 
 
 def _connected(n: int, adjacency: Sequence[Sequence[int]]) -> bool:

@@ -15,19 +15,20 @@ Statistics and work are grouped separately:
 * **Spans.**  A span is the replicates that one draw
   (:func:`percmoments.rng.edge_draws`) and one cluster fixpoint handle
   together.  Its width comes from one byte budget, ``_SPAN_BYTES``, counted
-  per replicate column as |E| open flags, N membership flags and
-  ``_COLUMN_WORDS`` 8-byte per-replicate words.  A span takes as many whole
-  merge blocks as fit, so on small graphs a call of tens of thousands of
-  replicates is one draw and one fixpoint; with ``workers > 1`` spans are
-  narrowed, on block boundaries, until there are at least ``workers`` of
-  them.  Where one merge block does not fit, it is drawn and relaxed as
-  several sub-spans whose sizes are joined before its partials, so no
-  matrix grows past the budget however many edges the graph has.  Spans
-  come from a generator and their partials are merged as they arrive, so a
-  call holds a few spans' partials, never one per block of the run.
+  per replicate column as a byte for each of the |E| open flags and N
+  membership flags (eight times their packed size) and ``_COLUMN_WORDS``
+  8-byte per-replicate words.  A span takes as many whole merge blocks as
+  fit, so on small graphs a call of tens of thousands of replicates is one
+  draw and one fixpoint; with ``workers > 1`` spans are narrowed, on block
+  boundaries, until there are at least ``workers`` of them.  Where one
+  merge block does not fit, it is drawn and relaxed as several sub-spans
+  whose sizes are joined before its partials, so no matrix grows past the
+  budget however many edges the graph has.  Spans come from a generator
+  and their partials are merged as they arrive, so a call holds a few
+  spans' partials, never one per block of the run.
 
-Cluster sizes are computed for a whole span at once: a boolean membership
-matrix (vertices x replicates) is grown by passes over the edge list until a
+Cluster sizes are computed for a whole span at once: a membership matrix
+(vertices x replicates) is grown by passes over the edge list until a
 fixpoint, which reaches the full open cluster of each start vertex.  Sizes
 are integers fixed by connectivity, so neither the order of the edges within
 a pass, nor the number of passes, nor the span a replicate shares can change
@@ -42,21 +43,14 @@ a result.
   and ``m[b] |= u``.  A pass is some hundred numpy calls on large arrays
   instead of several per edge, and numpy drops the GIL inside each, so
   ``workers`` threads run spans side by side.
-* **Packed columns.**  On graphs with fewer than ``_COMPACT_MIN_EDGES``
-  edges, the membership and open-flag matrices are bit-packed along the
-  replicate axis, eight columns per byte, before the fixpoint (the flags
-  are drawn packed, so their bool matrix never exists whole): the same
-  operations then move an eighth of the bytes.  A pass that leaves the
-  packed membership unchanged ends the fixpoint, and the sizes are read by
-  unpacking one merge block of columns at a time.
-* **Compaction.**  A replicate column whose member count did not change in
-  a full pass is at its fixpoint: no open edge leaves its member set.  Once
-  at least half of the live columns are done, their sizes are stored and
-  the columns are dropped, in place, from the membership and open-flag
-  matrices, so the slow replicates near criticality no longer drag the
-  whole block through every pass.  Counting per column and moving memory
-  costs more than it saves when passes are cheap and few, so compaction is
-  on only for graphs with at least ``_COMPACT_MIN_EDGES`` edges.
+* **Packed columns.**  The membership and open-flag matrices are
+  bit-packed along the replicate axis, eight columns per byte, on every
+  graph (the flags are drawn packed, so their boolean matrix never exists
+  whole), and every operation moves an eighth of the bytes.  A pass that
+  leaves the packed membership unchanged ends the fixpoint; the columns
+  that converged early ride along at a bit each, which costs less than
+  finding and dropping them.  The sizes are read by unpacking one merge
+  block of columns at a time.
 """
 
 from __future__ import annotations
@@ -70,9 +64,9 @@ import numpy as np
 
 from .bounds import BoundParams, MomentPair, best_bounds, branching_bounds, isolation_bounds
 from .errors import BadParameterError
-from .graphs import Graph
+from .graphs import Graph, _check_integer
 from .oracle import moment_polynomial
-from .percolation import EdgeConfig, _check_integer, _check_probability
+from .percolation import EdgeConfig, _check_probability
 from .rng import derive_key, edge_draws
 from .stats import RunningMoments
 
@@ -90,20 +84,15 @@ __all__ = [
 # Replicates per merge block: the unit of the partial statistics.
 _BLOCK = 8192
 # Bytes one span may hold, counted per replicate column (see _span_width).
-# Above the 21 MB of one merge block on a 1500-edge, 1000-vertex graph, so
-# graphs of that size still draw one block per span.
+# Above the 21 MB that count gives one merge block of a 1500-edge,
+# 1000-vertex graph, so graphs of that size still draw one block per span.
 _SPAN_BYTES = 1 << 25
 # 8-byte words a span holds per replicate besides its flags: stream key,
 # start uniform and vertex, cluster size, and their temporaries.
 _COLUMN_WORDS = 8
-# Bytes of gathered membership rows per relaxation piece: 32 edge rows at a
-# full block, whole classes once few columns are left.
+# Bytes of gathered membership rows per relaxation piece: 256 edge rows of
+# a packed 8192-replicate block, whole classes on narrow spans.
 _PIECE_BYTES = 1 << 18
-# Graphs with at least this many edges drop converged replicate columns.
-# Measured with compaction always on vs never: 7-18% slower on the Platonic
-# solids (12-30 edges), even at 60 edges, 16-29% faster from 120 edges on
-# (random 3-regular graphs, p from 0.3 to 0.8).
-_COMPACT_MIN_EDGES = 100
 # Largest replicate count one call may ask for (``sweep``: summed over the
 # grid), refused before any block bounds are built.
 MAX_REPLICATES = 1 << 30
@@ -187,19 +176,24 @@ def _block_draws(
     seed: int,
     lo: int,
     hi: int,
-    packed: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Start vertices and open flags of replicates [lo, hi).
+    """Start vertices and packed open flags of replicates [lo, hi).
 
     Row ``k`` of the flags is edge ``order[k]``, or edge ``k`` without an
-    order; ``packed`` packs them along the replicates (see ``edge_draws``).
+    order; replicate ``lo + r`` is bit ``r % 8`` of byte ``r // 8`` (see
+    ``edge_draws``).
     """
     n = graph.n_vertices
-    u0, open_edges = edge_draws(
-        seed, lo, hi - lo, graph.n_edges, p, order=order, packed=packed
-    )
+    u0, open_edges = edge_draws(seed, lo, hi - lo, graph.n_edges, p, order=order)
     starts = np.minimum((u0 * n).astype(np.int64), n - 1)
     return starts, open_edges
+
+
+def _packed_starts(n_vertices: int, starts: np.ndarray) -> np.ndarray:
+    """Packed (vertices x replicates) membership holding each replicate's start vertex alone."""
+    member = np.zeros((n_vertices, starts.size), dtype=bool)
+    member[starts, np.arange(starts.size)] = True
+    return np.packbits(member, axis=1, bitorder="little")
 
 
 def _relax_edges(
@@ -211,13 +205,13 @@ def _relax_edges(
     cross one edge per class (the fixpoint's in-place pass); with distinct
     arrays it is one exact BFS step.  Within a class the gathered rows are
     distinct, so scattering them back never collides.  The matrices are
-    bool, or uint8 with eight replicate columns packed per byte: every
-    operation acts on each bit lane alone.
+    uint8 with eight replicate columns packed per byte; every operation
+    acts on each bit lane alone.
     """
     width = src.shape[1]
     rows = max(1, _PIECE_BYTES // width)
     rows = min(rows, max(stop - start for start, stop in plan.classes))
-    scratch = np.empty((3, rows, width), dtype=src.dtype)
+    scratch = np.empty((3, rows, width), dtype=np.uint8)
     for start, stop in plan.classes:
         for lo in range(start, stop, rows):
             hi = min(lo + rows, stop)
@@ -240,22 +234,6 @@ def _relax_edges(
                 dst[b] |= at_a
 
 
-def _drop_columns(matrix: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``matrix[:, keep]``, C-contiguous, written over ``matrix``'s own buffer.
-
-    Rows move in pieces in increasing order: new row ``r`` lands at or
-    before old row ``r``, so nothing is overwritten before it is read.
-    """
-    n_rows, width = matrix.shape
-    kept = int(np.count_nonzero(keep))
-    flat = matrix.reshape(-1)
-    rows = max(1, _PIECE_BYTES // max(width, 1))
-    for lo in range(0, n_rows, rows):
-        part = np.compress(keep, matrix[lo : lo + rows], axis=1)
-        flat[lo * kept : lo * kept + part.size] = part.reshape(-1)
-    return flat[: n_rows * kept].reshape(n_rows, kept)
-
-
 def _block_cluster_sizes(
     graph: Graph, p: float, seed: int, lo: int, hi: int, plan: _EdgePlan | None = None
 ) -> np.ndarray:
@@ -263,47 +241,20 @@ def _block_cluster_sizes(
     if plan is None:
         plan = _edge_plan(graph)
     b = hi - lo
-    packed = graph.n_edges < _COMPACT_MIN_EDGES
-    starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi, packed)
-    member = np.zeros((graph.n_vertices, b), dtype=bool)
-    member[starts, np.arange(b)] = True
-
-    if packed:
-        member = np.packbits(member, axis=1, bitorder="little")
-        prev = np.empty_like(member)
-        while True:
-            prev[...] = member
-            _relax_edges(plan, open_edges, member, member)
-            if np.array_equal(member, prev):
-                sizes = np.empty(b, dtype=np.int64)
-                for c in range(0, b, _BLOCK):  # _BLOCK is a multiple of 8
-                    piece = member[:, c // 8 : (c + _BLOCK) // 8]
-                    bits = np.unpackbits(
-                        piece, axis=1, count=min(_BLOCK, b - c), bitorder="little"
-                    )
-                    bits.sum(axis=0, dtype=np.int64, out=sizes[c : c + _BLOCK])
-                return sizes
-
-    sizes = np.empty(b, dtype=np.int64)
-    live = np.arange(b)  # block column of each column still in the matrices
-    prev_counts = np.ones(b, dtype=np.int64)  # the start vertex
-    # members per column, summed in the narrowest integer type that holds N
-    count_dtype = np.int16 if graph.n_vertices < 1 << 15 else np.int64
+    starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
+    member = _packed_starts(graph.n_vertices, starts)
+    prev = np.empty_like(member)
     while True:
+        prev[...] = member
         _relax_edges(plan, open_edges, member, member)
-        counts = np.add.reduce(member.view(np.uint8), axis=0, dtype=count_dtype)
-        done = counts == prev_counts
-        n_done = int(np.count_nonzero(done))
-        if n_done == live.size:
-            sizes[live] = counts
-            return sizes
-        if 2 * n_done >= live.size:
-            sizes[live[done]] = counts[done]
-            keep = ~done
-            member = _drop_columns(member, keep)
-            open_edges = _drop_columns(open_edges, keep)
-            live, counts = live[keep], counts[keep]
-        prev_counts = counts
+        if np.array_equal(member, prev):
+            break
+    sizes = np.empty(b, dtype=np.int64)
+    for c in range(0, b, _BLOCK):  # _BLOCK is a multiple of 8
+        piece = member[:, c // 8 : (c + _BLOCK) // 8]
+        bits = np.unpackbits(piece, axis=1, count=min(_BLOCK, b - c), bitorder="little")
+        bits.sum(axis=0, dtype=np.int64, out=sizes[c : c + _BLOCK])
+    return sizes
 
 
 def replicate_realization(
@@ -320,11 +271,18 @@ def replicate_realization(
     if _check_integer("replicate index", index) < 0:
         raise BadParameterError(f"replicate index must be >= 0, got {index}")
     starts, open_edges = _block_draws(graph, None, p, seed, index, index + 1)
-    return int(starts[0]), EdgeConfig(open_flags=tuple(open_edges[:, 0].tolist()), p=p)
+    # one replicate is bit 0 of each row's only byte, the other bits padding
+    flags = open_edges[:, 0].astype(bool)
+    return int(starts[0]), EdgeConfig(open_flags=tuple(flags.tolist()), p=p)
 
 
 def _span_width(graph: Graph) -> int:
     """Replicates one draw and fixpoint may take: ``_SPAN_BYTES`` over a column's bytes."""
+    # A byte per open flag and per vertex is eight times what a packed
+    # column of the flag and membership matrices holds, so the budget
+    # bounds them with room to spare; a byte per vertex is also what the
+    # unpacked start matrix and the unpacked merge block that sizes are
+    # read from take.
     column = graph.n_edges + graph.n_vertices + 8 * _COLUMN_WORDS
     return max(1, _SPAN_BYTES // column)
 

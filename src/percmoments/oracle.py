@@ -28,8 +28,8 @@ import numpy as np
 
 from .bounds import MomentPair
 from .errors import TooManyEdgesError
-from .graphs import Graph
-from .percolation import _check_integer, _check_probability
+from .graphs import Graph, _check_integer
+from .percolation import _check_probability
 
 __all__ = [
     "DEFAULT_EDGE_CAP",

@@ -11,11 +11,10 @@ monotone in ``p`` per realization.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
-from .errors import BadIndexError, BadParameterError, BadProbabilityError
-from .graphs import Graph
+from .errors import BadParameterError, BadProbabilityError
+from .graphs import Graph, _check_vertex
 
 __all__ = [
     "EdgeConfig",
@@ -49,27 +48,6 @@ def _check_probability(p: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise BadProbabilityError(f"p must be in [0, 1], got {value}")
     return value
-
-
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int; a bool, float, string or None is refused."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise BadParameterError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_vertex(graph: Graph, x) -> int:
-    """``x`` as a vertex of ``graph``; a non-integer or one out of range is refused."""
-    try:
-        vertex = _check_integer("vertex", x)
-    except BadParameterError:
-        raise BadIndexError(f"vertex must be an integer, got {x!r}") from None
-    if not 0 <= vertex < graph.n_vertices:
-        raise BadIndexError(f"vertex {x} out of range [0, {graph.n_vertices})")
-    return vertex
 
 
 def _check_config(graph: Graph, config: EdgeConfig) -> None:

@@ -25,15 +25,15 @@ iff ``z < T * 2^11``, so the shift is never computed.  For ``p < 1``,
 words; there the flags are constants and no edge word is mixed (the start
 draws still are).  Otherwise the words are mixed in place over chunks of
 about 512 KB, so that a chunk and its scratch fit together in a 2 MB
-per-core L2 cache, and compared straight into an edge-major boolean
-matrix: a block allocates neither a float matrix nor its transpose.  A
-chunk holds whole rows while one row of the block fits in it, and a slice
-of one row's streams once a row is wider, so the working set stays the
-same however many streams one call draws.  On request the flags come
-packed eight streams per byte, each chunk packed as it is compared, so
-that the bool matrix of a wide call never exists whole.  The rows can
-come out in any edge order the caller needs: a row's counter position
-depends only on the edge it holds, never on where the row sits.
+per-core L2 cache, and compared chunk by chunk.  The flags come
+bit-packed along the streams, eight per byte, each chunk packed as it is
+compared: a block allocates neither a float matrix, nor its transpose,
+nor a whole boolean matrix.  A chunk holds whole rows while one row of
+the block fits in it, and a slice of whole bytes of one row's streams
+once a row is wider, so the working set stays the same however many
+streams one call draws.  The rows can come out in any edge order the
+caller needs: a row's counter position depends only on the edge it
+holds, never on where the row sits.
 
 Every realization of the package is drawn by :func:`edge_draws`.
 :func:`stream_uniforms` and :func:`uniform_matrix` compute the same draws as
@@ -127,48 +127,44 @@ def edge_draws(
     n_edges: int,
     p: float,
     order: np.ndarray | None = None,
-    packed: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Start uniforms and edge-major open flags of a block of streams.
+    """Start uniforms and edge-major, bit-packed open flags of a block of streams.
 
     Returns ``(starts, open_edges)``: ``starts[i]`` is draw 0 of stream
-    ``first_stream + i`` as a uniform, and ``open_edges[e, i]`` says whether
-    its draw ``e + 1`` is below ``p`` (``0 <= p <= 1``).  Bit-identical to
-    ``uniform_matrix(seed, first_stream, n_streams, n_edges + 1)`` followed
-    by ``u[:, 0]`` and ``(u[:, 1:] < p).T``; see the module docstring.
+    ``first_stream + i`` as a uniform, and bit ``i % 8`` of
+    ``open_edges[e, i // 8]`` says whether its draw ``e + 1`` is below ``p``
+    (``0 <= p <= 1``); the padding bits of the last byte are 0.
+    Bit-identical to ``uniform_matrix(seed, first_stream, n_streams,
+    n_edges + 1)`` followed by ``u[:, 0]`` and
+    ``np.packbits((u[:, 1:] < p).T, axis=1, bitorder="little")``; see the
+    module docstring.
 
     ``order``, a permutation of ``range(n_edges)``, sets the row order: row
     ``k`` then holds edge ``order[k]`` (draw ``order[k] + 1``), so
     ``edge_draws(..., order=order)[1][k]`` equals ``edge_draws(...)[1][order[k]]``
     bit for bit, without a permuted copy.
-
-    With ``packed`` the flags come bit-packed along the streams, eight per
-    byte: exactly ``np.packbits(flags, axis=1, bitorder="little")``, packed
-    chunk by chunk so that the bool matrix never exists whole.
     """
     keys = _stream_keys(seed, first_stream, n_streams)
     starts = _mix64_array(keys + np.uint64(_GOLDEN))
     starts = (starts >> np.uint64(11)).astype(np.float64) * _U53
 
-    width = -(-n_streams // 8) if packed else n_streams
+    width = -(-n_streams // 8)
     if p == 0.0 or p == 1.0:
-        if not packed:
-            return starts, np.full((n_edges, n_streams), p == 1.0)
         open_edges = np.full((n_edges, width), 0xFF if p == 1.0 else 0, dtype=np.uint8)
         if n_streams % 8:  # padding bits stay 0, as packbits leaves them
             open_edges[:, -1] &= np.uint8((1 << n_streams % 8) - 1)
         return starts, open_edges
     threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
-    open_edges = np.empty((n_edges, width), dtype=np.uint8 if packed else bool)
+    open_edges = np.empty((n_edges, width), dtype=np.uint8)
     # a chunk is whole rows of all streams while one row fits, else one
-    # row of a slice of the streams (whole bytes of them when packed)
+    # row of a slice of whole bytes of the streams
     cols = max(1, min(n_streams, _CHUNK_BYTES // 8))
-    if packed and cols < n_streams:
+    if cols < n_streams:
         cols = max(8, cols - cols % 8)
     rows = max(1, min(n_edges, _CHUNK_BYTES // (8 * cols)))
     z = np.empty(rows * cols, dtype=np.uint64)
     tmp = np.empty_like(z)
-    flags = np.empty(rows * cols, dtype=bool) if packed else None
+    flags = np.empty(rows * cols, dtype=bool)
     # edge e is draw e + 1, i.e. counter position e + 2
     if order is None:
         positions = np.arange(2, n_edges + 2, dtype=np.uint64)
@@ -181,15 +177,11 @@ def edge_draws(
             hi = min(lo + rows, n_edges)
             shape = (hi - lo, c1 - c0)
             size = shape[0] * shape[1]
-            zc, tc = z[:size].reshape(shape), tmp[:size].reshape(shape)
+            zc, tc, fc = (a[:size].reshape(shape) for a in (z, tmp, flags))
             np.add(offsets[lo:hi, None], keys[None, c0:c1], out=zc)
             _mix64_inplace(zc, tc)
-            if packed:
-                fc = flags[:size].reshape(shape)
-                np.less(zc, threshold, out=fc)
-                open_edges[lo:hi, c0 // 8 : -(-c1 // 8)] = np.packbits(
-                    fc, axis=1, bitorder="little"
-                )
-            else:
-                np.less(zc, threshold, out=open_edges[lo:hi, c0:c1])
+            np.less(zc, threshold, out=fc)
+            open_edges[lo:hi, c0 // 8 : -(-c1 // 8)] = np.packbits(
+                fc, axis=1, bitorder="little"
+            )
     return starts, open_edges

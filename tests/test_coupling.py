@@ -11,6 +11,7 @@ from percmoments import (
     replicate_realization,
     run_birth_process,
 )
+from percmoments import coupling, montecarlo
 from percmoments.coupling import _birth_counts, branching_generation_samples
 from percmoments.montecarlo import _BLOCK
 
@@ -157,6 +158,29 @@ def test_block_birth_counts_match_replayed_replicates(name, p):
     for r in list(range(_BLOCK - 50, reps)) + [0, 1]:
         x, cfg = replicate_realization(g, p, seed, r)
         assert tuple(counts[:, r]) == run_birth_process(g, cfg, x).counts
+
+
+@pytest.mark.parametrize("name,p", [("dodecahedron", 0.45), ("cube", 1.0)])
+def test_birth_blocks_follow_the_span_budget(name, p, monkeypatch):
+    # 203-replicate blocks under a small budget: not a multiple of 8, so the
+    # packed frontier of each block ends in padding bits
+    g = generate_builtin(name)
+    seed, reps = 13, _BLOCK + 50
+    widths = []
+    draws = coupling._block_draws
+
+    def spy(graph, order, p, seed, lo, hi):
+        widths.append(hi - lo)
+        return draws(graph, order, p, seed, lo, hi)
+
+    monkeypatch.setattr(coupling, "_block_draws", spy)
+    reference = _birth_counts(g, p, seed, reps)
+    assert widths == [_BLOCK, 50]  # the default budget keeps full blocks here
+    widths.clear()
+    column = g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
+    monkeypatch.setattr(montecarlo, "_SPAN_BYTES", 203 * column)
+    np.testing.assert_array_equal(_birth_counts(g, p, seed, reps), reference)
+    assert max(widths) == 203 and sum(widths) == reps
 
 
 def test_dominance_report_rejects_negative_seed(tetrahedron):

@@ -167,6 +167,14 @@ def test_neighbors_rejects_bad_vertex(k3):
         k3.neighbors(-1)
 
 
+@pytest.mark.parametrize("vertex", ["1", None, 1.5, True, np.float64(1.0)],
+                         ids=["str", "None", "float", "bool", "numpy float"])
+def test_neighbors_rejects_non_integer_vertex(cube, vertex):
+    with pytest.raises(BadIndexError, match="integer"):
+        cube.neighbors(vertex)
+    assert cube.neighbors(np.int64(1)) == cube.neighbors(1)
+
+
 def test_edge_array_round_trip(cube):
     arr = cube.edge_array()
     assert arr.shape == (12, 2)

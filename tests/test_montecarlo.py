@@ -20,6 +20,18 @@ from percmoments import montecarlo
 from percmoments.montecarlo import _BLOCK, _block_cluster_sizes
 
 
+@functools.lru_cache(maxsize=None)
+def _random_graph(n, d, graph_seed):
+    return generate_random_regular(n, d, graph_seed)
+
+
+def _graph(name):
+    """A builtin graph, or ``random(n,d,seed)`` as a random regular graph."""
+    if name.startswith("random("):
+        return _random_graph(*map(int, name[len("random("):-1].split(",")))
+    return generate_builtin(name)
+
+
 def test_endpoints_are_exact(tetrahedron):
     at0 = estimate_moments(tetrahedron, 0.0, 5000, seed=0)
     assert at0.mean_s == 1.0 and at0.se_s == 0.0
@@ -37,13 +49,15 @@ def test_same_seed_reproduces_and_seeds_matter(cube):
     assert a != c
 
 
-@pytest.mark.parametrize("workers", [4, 16])
+@pytest.mark.parametrize("workers", [2, 4, 16])
 def test_worker_count_never_changes_results(octahedron, workers):
-    # spans multiple blocks so merging order actually matters
+    # spans multiple blocks so merging order actually matters; the 300-edge
+    # graph has slow replicates near criticality in every block
     reps = 2 * _BLOCK + 100
-    serial = estimate_moments(octahedron, 0.35, reps, seed=3, workers=1)
-    parallel = estimate_moments(octahedron, 0.35, reps, seed=3, workers=workers)
-    assert serial == parallel
+    for g, p, seed in ((octahedron, 0.35, 3), (_random_graph(200, 3, 1), 0.5, 5)):
+        serial = estimate_moments(g, p, reps, seed=seed, workers=1)
+        parallel = estimate_moments(g, p, reps, seed=seed, workers=workers)
+        assert serial == parallel
 
 
 def test_replicates_can_be_reconstructed(tetrahedron):
@@ -170,6 +184,10 @@ GOLDEN_ESTIMATES = [
      (3.9582018927444795, 0.026477270247844256, 27.22270080077651, 0.36460291024640246)),
     ("random(60,3,5)", 0.5, 5000, 11,
      (13.5494, 0.1831556199635295, 351.2826, 7.7944529177297195)),
+    # 300 edges: recorded when graphs of 100 edges or more still ran a
+    # boolean fixpoint that dropped converged columns
+    ("random(200,3,1)", 0.45, 2 * _BLOCK + 100, 3,
+     (11.187272506673137, 0.11601887698846704, 347.02250667313757, 7.837531339144896)),
 ]
 GOLDEN_SWEEP = [  # icosahedron, 10000 replicates, seed 7
     (0.1, 9672475392221035855, (1.7735, 0.012152964430724113, 4.6221, 0.07781333208689271)),
@@ -184,7 +202,7 @@ def _values(est):
 
 @pytest.mark.parametrize("name,p,reps,seed,expected", GOLDEN_ESTIMATES)
 def test_estimates_match_pinned_values(name, p, reps, seed, expected):
-    g = generate_random_regular(60, 3, 5) if name.startswith("random") else generate_builtin(name)
+    g = _graph(name)
     assert _values(estimate_moments(g, p, reps, seed)) == expected
 
 
@@ -195,22 +213,14 @@ def test_sweep_matches_pinned_values():
 
 
 # ---------------------------------------------------------------- block kernel
-# Graphs of 100 edges or more drop converged columns (compaction); smaller
-# ones do not.
-
-
-@functools.lru_cache(maxsize=None)
-def _random_graph(n, d, graph_seed):
-    return generate_random_regular(n, d, graph_seed)
+# One bit-packed fixpoint for every graph, checked against per-replicate
+# union-find clusters.
 
 
 @pytest.mark.parametrize("name", ["tetrahedron", "icosahedron", "hypercube(5)", "random(200,3,1)",
                                   "random(60,6,2)"])
 def test_edge_plan_classes_are_matchings(name):
-    if name.startswith("random("):
-        g = _random_graph(*map(int, name[len("random("):-1].split(",")))
-    else:
-        g = generate_builtin(name)
+    g = _graph(name)
     plan = montecarlo._edge_plan(g)
     assert sorted(plan.order.tolist()) == list(range(g.n_edges))
     edges = g.edge_array()
@@ -252,55 +262,15 @@ def test_block_sizes_match_per_replicate_clusters(
     np.testing.assert_array_equal(sizes, expected)
 
 
-def test_compaction_engages_and_keeps_sizes(monkeypatch):
-    g = _random_graph(200, 3, 0)
-    assert g.n_edges >= montecarlo._COMPACT_MIN_EDGES
-    calls = []
-    drop = montecarlo._drop_columns
-
-    def spy(matrix, keep):
-        calls.append(matrix.shape)
-        return drop(matrix, keep)
-
-    monkeypatch.setattr(montecarlo, "_drop_columns", spy)
-    p, seed, width = 0.5, 4, 300
-    sizes = _block_cluster_sizes(g, p, seed, 0, width)
-    assert len(calls) >= 4  # two matrices per compaction
-    for r in range(0, width, 7):
-        x, cfg = replicate_realization(g, p, seed, r)
-        assert cluster_of(g, cfg, x).size == sizes[r]
-
-
-@pytest.mark.parametrize("piece_bytes", [1, 24, 1 << 18])
-def test_drop_columns_in_place(monkeypatch, piece_bytes):
-    monkeypatch.setattr(montecarlo, "_PIECE_BYTES", piece_bytes)
-    rng = np.random.default_rng(3)
-    matrix = rng.random((37, 23)) < 0.5
-    keep = rng.random(23) < 0.4
-    expected = matrix[:, keep]
-    out = montecarlo._drop_columns(matrix, keep)
-    np.testing.assert_array_equal(out, expected)
-    assert out.flags.c_contiguous and np.shares_memory(out, matrix)
-
-
-@pytest.mark.parametrize("workers", [2, 4])
-def test_worker_count_never_changes_compacted_results(workers):
-    g = _random_graph(200, 3, 1)
-    assert g.n_edges >= montecarlo._COMPACT_MIN_EDGES
-    reps = 2 * _BLOCK + 100
-    serial = estimate_moments(g, 0.5, reps, seed=5, workers=1)
-    assert estimate_moments(g, 0.5, reps, seed=5, workers=workers) == serial
-
-
-@pytest.mark.parametrize("name", ["octahedron", "dodecahedron", "icosahedron"])
+@pytest.mark.parametrize("name", ["octahedron", "dodecahedron", "icosahedron", "random(200,3,0)"])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
 @pytest.mark.parametrize("lo, hi", [(0, _BLOCK), (4 * _BLOCK, 40_000)])
 def test_packed_full_blocks_match_per_replicate_clusters(name, p, lo, hi):
     # full-width blocks of a 40 000-replicate run: 8192 columns, then the last 7232
-    g = generate_builtin(name)
-    assert g.n_edges < montecarlo._COMPACT_MIN_EDGES  # the bit-packed fixpoint
+    g = _graph(name)
     sizes = _block_cluster_sizes(g, p, 11, lo, hi)
-    starts, open_edges = montecarlo._block_draws(g, None, p, 11, lo, hi)
+    starts, packed = montecarlo._block_draws(g, None, p, 11, lo, hi)
+    open_edges = np.unpackbits(packed, axis=1, count=hi - lo, bitorder="little").astype(bool)
     expected = [
         cluster_of(g, EdgeConfig(tuple(open_edges[:, r].tolist()), p), int(x)).size
         for r, x in enumerate(starts)
@@ -317,18 +287,13 @@ def test_packed_full_blocks_match_per_replicate_clusters(name, p, lo, hi):
 @pytest.mark.parametrize("name", ["dodecahedron", "random(80,3,4)"])
 @pytest.mark.parametrize("reps", [2, _BLOCK + 1, 2 * _BLOCK + 100])
 def test_span_budget_and_workers_never_change_results(name, reps, monkeypatch):
-    if name.startswith("random("):
-        g = _random_graph(80, 3, 4)
-        assert g.n_edges >= montecarlo._COMPACT_MIN_EDGES  # compaction
-    else:
-        g = generate_builtin(name)
-        assert g.n_edges < montecarlo._COMPACT_MIN_EDGES  # packed columns
+    g = _graph(name)  # 30 and 120 edges
     widths = []
     draws = montecarlo._block_draws
 
-    def spy(graph, order, p, seed, lo, hi, packed=False):
+    def spy(graph, order, p, seed, lo, hi):
         widths.append(hi - lo)
-        return draws(graph, order, p, seed, lo, hi, packed)
+        return draws(graph, order, p, seed, lo, hi)
 
     monkeypatch.setattr(montecarlo, "_block_draws", spy)
     reference = repr(estimate_moments(g, 0.45, reps, seed=9))

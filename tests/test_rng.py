@@ -70,8 +70,9 @@ _dyadic_p = st.builds(
 
 
 def _reference(seed, first, n_streams, n_edges, p):
+    """Start uniforms and the flags ``u < p``, edge-major, packed as edge_draws packs them."""
     u = uniform_matrix(seed, first, n_streams, n_edges + 1)
-    return u[:, 0], (u[:, 1:] < p).T
+    return u[:, 0], np.packbits((u[:, 1:] < p).T, axis=1, bitorder="little")
 
 
 @settings(max_examples=150, deadline=None)
@@ -82,16 +83,23 @@ def _reference(seed, first, n_streams, n_edges, p):
     n_edges=st.integers(1, 40),
     p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), _dyadic_p),
     chunk_bytes=st.sampled_from([8, 64, 1000, rng._CHUNK_BYTES]),
+    reverse=st.booleans(),
 )
-def test_edge_draws_match_uniform_threshold(seed, first, n_streams, n_edges, p, chunk_bytes):
+def test_edge_draws_match_uniform_threshold(
+    seed, first, n_streams, n_edges, p, chunk_bytes, reverse
+):
+    # the packed reference has its padding bits 0, so they are checked too
+    order = np.arange(n_edges)[::-1] if reverse else None
     saved = rng._CHUNK_BYTES
     rng._CHUNK_BYTES = chunk_bytes
     try:
-        starts, open_edges = edge_draws(seed, first, n_streams, n_edges, p)
+        starts, open_edges = edge_draws(seed, first, n_streams, n_edges, p, order)
     finally:
         rng._CHUNK_BYTES = saved
     ref_starts, ref_open = _reference(seed, first, n_streams, n_edges, p)
-    assert open_edges.shape == (n_edges, n_streams) and open_edges.dtype == bool
+    if reverse:
+        ref_open = ref_open[::-1]
+    assert open_edges.shape == (n_edges, -(-n_streams // 8)) and open_edges.dtype == np.uint8
     np.testing.assert_array_equal(starts, ref_starts)
     np.testing.assert_array_equal(open_edges, ref_open)
 
@@ -103,8 +111,8 @@ def test_edge_draws_threshold_at_drawn_values():
         at = u[i, j]
         for p, is_open in ((np.nextafter(at, 0.0), False), (at, False), (np.nextafter(at, 1.0), True)):
             _, open_edges = edge_draws(5, 0, 3, 8, float(p))
-            assert open_edges[j - 1, i] == is_open
-            np.testing.assert_array_equal(open_edges, (u[:, 1:] < p).T)
+            assert bool(open_edges[j - 1, 0] >> i & 1) == is_open
+            np.testing.assert_array_equal(open_edges, _reference(5, 0, 3, 8, float(p))[1])
 
 
 def test_edge_draws_span_several_default_chunks():
@@ -118,46 +126,21 @@ def test_edge_draws_span_several_default_chunks():
 
 
 @pytest.mark.parametrize(
-    "n_streams, n_edges, packed",
+    "n_streams, n_edges, reverse",
     [(8192, 50, True), (3 * 8192 * 8 + 5, 3, False), (3 * 8192 * 8 + 5, 3, True)],
 )
-def test_edge_draws_wide_and_packed_match_reference(n_streams, n_edges, packed):
+def test_edge_draws_wide_and_packed_match_reference(n_streams, n_edges, reverse):
     # a row of 196 613 streams is wider than a default chunk, so chunks are
-    # slices of one row's streams (whole bytes of them when packed)
+    # slices of whole bytes of one row's streams
     p = 0.45
     assert n_edges * n_streams * 8 > 3 * rng._CHUNK_BYTES
-    starts, open_edges = edge_draws(17, 8192, n_streams, n_edges, p, packed=packed)
+    order = np.arange(n_edges)[::-1] if reverse else None
+    starts, open_edges = edge_draws(17, 8192, n_streams, n_edges, p, order)
     ref_starts, ref_open = _reference(17, 8192, n_streams, n_edges, p)
-    if packed:
-        ref_open = np.packbits(ref_open, axis=1, bitorder="little")
+    if reverse:
+        ref_open = ref_open[::-1]
     np.testing.assert_array_equal(starts, ref_starts)
     np.testing.assert_array_equal(open_edges, ref_open)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    first=st.integers(0, 2**40),
-    n_streams=st.integers(1, 40),
-    n_edges=st.integers(1, 40),
-    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    chunk_bytes=st.sampled_from([8, 64, 1000, rng._CHUNK_BYTES]),
-    reverse=st.booleans(),
-)
-def test_packed_edge_draws_are_packed_flags(
-    seed, first, n_streams, n_edges, p, chunk_bytes, reverse
-):
-    order = np.arange(n_edges)[::-1] if reverse else None
-    saved = rng._CHUNK_BYTES
-    rng._CHUNK_BYTES = chunk_bytes
-    try:
-        starts, packed = edge_draws(seed, first, n_streams, n_edges, p, order, packed=True)
-    finally:
-        rng._CHUNK_BYTES = saved
-    ref_starts, ref_open = edge_draws(seed, first, n_streams, n_edges, p, order)
-    assert packed.shape == (n_edges, -(-n_streams // 8)) and packed.dtype == np.uint8
-    np.testing.assert_array_equal(starts, ref_starts)
-    np.testing.assert_array_equal(packed, np.packbits(ref_open, axis=1, bitorder="little"))
 
 
 @settings(max_examples=100, deadline=None)
@@ -195,7 +178,7 @@ def test_edge_draws_at_extreme_thresholds(p):
     ref_starts, ref_open = _reference(23, 4096, n_streams, n_edges, p)
     np.testing.assert_array_equal(starts, ref_starts)
     np.testing.assert_array_equal(open_edges, ref_open)
-    assert open_edges.shape == (n_edges, n_streams) and open_edges.dtype == bool
+    assert open_edges.shape == (n_edges, n_streams // 8) and open_edges.dtype == np.uint8
     order = np.arange(n_edges)[::-1]
     _, ordered = edge_draws(23, 4096, n_streams, n_edges, p, order=order)
     np.testing.assert_array_equal(ordered, ref_open[order])
