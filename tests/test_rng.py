@@ -83,25 +83,52 @@ def _reference(seed, first, n_streams, n_edges, p):
     n_edges=st.integers(1, 40),
     p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), _dyadic_p),
     chunk_bytes=st.sampled_from([8, 64, 1000, rng._CHUNK_BYTES]),
+)
+def test_edge_draws_match_uniform_threshold(seed, first, n_streams, n_edges, p, chunk_bytes):
+    # the packed reference has its padding bits 0, so they are checked too
+    saved = rng._CHUNK_BYTES
+    rng._CHUNK_BYTES = chunk_bytes
+    try:
+        starts, open_edges = edge_draws(seed, first, n_streams, n_edges, p)
+    finally:
+        rng._CHUNK_BYTES = saved
+    ref_starts, ref_open = _reference(seed, first, n_streams, n_edges, p)
+    assert open_edges.shape == (n_edges, -(-n_streams // 8)) and open_edges.dtype == np.uint8
+    np.testing.assert_array_equal(starts, ref_starts)
+    np.testing.assert_array_equal(open_edges, ref_open)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**40),
+    n_streams=st.integers(1, 40),
+    n_edges=st.integers(1, 40),
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    chunk_bytes=st.sampled_from([8, 64, 1000, rng._CHUNK_BYTES]),
     reverse=st.booleans(),
 )
-def test_edge_draws_match_uniform_threshold(
+def test_packed_edge_draws_are_packed_flags(
     seed, first, n_streams, n_edges, p, chunk_bytes, reverse
 ):
-    # the packed reference has its padding bits 0, so they are checked too
+    # bit b of byte k in row e is the flag of stream 8k + b on edge order[e];
+    # the bits past the last stream are 0
     order = np.arange(n_edges)[::-1] if reverse else None
     saved = rng._CHUNK_BYTES
     rng._CHUNK_BYTES = chunk_bytes
     try:
-        starts, open_edges = edge_draws(seed, first, n_streams, n_edges, p, order)
+        starts, packed = edge_draws(seed, first, n_streams, n_edges, p, order)
     finally:
         rng._CHUNK_BYTES = saved
-    ref_starts, ref_open = _reference(seed, first, n_streams, n_edges, p)
+    u = uniform_matrix(seed, first, n_streams, n_edges + 1)
+    flags = (u[:, 1:] < p).T
     if reverse:
-        ref_open = ref_open[::-1]
-    assert open_edges.shape == (n_edges, -(-n_streams // 8)) and open_edges.dtype == np.uint8
-    np.testing.assert_array_equal(starts, ref_starts)
-    np.testing.assert_array_equal(open_edges, ref_open)
+        flags = flags[::-1]
+    assert packed.shape == (n_edges, -(-n_streams // 8)) and packed.dtype == np.uint8
+    np.testing.assert_array_equal(starts, u[:, 0])
+    bits = np.unpackbits(packed, axis=1, bitorder="little")
+    np.testing.assert_array_equal(bits[:, :n_streams].astype(bool), flags)
+    assert not bits[:, n_streams:].any()
 
 
 def test_edge_draws_threshold_at_drawn_values():
