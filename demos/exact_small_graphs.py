@@ -26,8 +26,8 @@ def main() -> None:
     print(f"K3 second-moment counts: {poly.second_counts}")
     print(f"evaluated at p=0.5: {poly.evaluate(0.5)}")
 
-    # third route: moments from the pairwise connection probabilities
-    # E(S) = mean_x sum_y P(x <-> y), E(S^2) = mean_x E(S_x^2) via per-vertex sizes
+    # third route: moments per start vertex, E(S) = mean_x sum_y P(x <-> y)
+    # = mean_x E(S_x) and E(S^2) = mean_x E(S_x^2), both from per-vertex sizes
     cm = connectivity_moments(k3, 0.5)
     print(f"connectivity route agrees: {cm}")
     table = pair_connectivity(k3, 0.5)

@@ -164,25 +164,6 @@ def branching_total_second_moment(degree: int, p: float, horizon: int) -> float:
     return _power(mean, 2) + scale * _variance_kernel(nu, horizon)
 
 
-def _variance_term_expanded(degree: int, p: float, horizon: int) -> float:
-    """Variance of the branching total before algebraic collapse.
-
-    Splits the variance into the generation-variance diagonal and the
-    cross-generation covariance sum, each kept in raw form.  Not patched at
-    nu = 1; used to cross-check the collapsed kernel away from that point.
-    """
-    p = _check_probability(p)
-    nu = (degree - 1) * p
-    r = horizon
-    g = _geometric_sum(nu, r)
-    diag = degree * p * (1.0 - p) * g * g
-    if nu == 0.0:
-        return diag
-    inner = (1.0 - nu ** (2 * r - 1)) / (1.0 - nu) - (2 * r - 1) * nu ** (r - 1)
-    cross = degree * p * nu * (1.0 - p) / (1.0 - nu) ** 2 * inner
-    return diag + cross
-
-
 def branching_bounds(params: BoundParams) -> MomentPair:
     """Moment bounds from the truncated branching envelope."""
     return MomentPair(

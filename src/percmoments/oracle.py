@@ -14,8 +14,9 @@ Three independent routes to the moments are exposed:
 * :func:`moment_polynomial` collects exact integer counts per number of open
   edges and evaluates the resulting polynomial in p (exact rationals via
   :mod:`fractions` are available on the result);
-* :func:`connectivity_moments` goes through pairwise connection
-  probabilities, E(S) = mean_x sum_y P(x <-> y).
+* :func:`connectivity_moments` goes through the start vertex x: E(S_x) =
+  sum_y P(x <-> y) is taken as the weighted sum of the cluster size S_x at
+  x, E(S_x^2) likewise of S_x^2, and both are averaged over x.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ def _same_cluster(labels: np.ndarray) -> np.ndarray:
     return labels[:, None, :] == labels[None, :, :]
 
 
-def _config_weights(n_open: np.ndarray, n_edges: int, p: float) -> np.ndarray:
-    return p**n_open * (1.0 - p) ** (n_edges - n_open)
+def _config_weights(n_edges: int, p: float) -> np.ndarray:
+    """p^m (1-p)^(|E|-m) for m = 0..|E|: index it with ``n_open``."""
+    m = np.arange(n_edges + 1)
+    return p**m * (1.0 - p) ** (n_edges - m)
 
 
 def exact_moments(graph: Graph, p: float, max_edges: int | None = None) -> MomentPair:
@@ -152,9 +155,9 @@ def exact_moments(graph: Graph, p: float, max_edges: int | None = None) -> Momen
     p = _check_probability(p)
     first_acc = 0.0
     second_acc = 0.0
-    m = graph.n_edges
+    weights = _config_weights(graph.n_edges, p)
     for n_open, _, _, first, second in _config_blocks(graph, max_edges):
-        w = _config_weights(n_open, m, p)
+        w = weights[n_open]
         first_acc += float(w @ first)
         second_acc += float(w @ second)
     n = graph.n_vertices
@@ -186,7 +189,7 @@ class MomentPolynomial:
 
     def evaluate(self, p: float) -> MomentPair:
         p = _check_probability(p)
-        weights = _config_weights(np.arange(self.n_edges + 1), self.n_edges, p)
+        weights = _config_weights(self.n_edges, p)
         first, second = (
             self._moment(counts, weights, p) for counts in (self.first_counts, self.second_counts)
         )
@@ -257,29 +260,33 @@ def pair_connectivity(
     p = _check_probability(p)
     n = graph.n_vertices
     pair = np.zeros((n, n))
+    weights = _config_weights(graph.n_edges, p)
     for n_open, labels, _, _, _ in _config_blocks(graph, max_edges):
-        w = _config_weights(n_open, graph.n_edges, p)
-        pair += np.tensordot(_same_cluster(labels), w, axes=([2], [0]))
+        pair += np.tensordot(_same_cluster(labels), weights[n_open], axes=([2], [0]))
     return ConnectivityTable(p=p, pair_probs=pair)
 
 
 def connectivity_moments(
     graph: Graph, p: float, max_edges: int | None = None
 ) -> MomentPair:
-    """Moments through connection probabilities rather than size sums.
+    """Moments per start vertex rather than per configuration.
 
-    E(S) is the mean over x of sum_y P(x <-> y); E(S^2) the mean over x of
-    sum_{y,z} P(x <-> y, x <-> z), accumulated per start vertex.  Same
-    answers as :func:`exact_moments` through a different reduction.
+    E(S_x) = sum_y P(x <-> y) is the weighted sum of the cluster size S_x
+    at x over all configurations, since sum_y [x <-> y] = S_x; E(S_x^2) =
+    sum_{y,z} P(x <-> y, x <-> z) likewise of S_x^2.  Both are averaged
+    over x.  Same answers as :func:`exact_moments` through a different
+    reduction.
     """
     p = _check_probability(p)
     n = graph.n_vertices
-    pair = np.zeros((n, n))
+    first_per_x = np.zeros(n)
     second_per_x = np.zeros(n)
-    for n_open, labels, sizes, _, _ in _config_blocks(graph, max_edges):
-        w = _config_weights(n_open, graph.n_edges, p)
-        pair += np.tensordot(_same_cluster(labels), w, axes=([2], [0]))
-        second_per_x += (sizes.astype(np.float64) ** 2) @ w
-    first = float(pair.sum(axis=1).mean())
+    weights = _config_weights(graph.n_edges, p)
+    for n_open, _, sizes, _, _ in _config_blocks(graph, max_edges):
+        w = weights[n_open]
+        s = sizes.astype(np.float64)
+        first_per_x += s @ w
+        second_per_x += (s**2) @ w
+    first = float(first_per_x.mean())
     second = float(second_per_x.mean())
     return MomentPair(first=first, second=second, kind="exact")

@@ -13,7 +13,25 @@ from percmoments import (
     branching_total_second_moment,
     isolation_bounds,
 )
-from percmoments.bounds import NU_WINDOW, _variance_kernel, _variance_term_expanded
+from percmoments.bounds import NU_WINDOW, _variance_kernel
+
+
+def variance_term_expanded(degree, p, horizon):
+    """Variance of the branching total before algebraic collapse.
+
+    Splits the variance into the generation-variance diagonal and the
+    cross-generation covariance sum, each kept in raw form.  Not patched at
+    nu = 1; a reference for the collapsed kernel away from that point.
+    """
+    nu = (degree - 1) * p
+    r = horizon
+    g = (1.0 - nu**r) / (1.0 - nu)
+    diag = degree * p * (1.0 - p) * g * g
+    if nu == 0.0:
+        return diag
+    inner = (1.0 - nu ** (2 * r - 1)) / (1.0 - nu) - (2 * r - 1) * nu ** (r - 1)
+    cross = degree * p * nu * (1.0 - p) / (1.0 - nu) ** 2 * inner
+    return diag + cross
 
 
 # hand-enumerated branching totals, frozen:
@@ -116,7 +134,7 @@ def test_collapsed_variance_matches_expanded_form():
             continue
         checked += 1
         collapsed = d * p * (1 - p) * _variance_kernel((d - 1) * p, r)
-        expanded = _variance_term_expanded(d, p, r)
+        expanded = variance_term_expanded(d, p, r)
         scale = max(abs(collapsed), abs(expanded))
         if scale == 0:
             assert collapsed == expanded

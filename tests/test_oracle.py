@@ -1,6 +1,7 @@
 import itertools
 import math
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +103,30 @@ def test_pair_connectivity_symmetry(name):
     assert np.allclose(row_sums, row_sums[0], atol=1e-12)
 
 
+@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("p", [0.1, 0.37, 0.9])
+def test_connectivity_first_moment_matches_pair_table(name, p):
+    # the per-vertex size sum and the pair table reduce the same
+    # configurations differently: sum_y P(x <-> y) = E(S_x)
+    g = generate_builtin(name)
+    row_sums = pair_connectivity(g, p).pair_probs.sum(axis=1)
+    assert connectivity_moments(g, p).first == pytest.approx(row_sums.mean(), rel=1e-12)
+
+
+def test_connectivity_moments_memory_stays_small():
+    # no (N, N, block) same-cluster tensor: one ring(20) call holds ~2 MB of
+    # block state, and the tensor with its float64 cast would take ~15 MB
+    ring = generate_builtin("ring(20)")
+    connectivity_moments(ring, 0.4)
+    tracemalloc.start()
+    try:
+        connectivity_moments(ring, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_edge_cap_enforced(dodecahedron, k3, tetrahedron):
     with pytest.raises(TooManyEdgesError):
         exact_moments(dodecahedron, 0.5)
@@ -175,14 +200,16 @@ def test_polynomial_counts_match_union_find_reference(graph):
 
 def test_ring16_golden_values():
     # recorded before the enumeration kernel was rewritten; every output
-    # must stay bit-identical
+    # must stay bit-identical.  conn.first was re-pinned when
+    # connectivity_moments began summing S_x instead of pair probabilities,
+    # which changes the order of its sum
     ring = generate_builtin("ring(16)")
     exact = exact_moments(ring, 0.4)
     assert (exact.first.hex(), exact.second.hex()) == (
         "0x1.2aaa689d26b95p+1", "0x1.eaa638c1d54a7p+2")
     conn = connectivity_moments(ring, 0.4)
     assert (conn.first.hex(), conn.second.hex()) == (
-        "0x1.2aaa689d26ba5p+1", "0x1.eaa638c1d54bbp+2")
+        "0x1.2aaa689d26ba8p+1", "0x1.eaa638c1d54bbp+2")
     poly = moment_polynomial(ring)
     assert poly.first_counts == (
         16, 288, 2432, 12800, 47040, 128128, 267904, 439296, 572000, 594880,
