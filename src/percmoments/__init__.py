@@ -4,7 +4,8 @@ The package computes the first two moments of S, the size of the open
 cluster containing a uniformly random start vertex, three ways:
 
 * closed-form upper bounds (:mod:`percmoments.bounds`),
-* exact enumeration for small graphs (:mod:`percmoments.oracle`),
+* exact values by enumeration for small graphs, and by a frontier DP for
+  graphs of narrow frontier (:mod:`percmoments.oracle`),
 * reproducible Monte Carlo (:mod:`percmoments.montecarlo`),
 
 plus the layered birth-process view of cluster growth and its branching

@@ -19,12 +19,14 @@ float as the string its CSV cell holds (``"inf"``, ``"-inf"``, ``"nan"``).
 Floats are written with ``repr`` so they round-trip exactly.
 
 Exit codes: 0 on success, 1 on runtime failures, 2 on usage errors or
-refused preconditions (bad parameters, invalid graphs, enumeration over the
-edge cap, a builtin family or dominance run over its size cap, ``--reps``
-or ``--workers`` over their Monte Carlo caps, an ``--output`` path that
-cannot be written).  The cap honors the
-``PERCMOMENTS_ORACLE_CAP`` variable.  ``--workers`` exists only where it
-schedules Monte Carlo blocks (``simulate`` and ``sweep``).
+refused preconditions (bad parameters, invalid graphs, an ``oracle`` row
+over the enumeration edge cap, ``--polynomial`` or ``--oracle`` over the
+frontier-width cap, a builtin family or dominance run over its size cap,
+``--reps`` or ``--workers`` over their Monte Carlo caps, an ``--output``
+path that cannot be written).  The ``PERCMOMENTS_ORACLE_CAP`` variable
+sets the edge cap of all three; the width cap is fixed.  ``--workers``
+exists only where it schedules Monte Carlo blocks (``simulate`` and
+``sweep``).
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--oracle",
         action="store_true",
         dest="include_oracle",
-        help="also compute exact moments (graphs within the edge cap only)",
+        help="also compute exact moments (graphs within the frontier-width cap only)",
     )
 
     sp = add_command(

@@ -234,6 +234,20 @@ def _relax_edges(
                 dst[b] |= at_a
 
 
+def _bit_total(member: np.ndarray) -> int:
+    """A sum of the packed matrix that grows whenever a pass sets a bit.
+
+    Passes only set bits, so every word of the matrix only grows, and the
+    matrix changed iff the sum of its words did.  The bytes are summed as
+    uint32 words (the last few alone) into uint64, which cannot wrap below
+    2^32 words and reads the matrix once, where copying it and comparing
+    the copy read it three times; a sum of uint64 words could wrap.
+    """
+    flat = member.reshape(-1)
+    cut = flat.size - flat.size % 4
+    return int(flat[:cut].view(np.uint32).sum(dtype=np.uint64)) + int(flat[cut:].sum())
+
+
 def _block_cluster_sizes(
     graph: Graph, p: float, seed: int, lo: int, hi: int, plan: _EdgePlan | None = None
 ) -> np.ndarray:
@@ -243,11 +257,11 @@ def _block_cluster_sizes(
     b = hi - lo
     starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
     member = _packed_starts(graph.n_vertices, starts)
-    prev = np.empty_like(member)
+    total = _bit_total(member)
     while True:
-        prev[...] = member
         _relax_edges(plan, open_edges, member, member)
-        if np.array_equal(member, prev):
+        total, before = _bit_total(member), total
+        if total == before:
             break
     sizes = np.empty(b, dtype=np.int64)
     for c in range(0, b, _BLOCK):  # _BLOCK is a multiple of 8
@@ -407,10 +421,11 @@ def sweep(
 
     Rows come out sorted by p.  Each grid point gets its own derived seed
     from (seed, sorted position), so points are independent and the whole
-    sweep is reproducible.  With ``include_oracle`` the configuration
-    enumeration runs once, as a polynomial in p evaluated per point.
-    The caps of :func:`estimate_moments` apply, ``MAX_REPLICATES`` to
-    replicates times grid points, before the enumeration or any point.
+    sweep is reproducible.  With ``include_oracle`` the frontier DP of
+    :func:`~percmoments.oracle.moment_polynomial` runs once, and its
+    polynomial in p is evaluated per point.  The caps of
+    :func:`estimate_moments` apply, ``MAX_REPLICATES`` to replicates times
+    grid points, before the DP or any point.
     """
     try:
         points = list(p_grid)

@@ -1,12 +1,22 @@
-"""Exact cluster-size moments by enumeration of all edge configurations.
+"""Exact cluster-size moments: a frontier DP and an enumeration reference.
 
-Every function here walks the full set of 2^|E| open/closed configurations,
-so graphs are capped at :data:`DEFAULT_EDGE_CAP` edges unless the caller
-raises the cap explicitly.  Enumeration is done in vectorized blocks of
-``_BLOCK`` configurations by binary doubling (Newman & Ziff, PRL 85, 4104,
-2000): configuration c with bit k set is configuration c - 2^k with edge k
-opened, so each configuration's clusters come from an earlier one by a
-single merge of two clusters, with no relaxation and no fixpoint.
+:func:`moment_polynomial` never lists configurations.  A frontier
+(transfer-matrix) DP after Sekine, Imai & Tani (ISAAC 1995) and Hardy,
+Lucet & Limnios (IEEE Trans. Reliability 2007) adds the edges one at a
+time in a greedy order; its states are the partitions of the current
+frontier into clusters, each carrying exact integer sums over the
+configurations of the edges so far.  Its cost grows with the frontier width,
+capped at :data:`MAX_FRONTIER` vertices, not with 2^|E|, so it reaches the
+dodecahedron, the icosahedron and ring(N) for any N.
+
+The other three functions walk the full set of 2^|E| open/closed
+configurations, so graphs are capped at :data:`DEFAULT_EDGE_CAP` edges
+unless the caller raises the cap explicitly.  Enumeration is done in
+vectorized blocks of ``_BLOCK`` configurations by binary doubling (Newman &
+Ziff, PRL 85, 4104, 2000): configuration c with bit k set is configuration
+c - 2^k with edge k opened, so each configuration's clusters come from an
+earlier one by a single merge of two clusters, with no relaxation and no
+fixpoint.  They share no code with the DP and serve as its reference.
 
 Three independent routes to the moments are exposed:
 
@@ -21,6 +31,9 @@ Three independent routes to the moments are exposed:
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -34,6 +47,7 @@ from .percolation import _check_probability
 
 __all__ = [
     "DEFAULT_EDGE_CAP",
+    "MAX_FRONTIER",
     "MomentPolynomial",
     "ConnectivityTable",
     "exact_moments",
@@ -43,6 +57,13 @@ __all__ = [
 ]
 
 DEFAULT_EDGE_CAP = 24
+# Widest frontier the DP of :func:`moment_polynomial` accepts.  States are
+# partitions of the frontier, so each extra vertex multiplies their number
+# by up to ~5 (Bell numbers).  On a 2-vCPU host: complete(8) and
+# hypercube(4), width 8, take 0.13 and 0.25 s and 6 and 11 MB; complete(9)
+# 0.6 s and 40 MB, complete(10) 3.4 s and 285 MB; and the 96-edge
+# circulant C_24(1,2,3,4), width 9, 52 s and 590 MB.
+MAX_FRONTIER = 8
 # Configurations per block, a power of two: the low 12 edges vary within it.
 _BLOCK = 4096
 
@@ -164,6 +185,42 @@ def exact_moments(graph: Graph, p: float, max_edges: int | None = None) -> Momen
     return MomentPair(first=first_acc / n, second=second_acc / n, kind="exact")
 
 
+def _bracket(counts: tuple[int, ...], a: int, d: int, bits: int) -> tuple[int, int]:
+    """Integers low <= 2^bits sum_m counts[m] p^m (1-p)^(M-m) <= high, p = a / d.
+
+    ``d`` is a power of two.  The powers of p and of 1 - p are kept in
+    fixed point with ``bits`` fraction bits, rounded down for ``low`` and
+    up for ``high``; each rounding is off by under one unit and the factors
+    are at most 1, so every weight is within M + 2 units of exact.
+    """
+    shift, m = d.bit_length() - 1, len(counts) - 1
+
+    def powers(x: int, up: bool) -> list[int]:
+        out = [1 << bits]
+        for _ in range(m):
+            out.append(-(-out[-1] * x >> shift) if up else out[-1] * x >> shift)
+        return out
+
+    p_low, q_low, p_high, q_high = (powers(x, up) for up in (False, True) for x in (a, d - a))
+    low = sum(c * (p_low[k] * q_low[m - k] >> bits) for k, c in enumerate(counts))
+    high = sum(c * -(-p_high[k] * q_high[m - k] >> bits) for k, c in enumerate(counts))
+    return low, high
+
+
+def _split_sum(counts: tuple[int, ...], a: int, b: int) -> int:
+    """sum_m counts[m] a^m b^(M-m), by binary splitting.
+
+    Each half is summed alone and the two are joined by one power of each
+    of a and b, so the big multiplications are few and balanced, unlike
+    Horner's rule, which multiplies the growing sum at every count.
+    """
+    if len(counts) == 1:
+        return counts[0]
+    half = len(counts) // 2
+    left, right = _split_sum(counts[:half], a, b), _split_sum(counts[half:], a, b)
+    return left * b ** (len(counts) - half) + a**half * right
+
+
 @dataclass(frozen=True)
 class MomentPolynomial:
     """Exact moments as polynomials in p, via integer configuration counts.
@@ -199,19 +256,22 @@ class MomentPolynomial:
         """sum_m counts[m] p^m (1-p)^(|E|-m) / N.
 
         Summed in float64 while every count is below 2^1023.  A larger count
-        would overflow float64, so the sum is then taken exactly: p = a / d
-        with d a power of two, so the sum times d^|E| is the integer
-        sum_m counts[m] a^m (d-a)^(|E|-m), built by Horner's rule in a, and
-        one int / int division rounds it.
+        would overflow float64, so the sum is then rounded correctly from
+        integers: p = a / 2^k, and :func:`_bracket` puts it between two
+        fixed-point sums with enough fraction bits that they differ by less
+        than 2^-62, so both round to the same float unless the moment lies
+        within 2^-62 / N of a rounding boundary.  Only then is it summed
+        exactly, by :func:`_split_sum`.
         """
         if max(counts) < 1 << 1023:
             return float(weights @ np.array(counts, dtype=np.float64)) / self.n_vertices
         a, d = p.as_integer_ratio()
-        acc, b_pow = counts[-1], 1
-        for c in reversed(counts[:-1]):
-            b_pow *= d - a
-            acc = acc * a + c * b_pow
-        return acc / (d**self.n_edges * self.n_vertices)
+        bits = sum(counts).bit_length() + self.n_edges.bit_length() + 64
+        low, high = _bracket(counts, a, d, bits)
+        scale = self.n_vertices << bits
+        if low / scale == high / scale:
+            return low / scale
+        return _split_sum(counts, a, d - a) / (d**self.n_edges * self.n_vertices)
 
     def to_json_dict(self) -> dict:
         """JSON-ready form; counts as strings so arbitrary ints survive."""
@@ -224,24 +284,245 @@ class MomentPolynomial:
         }
 
 
-def moment_polynomial(graph: Graph, max_edges: int | None = None) -> MomentPolynomial:
-    """Integer configuration counts per number of open edges.
+def _edge_order(graph: Graph) -> tuple[tuple[tuple[int, int], ...], int]:
+    """A greedy edge order that keeps the frontier small, and its peak width.
 
-    Per-block partial counts stay far below 2^53 (at most 4096
-    configurations, each contributing at most N^3), so accumulating through
-    float64 bincount weights is exact before conversion to int64.
+    The frontier after an edge is the set of vertices that have some edges
+    in the order up to it and some after it; its width counts the edge's
+    own endpoints too.  Each next edge is one at a frontier vertex that
+    grows the frontier least (new endpoints minus endpoints it retires),
+    the first such in frontier-entry and edge-index order; with none, the
+    first edge of the lowest vertex not yet reached starts the order anew.
+    The walk stops once the width passes :data:`MAX_FRONTIER`, so the
+    returned width is then only a lower bound and the order is partial.
     """
-    m = graph.n_edges
-    first_counts = np.zeros(m + 1, dtype=np.int64)
-    second_counts = np.zeros(m + 1, dtype=np.int64)
-    for n_open, _, _, first, second in _config_blocks(graph, max_edges):
-        first_counts += np.bincount(n_open, weights=first, minlength=m + 1).astype(np.int64)
-        second_counts += np.bincount(n_open, weights=second, minlength=m + 1).astype(np.int64)
+    incident: list[list[int]] = [[] for _ in range(graph.n_vertices)]
+    for e, (u, v) in enumerate(graph.edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    remaining = [len(es) for es in incident]
+    done = [False] * graph.n_edges
+    frontier: dict[int, None] = {}  # insertion-ordered set
+    order: list[tuple[int, int]] = []
+    width = start = 0
+    while len(order) < graph.n_edges and width <= MAX_FRONTIER:
+        best, growth = -1, 3
+        for x in frontier:
+            for e in incident[x]:
+                if done[e]:
+                    continue
+                u, v = graph.edges[e]
+                g = ((u not in frontier) + (v not in frontier)
+                     - (remaining[u] == 1) - (remaining[v] == 1))
+                if g < growth:
+                    best, growth = e, g
+        if best < 0:
+            while remaining[start] == 0:
+                start += 1
+            best = next(e for e in incident[start] if not done[e])
+        done[best] = True
+        u, v = graph.edges[best]
+        order.append((u, v))
+        frontier.update({u: None, v: None})
+        width = max(width, len(frontier))
+        for x in (u, v):
+            remaining[x] -= 1
+            if remaining[x] == 0:
+                del frontier[x]
+    return tuple(order), width
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only int64 array, safe to hand out from a cache."""
+    array = np.array(values, dtype=np.int64)
+    array.flags.writeable = False
+    return array
+
+
+@functools.cache
+def _monomials(b: int) -> dict[tuple[int, ...], int]:
+    """Row of each monomial of degree <= 3 in the sizes of blocks 0..b-1.
+
+    A monomial is the sorted tuple of its block labels: () is 1, (0, 0, 2)
+    is s_0^2 s_2.  Rows 0 and 1 of a state hold its closed-block sums of
+    s^2 and s^3, so monomial rows start at 2, with () first.
+    """
+    monomials = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(b), d) for d in range(4)
+    )
+    return {mono: row for row, mono in enumerate(monomials, 2)}
+
+
+@functools.cache
+def _enter_rows(b: int) -> np.ndarray:
+    """Source rows when a vertex enters as block b, a singleton: s_b = 1."""
+    old = _monomials(b)
+    return _frozen([0, 1] + [old[tuple(l for l in mono if l != b)] for mono in _monomials(b + 1)])
+
+
+@functools.cache
+def _leave_rows(b: int, label: int, new: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Source rows when a vertex of block ``label`` leaves the frontier.
+
+    The block's first vertex on the frontier is now a later one, ranked
+    ``new`` among the blocks' first vertices, and the labels between move
+    down one; or, where ``new`` is -1, the vertex was the block's last on
+    the frontier and the block closes: its s^2 and s^3 rows, also returned,
+    go to the closed-block sums, the monomials holding it are dropped and
+    the labels above move down one.
+    """
+    old = _monomials(b)
+    if new < 0:
+        source = [l + (l >= label) for l in range(b - 1)]
+        closing = (old[(label, label)], old[(label, label, label)])
+    else:
+        source = list(range(b))
+        source.insert(new, source.pop(label))
+        closing = None
+    new_monomials = _monomials(len(source))
+    rows = [0, 1] + [old[tuple(sorted(source[l] for l in mono))] for mono in new_monomials]
+    return _frozen(rows), closing
+
+
+@functools.cache
+def _merge_terms(b: int, i: int, j: int) -> tuple[np.ndarray, ...]:
+    """Block j joins block i < j; blocks above j move down one label.
+
+    Old monomial s_i^a s_j^c r adds C(a + c, a) times itself to exactly one
+    new monomial, s_i^(a + c) r, by the binomial expansion of
+    (s_i + s_j)^(a + c).  Returned for ``np.add.reduceat``: the old rows
+    sorted by their new row, the positions in that order whose coefficient
+    is not 1 with those coefficients, and where each new row's run starts.
+    """
+    new = _monomials(b - 1)
+    targets, coefs = [0, 1], [1, 1]
+    for mono in _monomials(b):
+        targets.append(new[tuple(sorted(i if l == j else l - (l > j) for l in mono))])
+        coefs.append(math.comb(mono.count(i) + mono.count(j), mono.count(i)))
+    order = np.argsort(targets, kind="stable")
+    coef = np.array(coefs)[order]
+    scaled = np.flatnonzero(coef > 1)
+    starts = np.flatnonzero(np.diff(np.array(targets)[order], prepend=-1))
+    return _frozen(order), _frozen(scaled), _frozen(coef[scaled, None]), _frozen(starts)
+
+
+def _canonical(labels: bytes) -> tuple[bytes, dict[int, int]]:
+    """Block labels renumbered by first appearance, and the renumbering."""
+    renumber: dict[int, int] = {}
+    return bytes(renumber.setdefault(l, len(renumber)) for l in labels), renumber
+
+
+def _frontier_counts(
+    graph: Graph, order: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per-m sums of sum_x S_x and sum_x S_x^2, by a frontier DP over ``order``.
+
+    A state is a partition of the frontier into blocks, keyed by the bytes
+    of each frontier vertex's block label (labels in order of first
+    appearance; bytes, as tuples would crowd the interpreter's tuple free
+    lists and raise later memory peaks).
+    It carries an integer matrix: column m sums, over the configurations
+    of the edges so far with m open that reach the state, each monomial of
+    degree <= 3 in the sizes of its blocks (rows of :func:`_monomials`),
+    and the s^2 and s^3 of every block already closed.  Monomials are
+    enough because opening an edge replaces two sizes by their sum, a
+    binomial expansion that keeps the degree.  At the end no block is
+    open, and rows 0 and 1 are the counts.  See Sekine, Imai & Tani, ISAAC
+    1995, for the frontier method.
+    """
+    n, m = graph.n_vertices, graph.n_edges
+    # Every entry is at most 2^m configurations times N^3.
+    dtype = np.int64 if (1 << m) * n**3 < 1 << 63 else object
+    left = [0] * n
+    for u, v in order:
+        left[u] += 1
+        left[v] += 1
+    frontier: list[int] = []
+    start = np.zeros((3, 1), dtype=dtype)
+    start[2, 0] = 1
+    states = {b"": start}
+    for cols, (u, v) in enumerate(order, 1):
+        for x in (u, v):
+            if x not in frontier:
+                frontier.append(x)
+                entered = {}
+                for key, mat in states.items():
+                    b = max(key, default=-1) + 1
+                    entered[key + bytes((b,))] = mat[_enter_rows(b)]
+                states = entered
+        at_u, at_v = frontier.index(u), frontier.index(v)
+        children: dict[bytes, np.ndarray] = {}
+
+        def add(key: bytes, mat: np.ndarray, n_open: int) -> None:
+            # closed edge: columns as they were; open edge: one column up
+            total = children.get(key)
+            if total is None:
+                total = children[key] = np.zeros((len(mat), cols + 1), dtype=dtype)
+                total[:, n_open : n_open + cols] = mat
+            else:
+                total[:, n_open : n_open + cols] += mat
+
+        while states:  # popping frees each state once its children exist
+            key, mat = states.popitem()
+            add(key, mat, 0)
+            i, j = key[at_u], key[at_v]
+            if i > j:
+                i, j = j, i
+            if i == j:
+                add(key, mat, 1)
+                continue
+            sources, scaled, coef, starts = _merge_terms(max(key) + 1, i, j)
+            terms = mat[sources]
+            terms[scaled] *= coef
+            merged = np.add.reduceat(terms, starts, axis=0)
+            add(bytes(i if l == j else l - (l > j) for l in key), merged, 1)
+        states = children
+        for x in (u, v):
+            left[x] -= 1
+            if left[x]:
+                continue
+            q = frontier.index(x)
+            del frontier[q]
+            children = {}
+            while states:
+                key, mat = states.popitem()
+                rest, renumber = _canonical(key[:q] + key[q + 1 :])
+                rows, closing = _leave_rows(max(key) + 1, key[q], renumber.get(key[q], -1))
+                out = mat[rows]
+                if closing is not None:
+                    out[:2] += mat[list(closing)]
+                if rest in children:
+                    children[rest] += out
+                else:
+                    children[rest] = out
+            states = children
+    (mat,) = states.values()
+    return tuple(int(c) for c in mat[0]), tuple(int(c) for c in mat[1])
+
+
+def moment_polynomial(graph: Graph, max_edges: int | None = None) -> MomentPolynomial:
+    """Integer configuration counts per number of open edges, by a frontier DP.
+
+    No configuration is enumerated, so the cost depends on the frontier
+    width of :func:`_edge_order` rather than on 2^|E|.  A graph whose
+    frontier passes :data:`MAX_FRONTIER` vertices is refused with
+    :class:`TooManyEdgesError` before any DP step, and so is one with more
+    than ``max_edges`` edges when that is given.
+    """
+    if max_edges is not None:
+        _check_cap(graph, max_edges)
+    order, width = _edge_order(graph)
+    if width > MAX_FRONTIER:
+        raise TooManyEdgesError(
+            f"frontier width reaches {width} on {graph.n_edges} edges, above the "
+            f"exact DP's cap of {MAX_FRONTIER}"
+        )
+    first_counts, second_counts = _frontier_counts(graph, order)
     return MomentPolynomial(
         n_vertices=graph.n_vertices,
-        n_edges=m,
-        first_counts=tuple(int(c) for c in first_counts),
-        second_counts=tuple(int(c) for c in second_counts),
+        n_edges=graph.n_edges,
+        first_counts=first_counts,
+        second_counts=second_counts,
     )
 
 

@@ -258,6 +258,30 @@ def test_oracle_refuses_large_graph_with_json_error():
     assert "30 edges" in payload["message"]
 
 
+def test_polynomial_and_sweep_reach_the_dp_only_solids(monkeypatch):
+    # the frontier DP lifts the 24-edge cap from --polynomial and --oracle:
+    # the 30-edge solids get exact counts, complete(12) is refused by width
+    code, out = run_cli(["oracle", "--graph", "icosahedron", "--p", "0.5", "--polynomial",
+                         "--format", "json"])
+    assert code == 0
+    assert [int(c) for c in json.loads(out)["second_counts"]][-1] == 12**3
+    code, out = run_cli(["sweep", "--graph", "dodecahedron", "--p-grid", "0.3:0.3:0.1",
+                         "--reps", "200", "--oracle"])
+    assert code == 0
+    header, rows = read_csv(out)
+    assert float(rows[0][header.index("exact_first")]) > 1.0
+    code, out = run_cli(["oracle", "--graph", "complete(12)", "--p", "0.5", "--polynomial",
+                         "--format", "json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "TooManyEdges" and "frontier width" in payload["message"]
+    # an explicit cap still bounds the edges
+    monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "24")
+    code, _ = run_cli(["sweep", "--graph", "dodecahedron", "--p-grid", "0.3:0.3:0.1",
+                       "--reps", "200", "--oracle"])
+    assert code == 2
+
+
 def test_oracle_cap_env_override(monkeypatch):
     monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "2")
     code, _ = run_cli(["oracle", "--graph", "complete(3)", "--p", "0.5"])

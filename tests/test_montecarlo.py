@@ -140,7 +140,9 @@ def test_sweep_oracle_columns(tetrahedron):
 
 def test_sweep_respects_edge_cap(dodecahedron):
     with pytest.raises(TooManyEdgesError):
-        sweep(dodecahedron, [0.5], 100, seed=0, include_oracle=True)
+        sweep(dodecahedron, [0.5], 100, seed=0, include_oracle=True, max_oracle_edges=24)
+    with pytest.raises(TooManyEdgesError, match="frontier width"):
+        sweep(generate_builtin("complete(12)"), [0.5], 100, seed=0, include_oracle=True)
     # cap override mirrors the library-level one
     result = sweep(dodecahedron, [0.0], 100, seed=0, include_oracle=False)
     assert result.rows[0].estimate.mean_s == 1.0
@@ -268,6 +270,23 @@ def test_block_sizes_match_per_replicate_clusters(
         x, cfg = replicate_realization(g, p, seed, r)
         expected.append(cluster_of(g, cfg, x).size)
     np.testing.assert_array_equal(sizes, expected)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (7, 3), (20, 1024), (1, 1)])
+def test_bit_total_grows_with_every_set_bit(shape):
+    # the fixpoint stops when this total stays put, so it must grow on every
+    # new bit, also where the byte count is not a whole number of words
+    rng = np.random.default_rng(shape[0] * shape[1])
+    member = rng.integers(0, 256, size=shape, dtype=np.uint8) & rng.integers(
+        0, 256, size=shape, dtype=np.uint8)
+    total = montecarlo._bit_total(member)
+    for row, col in zip(*np.nonzero(member != 255)):
+        free = [k for k in range(8) if not member[row, col] >> k & 1]
+        member[row, col] |= 1 << free[rng.integers(len(free))]
+        total, before = montecarlo._bit_total(member), total
+        assert total > before
+    member[...] = 255
+    assert montecarlo._bit_total(member) > total
 
 
 @pytest.mark.parametrize("name", ["octahedron", "dodecahedron", "icosahedron", "random(200,3,0)"])

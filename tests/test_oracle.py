@@ -1,6 +1,8 @@
 import itertools
 import math
 import json
+import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -9,18 +11,22 @@ import pytest
 
 from percmoments import (
     BadParameterError,
+    BoundParams,
     EdgeConfig,
     MomentPolynomial,
     TooManyEdgesError,
+    best_bounds,
     cluster_of,
     connectivity_moments,
+    estimate_moments,
     exact_moments,
     generate_builtin,
     generate_random_regular,
     moment_polynomial,
     pair_connectivity,
 )
-from percmoments.oracle import DEFAULT_EDGE_CAP
+from percmoments import oracle
+from percmoments.oracle import DEFAULT_EDGE_CAP, MAX_FRONTIER
 
 SMALL = ("complete(2)", "complete(3)", "tetrahedron", "cube", "octahedron")
 
@@ -130,8 +136,8 @@ def test_connectivity_moments_memory_stays_small():
 def test_edge_cap_enforced(dodecahedron, k3, tetrahedron):
     with pytest.raises(TooManyEdgesError):
         exact_moments(dodecahedron, 0.5)
-    with pytest.raises(TooManyEdgesError):
-        moment_polynomial(dodecahedron)
+    with pytest.raises(TooManyEdgesError, match="frontier width"):
+        moment_polynomial(generate_builtin("complete(12)"))
     assert DEFAULT_EDGE_CAP == 24
     # explicit override tightens or loosens the cap
     assert exact_moments(k3, 0.5, max_edges=4).first == pytest.approx(2.25, abs=1e-12)
@@ -243,3 +249,148 @@ def test_evaluate_keeps_float_path_just_below_the_limit():
     poly = MomentPolynomial(n_vertices=2, n_edges=2, first_counts=counts, second_counts=counts)
     weights = np.array([0.7**2, 0.3 * 0.7, 0.3**2])
     assert poly.evaluate(0.3).first == float(weights @ np.array(counts, dtype=np.float64)) / 2
+
+
+def enumeration_counts(graph):
+    """Per-m counts from the binary-doubling enumeration that the other routes use."""
+    first = np.zeros(graph.n_edges + 1, dtype=np.int64)
+    second = np.zeros(graph.n_edges + 1, dtype=np.int64)
+    for n_open, _, _, s1, s2 in oracle._config_blocks(graph, graph.n_edges):
+        np.add.at(first, n_open, s1)
+        np.add.at(second, n_open, s2)
+    return tuple(int(c) for c in first), tuple(int(c) for c in second)
+
+
+DP_GRAPHS = (
+    [generate_builtin(name) for name in
+     ("complete(2)", "complete(3)", "tetrahedron", "complete(5)", "cube", "octahedron",
+      "ring(13)", "ring(20)", "complete(7)")]
+    + [generate_random_regular(10, 3, seed) for seed in (1, 2)]
+    + [generate_random_regular(14, 3, seed) for seed in range(1, 7)]
+)
+
+
+@pytest.mark.parametrize("graph", DP_GRAPHS, ids=lambda g: g.label)
+def test_frontier_dp_matches_enumeration(graph):
+    assert graph.n_edges <= 21
+    poly = moment_polynomial(graph)
+    assert (poly.first_counts, poly.second_counts) == enumeration_counts(graph)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [generate_builtin(name) for name in ("tetrahedron", "cube", "octahedron", "ring(9)")]
+    + [generate_random_regular(10, 3, 1)],
+    ids=lambda g: g.label,
+)
+def test_frontier_counts_do_not_depend_on_edge_order(graph):
+    expected = moment_polynomial(graph)
+    rng = random.Random(graph.label)
+    for _ in range(3):
+        order = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in graph.edges]
+        rng.shuffle(order)
+        counts = oracle._frontier_counts(graph, tuple(order))
+        assert counts == (expected.first_counts, expected.second_counts)
+
+
+def test_edge_order_widths():
+    # the greedy order keeps every builtin solid under the cap; dense or
+    # high-dimensional graphs pass it and are refused before any DP step
+    widths = {name: oracle._edge_order(generate_builtin(name))[1] for name in
+              ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron",
+               "hypercube(4)", "ring(1000)", "complete(12)", "hypercube(10)")}
+    assert widths["ring(1000)"] == 3
+    assert max(widths[name] for name in ("tetrahedron", "cube", "octahedron", "dodecahedron",
+                                         "icosahedron", "hypercube(4)")) <= MAX_FRONTIER
+    assert widths["complete(12)"] > MAX_FRONTIER and widths["hypercube(10)"] > MAX_FRONTIER
+    order, _ = oracle._edge_order(generate_builtin("dodecahedron"))
+    assert sorted(tuple(sorted(e)) for e in order) == list(generate_builtin("dodecahedron").edges)
+
+
+def ring_counts(n):
+    """Closed-form counts of ring(n): first (k = 2) and second (k = 3).
+
+    With m <= n - 2 open edges the open arcs are paths, and a start vertex
+    lies on an arc of s vertices in N C(n - s - 1, m - s + 1) ways; n - 1
+    open edges make one cluster in n ways, and n open edges in one.
+    """
+    first, second = [0] * (n + 1), [0] * (n + 1)
+    for s in range(1, n):
+        r, binom = n - s - 1, 1  # binom = C(r, j)
+        for j in range(r + 1):
+            first[s - 1 + j] += n * binom * s**2
+            second[s - 1 + j] += n * binom * s**3
+            binom = binom * (r - j) // (j + 1)
+    first[n - 1:], second[n - 1:] = [n**3, n**2], [n**4, n**3]
+    return tuple(first), tuple(second)
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_long_ring_counts_match_closed_form(n):
+    # counts outgrow int64 here (ring(1000) needs 1009 bits): the object path
+    poly = moment_polynomial(generate_builtin(f"ring({n})"))
+    assert max(poly.first_counts).bit_length() > 63
+    assert (poly.first_counts, poly.second_counts) == ring_counts(n)
+
+
+@pytest.mark.parametrize("name", ["dodecahedron", "icosahedron"])
+def test_dp_only_solids_against_bounds_and_simulation(name):
+    graph = generate_builtin(name)
+    poly = moment_polynomial(graph)
+    for k in range(41):
+        p = k * 0.025
+        exact = poly.evaluate(p)
+        bound = best_bounds(BoundParams(degree=graph.degree, n_vertices=graph.n_vertices, p=p))
+        assert exact.first <= bound.first * (1 + 1e-12)
+        assert exact.second <= bound.second * (1 + 1e-12)
+    for p in (0.1, 0.35, 0.6):
+        exact = poly.evaluate(p)
+        est = estimate_moments(graph, p, 200_000, seed=12)
+        assert abs(est.mean_s - exact.first) < 4 * est.se_s
+        assert abs(est.mean_s2 - exact.second) < 4 * est.se_s2
+
+
+def test_frontier_cap_is_checked_before_the_dp(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the DP started on a graph over the frontier cap")
+
+    monkeypatch.setattr(oracle, "_frontier_counts", no_work)
+    with pytest.raises(TooManyEdgesError, match=f"cap of {MAX_FRONTIER}"):
+        moment_polynomial(generate_builtin("hypercube(10)"))
+    # an explicit edge cap still applies on top of the width
+    with pytest.raises(TooManyEdgesError, match="30 edges exceeds"):
+        moment_polynomial(generate_builtin("dodecahedron"), max_edges=29)
+
+
+@pytest.mark.parametrize("p", [5e-324, 1e-300])
+def test_evaluate_past_float_range_is_fast_at_tiny_p(p):
+    # p = a / 2^1074 made the exact sum's integers ~1.2M bits long
+    m = 1100
+    binom = [math.comb(m, k) for k in range(m + 1)]
+    poly = MomentPolynomial(
+        n_vertices=1, n_edges=m,
+        first_counts=tuple((k + 1) * c for k, c in enumerate(binom)),
+        second_counts=tuple((k + 1) ** 2 * c for k, c in enumerate(binom)),
+    )
+    start = time.perf_counter()
+    pair = poly.evaluate(p)
+    assert time.perf_counter() - start < 0.5
+    mean = m * Fraction(p)
+    assert pair.first == float(mean + 1)
+    assert pair.second == float(mean * (1 - Fraction(p)) + (mean + 1) ** 2)
+
+
+def test_evaluate_sums_exactly_at_a_rounding_tie():
+    # with p = 2^-1074 these counts make the moment 1 + 2^-53, halfway
+    # between two floats: the fixed-point brackets round apart, and the
+    # exact sum rounds the tie to even
+    p = 5e-324
+    counts = (4, 8 + 2**1023, 4 + 2**1023)
+    bits = sum(counts).bit_length() + (2).bit_length() + 64
+    low, high = oracle._bracket(counts, 1, 2**1074, bits)
+    assert low / (4 << bits) == 1.0 and high / (4 << bits) == 1.0 + 2.0**-52
+    poly = MomentPolynomial(n_vertices=4, n_edges=2, first_counts=counts, second_counts=counts)
+    q = 1 - Fraction(p)
+    exact = (counts[0] * q**2 + counts[1] * Fraction(p) * q + counts[2] * Fraction(p) ** 2) / 4
+    assert exact == 1 + Fraction(1, 2**53)
+    assert poly.evaluate(p).first == float(exact) == 1.0
