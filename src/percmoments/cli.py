@@ -21,10 +21,11 @@ Floats are written with ``repr`` so they round-trip exactly.
 Exit codes: 0 on success, 1 on runtime failures, 2 on usage errors or
 refused preconditions (bad parameters, invalid graphs, an ``oracle`` row
 over the enumeration edge cap, ``--polynomial`` or ``--oracle`` over the
-frontier-width cap, a builtin family or dominance run over its size cap,
+frontier-width or DP work cap, a builtin family or dominance run over its
+size cap, a dominance table over its row cap,
 ``--reps`` or ``--workers`` over their Monte Carlo caps, an ``--output``
 path that cannot be written).  The ``PERCMOMENTS_ORACLE_CAP`` variable
-sets the edge cap of all three; the width cap is fixed.  ``--workers``
+sets the edge cap of all three; the width and work caps are fixed.  ``--workers``
 exists only where it schedules Monte Carlo blocks (``simulate`` and
 ``sweep``).
 """

@@ -21,11 +21,16 @@ replicates advance together in a level-synchronous breadth-first search
 over (vertices x replicates) matrices bit-packed eight replicates per byte,
 one relaxation step of the Monte Carlo cluster kernel per generation.  A
 block is at most 8192 replicates, and fewer where the Monte Carlo span
-budget allows fewer on a large graph.
+budget allows fewer on a large graph.  Each generation of a block is
+reduced to a histogram of its sizes as it is born, and the branching runs
+arrive one generation vector at a time, so no (generations x replicates)
+matrix of either ensemble is ever held; the tail table is built from the
+histograms once their sizes are known to fit ``MAX_TAIL_ROWS``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +40,7 @@ from .graphs import Graph, _check_integer, _check_vertex
 from .montecarlo import (
     _BLOCK,
     _block_draws,
+    _column_counts,
     _edge_plan,
     _packed_starts,
     _relax_edges,
@@ -53,9 +59,15 @@ __all__ = [
 
 # Largest generation size that can still be fed to a 64-bit binomial sampler.
 _SIZE_LIMIT = 1 << 62
-# Largest N x replicates accepted by dominance_report: the birth counts and
-# the branching samples are each one int64 matrix of that many cells (1 GiB).
+# Largest N x replicates accepted by dominance_report, and generations x
+# replicates by branching_generation_samples: it bounds the sampling work
+# of a report, and the int64 matrix (1 GiB) the public sampler returns.
 MAX_DOMINANCE_CELLS = 1 << 27
+# Most (generation, k) rows a dominance table may have.  A generation has a
+# row per k up to its largest size, which supercritical branching makes
+# explode (complete(8) at p = 0.9 and 100 replicates gives 238 328 rows,
+# complete(9) millions), and each row's histogram slot is allocated first.
+MAX_TAIL_ROWS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -168,15 +180,33 @@ def branching_generation_samples(
     that matrix, are refused before it is allocated.
     """
     degree, p, horizon, replicates = _check_branching_args(degree, p, horizon, replicates)
-    out = np.zeros((replicates, horizon + 1), dtype=np.int64)
-    out[:, 0] = 1
-    out[:, 1] = rng.binomial(degree, p, size=replicates)
-    for n in range(2, horizon + 1):
-        trials = out[:, n - 1] * (degree - 1)
+    out = np.empty((replicates, horizon + 1), dtype=np.int64)
+    for n, sizes in enumerate(_branching_generations(degree, p, horizon, replicates, rng)):
+        out[:, n] = sizes
+    return out
+
+
+def _branching_generations(
+    degree: int, p: float, horizon: int, replicates: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """``X_0 .. X_horizon`` of :func:`branching_generation_samples`, one vector each.
+
+    Only runs still alive are handed to ``rng.binomial``.  It returns 0 for
+    zero trials without drawing, so every run draws what it would draw
+    among the dead ones, and the vectors are the matrix's columns.
+    """
+    sizes = np.ones(replicates, dtype=np.int64)
+    yield sizes
+    sizes = rng.binomial(degree, p, size=replicates)
+    for _ in range(2, horizon + 1):
+        yield sizes
+        alive = np.flatnonzero(sizes)
+        trials = sizes[alive] * (degree - 1)
         if trials.max(initial=0) > _SIZE_LIMIT:
             raise BadParameterError("branching generation size exceeds 2^62")
-        out[:, n] = rng.binomial(trials, p)
-    return out
+        sizes = np.zeros(replicates, dtype=np.int64)
+        sizes[alive] = rng.binomial(trials, p)
+    yield sizes
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +240,36 @@ class DominanceReport:
         return tuple(r for r in self.rows if not r.within_tolerance)
 
 
-def _tails(values: np.ndarray, k_max: int, replicates: int) -> tuple[np.ndarray, np.ndarray]:
-    hist = np.bincount(np.minimum(values, k_max), minlength=k_max + 1)
-    above = np.cumsum(hist[::-1])[::-1]  # above[k] = #{v >= k}
+def _tails(hist: np.ndarray, k_max: int, replicates: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(v >= k) for k = 1 .. k_max and its standard error.
+
+    ``hist[v]`` counts the replicates of size ``v``, none above
+    ``hist.size - 1 <= k_max``; its entry at 0 does not enter a tail.
+    """
+    counts = np.zeros(k_max + 1, dtype=np.int64)
+    counts[: hist.size] = hist
+    above = np.cumsum(counts[::-1])[::-1]  # above[k] = #{v >= k}
     tail = above[1:] / replicates
     se = np.sqrt(tail * (1.0 - tail) / replicates)
     return tail, se
 
 
-def _birth_counts(graph: Graph, p: float, seed: int, replicates: int) -> np.ndarray:
-    """Birth-process generation counts of replicates ``0 .. replicates-1``.
+def _birth_counts(
+    graph: Graph, p: float, seed: int, replicates: int
+) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Birth-process generation counts of replicates ``0 .. replicates-1``, block by block.
 
-    Entry ``[n, r]`` is the size of generation ``n`` of replicate ``r``, the
-    number of vertices at open-path distance ``n`` from its start vertex;
-    it equals ``run_birth_process(graph, config, x).counts[n]`` for
-    ``(x, config) = replicate_realization(graph, p, seed, r)``.
+    Yields ``(n, lo, sizes)`` for each generation ``n >= 1`` in which some
+    replicate of the block ``[lo, lo + sizes.size)`` grows.  ``sizes[i]``
+    is the size of generation ``n`` of replicate ``lo + i``, the number of
+    vertices at open-path distance ``n`` from its start vertex; it equals
+    ``run_birth_process(graph, config, x).counts[n]`` for ``(x, config) =
+    replicate_realization(graph, p, seed, lo + i)``.  Generation 0 is 1
+    in every replicate, and a generation not yielded is 0 in the block.
     """
     n = graph.n_vertices
     plan = _edge_plan(graph)
     width = min(_BLOCK, _span_width(graph))
-    counts = np.zeros((n, replicates), dtype=np.int64)
-    counts[0] = 1
     for lo in range(0, replicates, width):
         hi = min(lo + width, replicates)
         starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
@@ -244,10 +283,10 @@ def _birth_counts(graph: Graph, p: float, seed: int, replicates: int) -> np.ndar
             if not born.any():
                 break
             unreached ^= born
-            bits = np.unpackbits(born, axis=1, count=hi - lo, bitorder="little")
-            bits.sum(axis=0, dtype=np.int64, out=counts[gen, lo:hi])
+            sizes = np.empty(hi - lo, dtype=np.int64)
+            _column_counts(born, sizes)
+            yield gen, lo, sizes
             frontier, born = born, frontier
-    return counts
 
 
 def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> DominanceReport:
@@ -264,7 +303,8 @@ def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> Domi
     when the birth tail exceeds the branching tail by more than three
     standard errors of the difference.  Runs of more than
     ``MAX_DOMINANCE_CELLS`` vertex-replicate cells are refused before any
-    sampling.
+    sampling, and tables of more than ``MAX_TAIL_ROWS`` rows as soon as a
+    generation's largest size shows it, before its histogram or any row.
     """
     p = _check_probability(p)
     replicates = _check_integer("replicates", replicates)
@@ -278,21 +318,55 @@ def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> Domi
             f"{replicates} replicates on {graph.n_vertices} vertices exceed the "
             f"{MAX_DOMINANCE_CELLS} vertex-replicate cells of a dominance run"
         )
+    if graph.n_vertices > MAX_TAIL_ROWS:
+        raise BadParameterError(
+            f"{graph.n_vertices} generations exceed the {MAX_TAIL_ROWS} rows of a "
+            f"dominance table"
+        )
 
     horizon = graph.n_vertices - 1
-    birth = _birth_counts(graph, p, seed, replicates)
-    branching = branching_generation_samples(
-        graph.degree, p, horizon, replicates, np.random.default_rng(seed)
-    )
+    k_max = [1] * (horizon + 1)  # rows of each generation: its largest size, at least 1
+    n_rows = horizon + 1
+
+    def count(hists: dict[int, np.ndarray], gen: int, sizes: np.ndarray) -> None:
+        # histogram of one generation vector, once the table's rows allow its slots
+        nonlocal n_rows
+        top = int(sizes.max())
+        if top > k_max[gen]:
+            n_rows += top - k_max[gen]
+            k_max[gen] = top
+            if n_rows > MAX_TAIL_ROWS:
+                raise BadParameterError(
+                    f"dominance table exceeds {MAX_TAIL_ROWS} rows: generation {gen} "
+                    f"reaches size {top}"
+                )
+        if top == 0:
+            return
+        new = np.bincount(sizes)
+        old = hists.get(gen)
+        if old is None:
+            hists[gen] = new
+        elif old.size >= new.size:
+            old[: new.size] += new
+        else:
+            new[: old.size] += old
+            hists[gen] = new
+
+    birth: dict[int, np.ndarray] = {0: np.array([0, replicates])}
+    for gen, _, sizes in _birth_counts(graph, p, seed, replicates):
+        count(birth, gen, sizes)
+    branching: dict[int, np.ndarray] = {}
+    rng = np.random.default_rng(seed)
+    for gen, sizes in enumerate(_branching_generations(graph.degree, p, horizon, replicates, rng)):
+        count(branching, gen, sizes)
 
     rows: list[TailRow] = []
+    no_sizes = np.zeros(1, dtype=np.int64)
     for gen in range(horizon + 1):
-        y = birth[gen]
-        xg = branching[:, gen]
-        k_max = max(1, int(y.max()), int(xg.max()))
-        y_tail, y_se = _tails(y, k_max, replicates)
-        x_tail, x_se = _tails(xg, k_max, replicates)
-        for k in range(1, k_max + 1):
+        k_top = k_max[gen]
+        y_tail, y_se = _tails(birth.get(gen, no_sizes), k_top, replicates)
+        x_tail, x_se = _tails(branching.get(gen, no_sizes), k_top, replicates)
+        for k in range(1, k_top + 1):
             se_diff = float(np.hypot(y_se[k - 1], x_se[k - 1]))
             rows.append(
                 TailRow(

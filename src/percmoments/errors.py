@@ -67,4 +67,4 @@ class RetryLimitError(PercmomentsError, RuntimeError):
 
 
 class TooManyEdgesError(PercmomentsError, ValueError):
-    """Graph exceeds the exact layer's edge cap or the DP's frontier-width cap."""
+    """Graph exceeds the exact layer's edge cap or the DP's frontier-width or work cap."""

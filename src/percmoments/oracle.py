@@ -7,7 +7,9 @@ time in a greedy order; its states are the partitions of the current
 frontier into clusters, each carrying exact integer sums over the
 configurations of the edges so far.  Its cost grows with the frontier width,
 capped at :data:`MAX_FRONTIER` vertices, not with 2^|E|, so it reaches the
-dodecahedron, the icosahedron and ring(N) for any N.
+dodecahedron, the icosahedron and ring(N) up to N = 1171; an estimate of its
+work from the frontier widths of the edge order, capped at
+:data:`MAX_DP_WORK`, bounds long graphs before any step.
 
 The other three functions walk the full set of 2^|E| open/closed
 configurations, so graphs are capped at :data:`DEFAULT_EDGE_CAP` edges
@@ -48,6 +50,7 @@ from .percolation import _check_probability
 __all__ = [
     "DEFAULT_EDGE_CAP",
     "MAX_FRONTIER",
+    "MAX_DP_WORK",
     "MomentPolynomial",
     "ConnectivityTable",
     "exact_moments",
@@ -64,6 +67,16 @@ DEFAULT_EDGE_CAP = 24
 # 0.6 s and 40 MB, complete(10) 3.4 s and 285 MB; and the 96-edge
 # circulant C_24(1,2,3,4), width 9, 52 s and 590 MB.
 MAX_FRONTIER = 8
+# Most work the DP may be estimated to do, in cell updates: per edge, the
+# Bell(w) partitions of its w-vertex frontier times the 2 + C(w + 3, 3)
+# rows and the open-edge columns of each state's matrix, times 64-bit words
+# per count once counts outgrow int64 (see _dp_work).  On a 2-vCPU host
+# the DP makes 0.8e8 to 3.4e8 of them a second: ring(1000), 6.3e8, takes
+# 2.2 s, ring(1150) 3.1 s (ring(1171) is the longest ring accepted), and
+# circulants of frontier width 7 about 7 s per 1e9.
+MAX_DP_WORK = 10**9
+# Partitions of a frontier of 0 .. MAX_FRONTIER vertices (Bell numbers).
+_BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 # Configurations per block, a power of two: the low 12 edges vary within it.
 _BLOCK = 4096
 
@@ -412,6 +425,36 @@ def _canonical(labels: bytes) -> tuple[bytes, dict[int, int]]:
     return bytes(renumber.setdefault(l, len(renumber)) for l in labels), renumber
 
 
+def _int64_counts(graph: Graph) -> bool:
+    """Whether every count of the DP fits int64: at most 2^|E| configurations times N^3."""
+    return (1 << graph.n_edges) * graph.n_vertices**3 < 1 << 63
+
+
+def _dp_work(graph: Graph, order: tuple[tuple[int, int], ...]) -> int:
+    """Estimated cell updates of :func:`_frontier_counts` over ``order`` (see MAX_DP_WORK).
+
+    ``order`` must keep the frontier within :data:`MAX_FRONTIER` vertices.
+    """
+    small = _int64_counts(graph)
+    size_bits = 3 * graph.n_vertices.bit_length()
+    left = [0] * graph.n_vertices
+    for u, v in order:
+        left[u] += 1
+        left[v] += 1
+    frontier: set[int] = set()
+    work = 0
+    for cols, (u, v) in enumerate(order, 2):
+        frontier.update((u, v))
+        w = len(frontier)
+        words = 1 if small else 1 + (cols + size_bits) // 64
+        work += _BELL[w] * (2 + math.comb(w + 3, 3)) * cols * words
+        for x in (u, v):
+            left[x] -= 1
+            if not left[x]:
+                frontier.discard(x)
+    return work
+
+
 def _frontier_counts(
     graph: Graph, order: tuple[tuple[int, int], ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -430,9 +473,8 @@ def _frontier_counts(
     open, and rows 0 and 1 are the counts.  See Sekine, Imai & Tani, ISAAC
     1995, for the frontier method.
     """
-    n, m = graph.n_vertices, graph.n_edges
-    # Every entry is at most 2^m configurations times N^3.
-    dtype = np.int64 if (1 << m) * n**3 < 1 << 63 else object
+    n = graph.n_vertices
+    dtype = np.int64 if _int64_counts(graph) else object
     left = [0] * n
     for u, v in order:
         left[u] += 1
@@ -505,17 +547,28 @@ def moment_polynomial(graph: Graph, max_edges: int | None = None) -> MomentPolyn
 
     No configuration is enumerated, so the cost depends on the frontier
     width of :func:`_edge_order` rather than on 2^|E|.  A graph whose
-    frontier passes :data:`MAX_FRONTIER` vertices is refused with
+    frontier passes :data:`MAX_FRONTIER` vertices, or whose estimated work
+    passes :data:`MAX_DP_WORK` (ring(N) above N = 1171), is refused with
     :class:`TooManyEdgesError` before any DP step, and so is one with more
     than ``max_edges`` edges when that is given.
     """
     if max_edges is not None:
-        _check_cap(graph, max_edges)
+        cap = _check_integer("max_edges", max_edges)
+        if graph.n_edges > cap:
+            raise TooManyEdgesError(
+                f"{graph.n_edges} edges exceeds the exact DP's edge cap {cap}"
+            )
     order, width = _edge_order(graph)
     if width > MAX_FRONTIER:
         raise TooManyEdgesError(
             f"frontier width reaches {width} on {graph.n_edges} edges, above the "
             f"exact DP's cap of {MAX_FRONTIER}"
+        )
+    work = _dp_work(graph, order)
+    if work > MAX_DP_WORK:
+        raise TooManyEdgesError(
+            f"the exact DP on {graph.n_edges} edges would take an estimated "
+            f"{work:.2e} cell updates, above its cap of {MAX_DP_WORK:.0e}"
         )
     first_counts, second_counts = _frontier_counts(graph, order)
     return MomentPolynomial(

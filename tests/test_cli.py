@@ -477,6 +477,17 @@ def test_oversized_dominance_is_refused_at_once(capsys):
     assert "cells" in capsys.readouterr().err
 
 
+def test_oversized_dominance_table_exits_2(capsys, monkeypatch):
+    # supercritical branching on complete(9) would make millions of rows
+    def no_rows(**fields):
+        raise AssertionError("a row was built for a table over the cap")
+
+    monkeypatch.setattr("percmoments.coupling.TailRow", no_rows)
+    assert main(["dominance", "--graph", "complete(9)", "--p", "0.9", "--reps", "100"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "rows" in captured.err
+
+
 def _no_pool(*args, **kwargs):
     raise AssertionError("a thread pool was started")
 

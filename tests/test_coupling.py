@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,54 @@ from percmoments import (
 from percmoments import coupling, montecarlo
 from percmoments.coupling import _birth_counts, branching_generation_samples
 from percmoments.montecarlo import _BLOCK
+
+
+def birth_matrix(graph, p, seed, replicates):
+    """The (vertices x replicates) generation counts that ``_birth_counts`` streams."""
+    counts = np.zeros((graph.n_vertices, replicates), dtype=np.int64)
+    counts[0] = 1
+    for gen, lo, sizes in _birth_counts(graph, p, seed, replicates):
+        counts[gen, lo : lo + sizes.size] = sizes
+    return counts
+
+
+def full_array_branching(degree, p, horizon, replicates, rng):
+    """Branching runs drawn as one matrix, with every run handed to each binomial call."""
+    out = np.zeros((replicates, horizon + 1), dtype=np.int64)
+    out[:, 0] = 1
+    out[:, 1] = rng.binomial(degree, p, size=replicates)
+    for n in range(2, horizon + 1):
+        out[:, n] = rng.binomial(out[:, n - 1] * (degree - 1), p)
+    return out
+
+
+def matrix_tails(values, k_max, replicates):
+    hist = np.bincount(np.minimum(values, k_max), minlength=k_max + 1)
+    above = np.cumsum(hist[::-1])[::-1]
+    tail = above[1:] / replicates
+    return tail, np.sqrt(tail * (1.0 - tail) / replicates)
+
+
+def matrix_dominance_rows(graph, p, replicates, seed):
+    """Dominance rows from both ensembles held whole, one generation column at a time."""
+    horizon = graph.n_vertices - 1
+    birth = birth_matrix(graph, p, seed, replicates)
+    branching = full_array_branching(
+        graph.degree, p, horizon, replicates, np.random.default_rng(seed))
+    rows = []
+    for gen in range(horizon + 1):
+        y, xg = birth[gen], branching[:, gen]
+        k_max = max(1, int(y.max()), int(xg.max()))
+        y_tail, y_se = matrix_tails(y, k_max, replicates)
+        x_tail, x_se = matrix_tails(xg, k_max, replicates)
+        for k in range(1, k_max + 1):
+            se_diff = float(np.hypot(y_se[k - 1], x_se[k - 1]))
+            rows.append(coupling.TailRow(
+                generation=gen, k=k, birth_tail=float(y_tail[k - 1]),
+                branching_tail=float(x_tail[k - 1]), birth_se=float(y_se[k - 1]),
+                branching_se=float(x_se[k - 1]),
+                within_tolerance=bool(y_tail[k - 1] <= x_tail[k - 1] + 3.0 * se_diff)))
+    return tuple(rows)
 
 
 def test_trace_shape_and_padding(tetrahedron):
@@ -153,7 +203,7 @@ def test_block_birth_counts_match_replayed_replicates(name, p):
     # replicates on both sides of the first block boundary, and the last one
     g = generate_builtin(name)
     seed, reps = 13, _BLOCK + 50
-    counts = _birth_counts(g, p, seed, reps)
+    counts = birth_matrix(g, p, seed, reps)
     assert counts.shape == (g.n_vertices, reps)
     for r in list(range(_BLOCK - 50, reps)) + [0, 1]:
         x, cfg = replicate_realization(g, p, seed, r)
@@ -174,12 +224,12 @@ def test_birth_blocks_follow_the_span_budget(name, p, monkeypatch):
         return draws(graph, order, p, seed, lo, hi)
 
     monkeypatch.setattr(coupling, "_block_draws", spy)
-    reference = _birth_counts(g, p, seed, reps)
+    reference = birth_matrix(g, p, seed, reps)
     assert widths == [_BLOCK, 50]  # the default budget keeps full blocks here
     widths.clear()
     column = g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
     monkeypatch.setattr(montecarlo, "_SPAN_BYTES", 203 * column)
-    np.testing.assert_array_equal(_birth_counts(g, p, seed, reps), reference)
+    np.testing.assert_array_equal(birth_matrix(g, p, seed, reps), reference)
     assert max(widths) == 203 and sum(widths) == reps
 
 
@@ -196,3 +246,74 @@ def test_dominance_report_rejects_non_integers(tetrahedron, monkeypatch, replica
     monkeypatch.setattr("percmoments.coupling._birth_counts", no_work)
     with pytest.raises(BadParameterError):
         dominance_report(tetrahedron, 0.3, replicates, seed)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
+def test_branching_samples_match_the_full_array_loop(degree, p):
+    # dead runs skip rng.binomial, which draws nothing for zero trials, so
+    # every run draws what it drew when all runs were handed over
+    for horizon, reps, seed in [(1, 50, 0), (2, 300, 1), (6, 1000, 2), (15, 4000, 3), (40, 700, 4)]:
+        if p == 1.0 and degree > 3 and horizon > 15:
+            continue  # 3^40 runs past 2^62
+        got = branching_generation_samples(degree, p, horizon, reps, np.random.default_rng(seed))
+        expected = full_array_branching(degree, p, horizon, reps, np.random.default_rng(seed))
+        np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name,p", [("dodecahedron", 0.45), ("icosahedron", 0.3), ("cube", 1.0),
+                                    ("complete(6)", 0.9), ("ring(30)", 0.9)])
+@pytest.mark.parametrize("narrow", [False, True], ids=["default blocks", "203-replicate blocks"])
+def test_streamed_report_matches_whole_matrices(name, p, narrow, monkeypatch):
+    g = generate_builtin(name)
+    reps, seed = _BLOCK + 50, 17
+    expected = matrix_dominance_rows(g, p, reps, seed)
+    if narrow:  # blocks end in padding bits of a packed byte
+        column = g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
+        monkeypatch.setattr(montecarlo, "_SPAN_BYTES", 203 * column)
+    assert dominance_report(g, p, reps, seed).rows == expected
+
+
+def test_dominance_report_holds_no_replicate_matrix(dodecahedron):
+    # the two int64 (20 x 60000) matrices it replaced took 9.6 MB each
+    dominance_report(dodecahedron, 0.35, 1000, 1)
+    tracemalloc.start()
+    try:
+        dominance_report(dodecahedron, 0.35, 60_000, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("name,p,reps", [("complete(9)", 0.9, 100), ("complete(20)", 1.0, 10)])
+def test_oversized_tail_tables_are_refused_before_any_row(name, p, reps, monkeypatch):
+    # complete(20) at p = 1: generation n of every run is 19 * 18^(n-1), so
+    # a histogram of it would take that many slots
+    def no_rows(**fields):
+        raise AssertionError("a row was built for a table over the cap")
+
+    slots = []
+    bincount = np.bincount
+
+    def spy(values, *args, **kwargs):
+        out = bincount(values, *args, **kwargs)
+        slots.append(out.size)
+        return out
+
+    monkeypatch.setattr(coupling, "TailRow", no_rows)
+    monkeypatch.setattr(coupling.np, "bincount", spy)
+    with pytest.raises(BadParameterError, match=f"exceeds {coupling.MAX_TAIL_ROWS} rows"):
+        dominance_report(generate_builtin(name), p, reps, seed=0)
+    assert max(slots) <= coupling.MAX_TAIL_ROWS + 1
+
+
+def test_tail_row_cap_counts_every_row(monkeypatch):
+    # at the cap a report is whole; one row under it, the same run is refused
+    g = generate_builtin("complete(4)")
+    rows = len(dominance_report(g, 0.9, 500, seed=3).rows)
+    monkeypatch.setattr(coupling, "MAX_TAIL_ROWS", rows)
+    assert len(dominance_report(g, 0.9, 500, seed=3).rows) == rows
+    monkeypatch.setattr(coupling, "MAX_TAIL_ROWS", rows - 1)
+    with pytest.raises(BadParameterError):
+        dominance_report(g, 0.9, 500, seed=3)

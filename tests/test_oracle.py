@@ -362,6 +362,33 @@ def test_frontier_cap_is_checked_before_the_dp(monkeypatch):
         moment_polynomial(generate_builtin("dodecahedron"), max_edges=29)
 
 
+@pytest.mark.parametrize("n", [1172, 5000, 20_000])
+def test_long_narrow_graphs_are_refused_before_the_dp(n, monkeypatch):
+    # width 3 at every step, but |E| columns of ~|E|-bit counts: ring(1000)
+    # takes seconds, and the work grows as |E|^3
+    def no_work(*args):
+        raise AssertionError("the DP started over its work cap")
+
+    monkeypatch.setattr(oracle, "_frontier_counts", no_work)
+    with pytest.raises(TooManyEdgesError, match=f"{n} edges would take an estimated"):
+        moment_polynomial(generate_builtin(f"ring({n})"))
+
+
+def test_work_cap_admits_the_longest_ring_and_the_widest_solids():
+    ring = generate_builtin("ring(1171)")
+    assert oracle._dp_work(ring, oracle._edge_order(ring)[0]) <= oracle.MAX_DP_WORK
+    for name in ("dodecahedron", "icosahedron", "hypercube(4)", "complete(8)"):
+        graph = generate_builtin(name)
+        assert oracle._dp_work(graph, oracle._edge_order(graph)[0]) < oracle.MAX_DP_WORK / 10
+
+
+def test_dp_edge_cap_names_the_dp():
+    # the DP enumerates nothing, so its refusal speaks of its own cap
+    with pytest.raises(TooManyEdgesError) as refused:
+        moment_polynomial(generate_builtin("dodecahedron"), max_edges=29)
+    assert str(refused.value) == "30 edges exceeds the exact DP's edge cap 29"
+
+
 @pytest.mark.parametrize("p", [5e-324, 1e-300])
 def test_evaluate_past_float_range_is_fast_at_tiny_p(p):
     # p = a / 2^1074 made the exact sum's integers ~1.2M bits long
