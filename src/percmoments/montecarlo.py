@@ -49,11 +49,8 @@ a result.
   whole), and every operation moves an eighth of the bytes.  A pass that
   leaves the packed membership unchanged ends the fixpoint; the columns
   that converged early ride along at a bit each, which costs less than
-  finding and dropping them.  The one-hot start matrix is packed from,
-  and the sizes are read by unpacking, pieces of at most one merge block
-  and ``_UNPACK_BYTES`` (1 MB) of unpacked columns, so on a large graph no
-  unpacked (vertices x replicates) matrix grows with the span; on a graph
-  of up to 128 vertices a merge block is one piece.
+  finding and dropping them.  The sizes are read by unpacking one merge
+  block of columns at a time.
 """
 
 from __future__ import annotations
@@ -96,10 +93,6 @@ _COLUMN_WORDS = 8
 # Bytes of gathered membership rows per relaxation piece: 256 edge rows of
 # a packed 8192-replicate block, whole classes on narrow spans.
 _PIECE_BYTES = 1 << 18
-# Bytes of an unpacked (vertices x replicates) piece, a byte per cell: the
-# start matrix is packed, and the sizes are read, this many at a time, but
-# never fewer than 8 columns (one packed byte per vertex).
-_UNPACK_BYTES = 1 << 20
 # Largest replicate count one call may ask for (``sweep``: summed over the
 # grid), refused before any block bounds are built.
 MAX_REPLICATES = 1 << 30
@@ -196,36 +189,25 @@ def _block_draws(
     return starts, open_edges
 
 
-def _piece_columns(n_vertices: int) -> int:
-    """Replicate columns of an unpacked piece: ``_UNPACK_BYTES`` over N, a multiple of 8."""
-    return max(8, _UNPACK_BYTES // n_vertices // 8 * 8)
-
-
 def _packed_starts(n_vertices: int, starts: np.ndarray) -> np.ndarray:
     """Packed (vertices x replicates) membership holding each replicate's start vertex alone."""
-    step = _piece_columns(n_vertices)
-    packed = np.empty((n_vertices, -(-starts.size // 8)), dtype=np.uint8)
-    for c in range(0, starts.size, step):
-        piece = starts[c : c + step]
-        member = np.zeros((n_vertices, piece.size), dtype=bool)
-        member[piece, np.arange(piece.size)] = True
-        packed[:, c // 8 : (c + step) // 8] = np.packbits(member, axis=1, bitorder="little")
-    return packed
+    member = np.zeros((n_vertices, starts.size), dtype=bool)
+    member[starts, np.arange(starts.size)] = True
+    return np.packbits(member, axis=1, bitorder="little")
 
 
 def _column_counts(member: np.ndarray, out: np.ndarray) -> None:
     """Set bits of each replicate column of the packed ``member``, into int64 ``out``.
 
-    Unpacks pieces of at most one merge block and ``_UNPACK_BYTES``.  A
-    column has at most N set bits, so the smallest unsigned type that holds
-    N sums it exactly, and a few times faster than an int64 accumulator.
+    Unpacks one merge block of columns at a time.  A column has at most N
+    set bits, so the smallest unsigned type that holds N sums it exactly,
+    and a few times faster than an int64 accumulator.
     """
-    step = min(_BLOCK, _piece_columns(member.shape[0]))  # both multiples of 8
     total = np.min_scalar_type(member.shape[0])
-    for c in range(0, out.size, step):
-        piece = member[:, c // 8 : (c + step) // 8]
-        bits = np.unpackbits(piece, axis=1, count=min(step, out.size - c), bitorder="little")
-        out[c : c + step] = bits.sum(axis=0, dtype=total)
+    for c in range(0, out.size, _BLOCK):  # _BLOCK is a multiple of 8
+        piece = member[:, c // 8 : (c + _BLOCK) // 8]
+        bits = np.unpackbits(piece, axis=1, count=min(_BLOCK, out.size - c), bitorder="little")
+        out[c : c + _BLOCK] = bits.sum(axis=0, dtype=total)
 
 
 def _relax_edges(
@@ -322,7 +304,9 @@ def _span_width(graph: Graph) -> int:
     """Replicates one draw and fixpoint may take: ``_SPAN_BYTES`` over a column's bytes."""
     # A byte per open flag and per vertex is eight times what a packed
     # column of the flag and membership matrices holds, so the budget
-    # bounds them with room to spare.
+    # bounds them with room to spare; a byte per vertex is also what the
+    # unpacked start matrix and the unpacked merge block that sizes are
+    # read from take.
     column = graph.n_edges + graph.n_vertices + 8 * _COLUMN_WORDS
     return max(1, _SPAN_BYTES // column)
 

@@ -1,5 +1,4 @@
 import functools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,38 +254,22 @@ def test_edge_plan_classes_are_matchings(name):
     lo=st.integers(0, 2**20),
     width=st.integers(1, 48),
     piece_bytes=st.sampled_from([1, 100, montecarlo._PIECE_BYTES]),
-    unpack_bytes=st.sampled_from([1, 1000, montecarlo._UNPACK_BYTES]),
 )
 def test_block_sizes_match_per_replicate_clusters(
-    shape, graph_seed, p, seed, lo, width, piece_bytes, unpack_bytes
+    shape, graph_seed, p, seed, lo, width, piece_bytes
 ):
     g = _random_graph(*shape, graph_seed)
-    saved = montecarlo._PIECE_BYTES, montecarlo._UNPACK_BYTES
+    saved = montecarlo._PIECE_BYTES
     montecarlo._PIECE_BYTES = piece_bytes  # down to one edge row per piece
-    montecarlo._UNPACK_BYTES = unpack_bytes  # down to 8 columns per unpacked piece
     try:
         sizes = _block_cluster_sizes(g, p, seed, lo, lo + width)
     finally:
-        montecarlo._PIECE_BYTES, montecarlo._UNPACK_BYTES = saved
+        montecarlo._PIECE_BYTES = saved
     expected = []
     for r in range(lo, lo + width):
         x, cfg = replicate_realization(g, p, seed, r)
         expected.append(cluster_of(g, cfg, x).size)
     np.testing.assert_array_equal(sizes, expected)
-
-
-def test_a_block_holds_no_unpacked_vertex_matrix():
-    # built whole, the one-hot start matrix and the size readout of one
-    # 8192-replicate block on N = 1000 took 8 MB each
-    g = _random_graph(1000, 3, 1)
-    estimate_moments(g, 0.5, 64, 3)
-    tracemalloc.start()
-    try:
-        estimate_moments(g, 0.5, _BLOCK, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 6 * 2**20
 
 
 @pytest.mark.parametrize("shape", [(3, 5), (7, 3), (20, 1024), (1, 1)])
