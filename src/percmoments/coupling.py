@@ -366,21 +366,12 @@ def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> Domi
         k_top = k_max[gen]
         y_tail, y_se = _tails(birth.get(gen, no_sizes), k_top, replicates)
         x_tail, x_se = _tails(branching.get(gen, no_sizes), k_top, replicates)
-        for k in range(1, k_top + 1):
-            se_diff = float(np.hypot(y_se[k - 1], x_se[k - 1]))
-            rows.append(
-                TailRow(
-                    generation=gen,
-                    k=k,
-                    birth_tail=float(y_tail[k - 1]),
-                    branching_tail=float(x_tail[k - 1]),
-                    birth_se=float(y_se[k - 1]),
-                    branching_se=float(x_se[k - 1]),
-                    within_tolerance=bool(
-                        y_tail[k - 1] <= x_tail[k - 1] + 3.0 * se_diff
-                    ),
-                )
-            )
+        within = y_tail <= x_tail + 3.0 * np.hypot(y_se, x_se)
+        columns = (y_tail, x_tail, y_se, x_se, within)
+        rows.extend(
+            TailRow(gen, k, *values)
+            for k, *values in zip(range(1, k_top + 1), *(c.tolist() for c in columns))
+        )
     return DominanceReport(
         degree=graph.degree,
         p=p,

@@ -27,12 +27,38 @@ Statistics and work are grouped separately:
   and their partials are merged as they arrive, so a call holds a few
   spans' partials, never one per block of the run.
 
-Cluster sizes are computed for a whole span at once: a membership matrix
-(vertices x replicates) is grown by passes over the edge list until a
-fixpoint, which reaches the full open cluster of each start vertex.  Sizes
-are integers fixed by connectivity, so neither the order of the edges within
-a pass, nor the number of passes, nor the span a replicate shares can change
-a result.
+Cluster sizes are computed for a whole span at once, in two phases.  Sizes
+are integers fixed by connectivity, and each edge flag is a pure function
+of (seed, replicate, edge), so neither phase, nor where a replicate passes
+from one to the other, nor the order of the edges within a pass, nor the
+number of passes, nor the span a replicate shares can change a result.
+
+* **Sparse phase.**  Near criticality almost every cluster is small, and a
+  dense pass would draw and relax all |E| edges of every replicate to find
+  a dozen vertices.  So a span first runs a generation-synchronous
+  breadth-first search of all its replicates together (after the
+  top-down phase of direction-optimizing BFS, Beamer, Asanovic & Patterson,
+  SC 2012).  The frontier is the flat indices ``column * N + vertex``,
+  the visited set a bitset over them (an eighth of a byte per
+  vertex-replicate pair), and only the edges at a frontier vertex are
+  drawn, one word each, the bit the dense draw would give them
+  (:func:`percmoments.rng._pair_flags`).  A replicate whose frontier
+  empties has its size: the count of its visited vertices.
+* **Switch to dense.**  Before every generation, the first included, a
+  span goes dense once ``D * frontier * _DENSE_SWITCH >= |E| * columns``:
+  once the generation's words would cost more than a small share of the
+  dense kernel on the span.  The replicates still open then go to the
+  dense fixpoint below, with flags drawn for those columns only
+  (:func:`percmoments.rng._edge_flags`); replicates that finished sparse
+  are never drawn densely.  At generation 0 the frontier is one vertex
+  per column, so the test reads ``D * _DENSE_SWITCH >= |E|``: every
+  Platonic solid, and any graph that small, runs the dense kernel alone,
+  drawn by :func:`percmoments.rng.edge_draws` as a whole span.  So does
+  ``p`` of 0 or 1, whose flags are constants.
+
+The dense kernel grows a membership matrix (vertices x replicates) by passes
+over the edge list until a fixpoint, which reaches the full open cluster of
+each start vertex.
 
 * **Matching classes.**  Once per call, the edge list is split by greedy
   edge colouring into at most ``2D - 1`` matchings, in which no vertex
@@ -67,7 +93,7 @@ from .errors import BadParameterError
 from .graphs import Graph, _check_integer
 from .oracle import moment_polynomial
 from .percolation import EdgeConfig, _check_probability
-from .rng import derive_key, edge_draws
+from .rng import _edge_flags, _pair_flags, _start_uniforms, _stream_keys, derive_key, edge_draws
 from .stats import RunningMoments
 
 __all__ = [
@@ -93,6 +119,19 @@ _COLUMN_WORDS = 8
 # Bytes of gathered membership rows per relaxation piece: 256 edge rows of
 # a packed 8192-replicate block, whole classes on narrow spans.
 _PIECE_BYTES = 1 << 18
+# A span's breadth-first search goes dense before a generation whose
+# D x frontier words, times this, reach |E| x its columns (_goes_dense).
+# A sparse word costs some 10x a dense (edge, column) slot, draw and passes
+# together, so one sparse generation may cost a few percent of going
+# dense.  Fitted on random 3-regular graphs of 1000 and 5000 vertices and
+# hypercube(10) at p = 0.3 to 0.95: at 256, spans of the 5000-vertex graph
+# at p = 0.8 spent 7-15% of their time on sparse generations before going
+# dense anyway; at 384 and above, the 1000-vertex graph at p = 0.45
+# (D p = 1.35 words per replicate after generation 0) would go dense at
+# generation 1 although its frontier then shrinks.
+_DENSE_SWITCH = 320
+# Bit k of a byte, by k.
+_BITS = (1 << np.arange(8)).astype(np.uint8)
 # Largest replicate count one call may ask for (``sweep``: summed over the
 # grid), refused before any block bounds are built.
 MAX_REPLICATES = 1 << 30
@@ -145,10 +184,16 @@ class _EdgePlan:
     heads: np.ndarray
     tails: np.ndarray
     classes: tuple[tuple[int, int], ...]
+    # (vertices x D): row v holds the far ends of v's edges and their indices
+    neighbors: np.ndarray
+    incident: np.ndarray
 
 
 def _edge_plan(graph: Graph) -> _EdgePlan:
-    """Greedy edge colouring: each edge takes the lowest class free at both ends."""
+    """Greedy edge colouring: each edge takes the lowest class free at both ends.
+
+    Also tabulates each vertex's edges for the sparse phase.
+    """
     used = [0] * graph.n_vertices  # bit c set: the vertex has an edge in class c
     colour = []
     for a, b in graph.edges:
@@ -160,13 +205,24 @@ def _edge_plan(graph: Graph) -> _EdgePlan:
     colour_arr = np.asarray(colour, dtype=np.intp)
     order = np.argsort(colour_arr, kind="stable")
     stops = np.cumsum(np.bincount(colour_arr)).tolist()
-    ends = graph.edge_array()[order]
+    edges = graph.edge_array()
+    ends = edges[order]
+    near = edges.T.reshape(-1)  # every edge from each end
+    by_vertex = np.argsort(near, kind="stable")
+    shape = (graph.n_vertices, graph.degree)
     return _EdgePlan(
         order=order,
         heads=np.ascontiguousarray(ends[:, 0]),
         tails=np.ascontiguousarray(ends[:, 1]),
         classes=tuple(zip([0] + stops[:-1], stops)),
+        neighbors=edges[:, ::-1].T.reshape(-1)[by_vertex].reshape(shape),
+        incident=(by_vertex % graph.n_edges).reshape(shape),
     )
+
+
+def _start_vertices(n_vertices: int, u0: np.ndarray) -> np.ndarray:
+    """The start vertex of each replicate, from its draw 0."""
+    return np.minimum((u0 * n_vertices).astype(np.int64), n_vertices - 1)
 
 
 def _block_draws(
@@ -176,17 +232,20 @@ def _block_draws(
     seed: int,
     lo: int,
     hi: int,
+    columns: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Start vertices and packed open flags of replicates [lo, hi).
+    """Start vertices and packed open flags of replicates [lo, hi), or of ``lo + columns``.
 
     Row ``k`` of the flags is edge ``order[k]``, or edge ``k`` without an
-    order; replicate ``lo + r`` is bit ``r % 8`` of byte ``r // 8`` (see
-    ``edge_draws``).
+    order; the ``r``-th replicate drawn is bit ``r % 8`` of byte ``r // 8``
+    (see ``edge_draws``).
     """
-    n = graph.n_vertices
-    u0, open_edges = edge_draws(seed, lo, hi - lo, graph.n_edges, p, order=order)
-    starts = np.minimum((u0 * n).astype(np.int64), n - 1)
-    return starts, open_edges
+    if columns is None:
+        u0, open_edges = edge_draws(seed, lo, hi - lo, graph.n_edges, p, order=order)
+    else:
+        keys = _stream_keys(seed, lo, hi - lo)[columns]
+        u0, open_edges = _start_uniforms(keys), _edge_flags(keys, graph.n_edges, p, order)
+    return _start_vertices(graph.n_vertices, u0), open_edges
 
 
 def _packed_starts(n_vertices: int, starts: np.ndarray) -> np.ndarray:
@@ -262,13 +321,71 @@ def _bit_total(member: np.ndarray) -> int:
     return int(flat[:cut].view(np.uint32).sum(dtype=np.uint64)) + int(flat[cut:].sum())
 
 
+def _goes_dense(graph: Graph, frontier: int, columns: int) -> bool:
+    """Whether a span of ``columns`` replicates whose next generation starts from
+    ``frontier`` (replicate, vertex) pairs should leave it to the dense kernel."""
+    return graph.degree * frontier * _DENSE_SWITCH >= graph.n_edges * columns
+
+
+def _sparse_sizes(
+    graph: Graph, plan: _EdgePlan, p: float, seed: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first cluster sizes of replicates [lo, hi), while the frontier is small.
+
+    Returns ``(sizes, dense)``.  ``dense`` holds the offsets from ``lo`` of
+    the replicates whose search was still open when a generation went
+    dense (``_goes_dense``), in order; their ``sizes`` are left to the
+    dense kernel.  Every other size is final.  ``0 < p < 1``.
+
+    The frontier is the sorted, distinct flat indices ``column * N +
+    vertex`` of all replicates together, and the visited set a bitset over
+    the same indices.  Only the edges at a frontier vertex are drawn, each
+    from its own word (:func:`~percmoments.rng._pair_flags`), the bit
+    ``edge_draws`` would give it.
+    """
+    n, width = graph.n_vertices, hi - lo
+    index = np.int32 if n * width < 1 << 31 else np.int64
+    keys = _stream_keys(seed, lo, width)
+    neighbors = plan.neighbors.astype(index)
+    incident = plan.incident.astype(np.uint64)
+    column = np.arange(width, dtype=index)
+    frontier = column * n + _start_vertices(n, _start_uniforms(keys)).astype(index)
+    visited = np.zeros(-(-n * width // 8), dtype=np.uint8)
+    np.bitwise_or.at(visited, frontier >> 3, _BITS[frontier & 7])
+    sizes = np.ones(width, dtype=np.int64)
+    while frontier.size:
+        if _goes_dense(graph, frontier.size, width):
+            return sizes, column[np.diff(column, prepend=-1) != 0]
+        base = column * n
+        vertex = frontier - base
+        reach = base[:, None] + neighbors[vertex]
+        grows = (visited[reach >> 3] & _BITS[reach & 7]) == 0
+        grows &= _pair_flags(keys[column][:, None], incident[vertex], p)
+        frontier = reach[grows]
+        frontier.sort()
+        frontier = frontier[np.diff(frontier, prepend=-1) != 0]
+        np.bitwise_or.at(visited, frontier >> 3, _BITS[frontier & 7])
+        column = frontier // n
+        sizes += np.bincount(column, minlength=width)
+    return sizes, column
+
+
 def _block_cluster_sizes(
     graph: Graph, p: float, seed: int, lo: int, hi: int, plan: _EdgePlan | None = None
 ) -> np.ndarray:
-    """Cluster sizes of replicates [lo, hi) as an int64 array, from one draw."""
+    """Cluster sizes of replicates [lo, hi) as an int64 array.
+
+    A sparse breadth-first phase first, where generation 0 is not already
+    dense, then one draw and fixpoint for the replicates it leaves open.
+    """
     if plan is None:
         plan = _edge_plan(graph)
-    starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
+    columns = None
+    if 0.0 < p < 1.0 and not _goes_dense(graph, hi - lo, hi - lo):
+        sizes, columns = _sparse_sizes(graph, plan, p, seed, lo, hi)
+        if not columns.size:
+            return sizes
+    starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi, columns)
     member = _packed_starts(graph.n_vertices, starts)
     total = _bit_total(member)
     while True:
@@ -276,8 +393,11 @@ def _block_cluster_sizes(
         total, before = _bit_total(member), total
         if total == before:
             break
-    sizes = np.empty(hi - lo, dtype=np.int64)
-    _column_counts(member, sizes)
+    dense = np.empty(starts.size, dtype=np.int64)
+    _column_counts(member, dense)
+    if columns is None:
+        return dense
+    sizes[columns] = dense
     return sizes
 
 

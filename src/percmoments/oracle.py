@@ -9,7 +9,9 @@ configurations of the edges so far.  Its cost grows with the frontier width,
 capped at :data:`MAX_FRONTIER` vertices, not with 2^|E|, so it reaches the
 dodecahedron, the icosahedron and ring(N) up to N = 1171; an estimate of its
 work from the frontier widths of the edge order, capped at
-:data:`MAX_DP_WORK`, bounds long graphs before any step.
+:data:`MAX_DP_WORK`, bounds long graphs before any step, and a lower bound
+on it from |E| alone refuses the longest ones before their edges are
+ordered.
 
 The other three functions walk the full set of 2^|E| open/closed
 configurations, so graphs are capped at :data:`DEFAULT_EDGE_CAP` edges
@@ -542,6 +544,14 @@ def _frontier_counts(
     return tuple(int(c) for c in mat[0]), tuple(int(c) for c in mat[1])
 
 
+def _check_dp_work(graph: Graph, work: int) -> None:
+    if work > MAX_DP_WORK:
+        raise TooManyEdgesError(
+            f"the exact DP on {graph.n_edges} edges would take an estimated "
+            f"{work:.2e} cell updates, above its cap of {MAX_DP_WORK:.0e}"
+        )
+
+
 def moment_polynomial(graph: Graph, max_edges: int | None = None) -> MomentPolynomial:
     """Integer configuration counts per number of open edges, by a frontier DP.
 
@@ -558,18 +568,16 @@ def moment_polynomial(graph: Graph, max_edges: int | None = None) -> MomentPolyn
             raise TooManyEdgesError(
                 f"{graph.n_edges} edges exceeds the exact DP's edge cap {cap}"
             )
+    # every step's frontier holds its edge's two endpoints, so the work is
+    # at least 2 x (2 + 10) rows x its columns: refused before any ordering
+    _check_dp_work(graph, 12 * (graph.n_edges + 1) * (graph.n_edges + 2) - 24)
     order, width = _edge_order(graph)
     if width > MAX_FRONTIER:
         raise TooManyEdgesError(
             f"frontier width reaches {width} on {graph.n_edges} edges, above the "
             f"exact DP's cap of {MAX_FRONTIER}"
         )
-    work = _dp_work(graph, order)
-    if work > MAX_DP_WORK:
-        raise TooManyEdgesError(
-            f"the exact DP on {graph.n_edges} edges would take an estimated "
-            f"{work:.2e} cell updates, above its cap of {MAX_DP_WORK:.0e}"
-        )
+    _check_dp_work(graph, _dp_work(graph, order))
     first_counts, second_counts = _frontier_counts(graph, order)
     return MomentPolynomial(
         n_vertices=graph.n_vertices,

@@ -35,7 +35,14 @@ streams one call draws.  The rows can come out in any edge order the
 caller needs: a row's counter position depends only on the edge it
 holds, never on where the row sits.
 
-Every realization of the package is drawn by :func:`edge_draws`.
+Every realization of the package is drawn by :func:`edge_draws` or by
+its two private parts, which write the counter position of an edge's draw
+(:func:`_edge_offsets`) and the threshold (:func:`_threshold`) in one
+place: :func:`_edge_flags` draws the packed flags of any set of stream
+keys, so the Monte Carlo kernel can draw the replicates its sparse phase
+left open and no others, and :func:`_pair_flags` draws single (stream,
+edge) words, the bits ``_edge_flags`` would give them, for the edges that
+sparse phase reads.
 :func:`stream_uniforms` and :func:`uniform_matrix` compute the same draws as
 plain uniforms, one stream or a matrix of streams at a time; they are not
 exported and serve as the reference that ``edge_draws`` is checked against.
@@ -120,6 +127,79 @@ def uniform_matrix(seed: int, first_stream: int, n_streams: int, n_draws: int) -
     return (z >> np.uint64(11)).astype(np.float64) * _U53
 
 
+def _threshold(p: float) -> np.uint64:
+    """``ceil(p * 2^53) << 11``: a word below it is a uniform below ``p`` (``0 < p < 1``)."""
+    return np.uint64(math.ceil(p * 2.0**53) << 11)
+
+
+def _edge_offsets(edges: np.ndarray) -> np.ndarray:
+    """The counter offsets of edges' draws: edge ``e`` is draw ``e + 1``, position ``e + 2``."""
+    return np.uint64(_GOLDEN) * (np.asarray(edges, dtype=np.uint64) + np.uint64(2))
+
+
+def _start_uniforms(keys: np.ndarray) -> np.ndarray:
+    """Draw 0 of the streams with the given keys, as uniforms."""
+    z = _mix64_array(keys + np.uint64(_GOLDEN))
+    return (z >> np.uint64(11)).astype(np.float64) * _U53
+
+
+def _pair_flags(keys: np.ndarray, edges: np.ndarray, p: float) -> np.ndarray:
+    """Whether edge ``edges[i]`` is open in the stream with key ``keys[i]``, for ``0 < p < 1``.
+
+    ``keys`` and ``edges`` broadcast together.  One word per pair, the word
+    :func:`_edge_flags` draws for that stream and edge, so each flag equals
+    its bit there.
+    """
+    z = _edge_offsets(edges) + keys
+    _mix64_inplace(z, np.empty_like(z))
+    return z < _threshold(p)
+
+
+def _edge_flags(
+    keys: np.ndarray, n_edges: int, p: float, order: np.ndarray | None = None
+) -> np.ndarray:
+    """Edge-major, bit-packed open flags of the streams with the given keys.
+
+    Bit ``i % 8`` of row ``k``, byte ``i // 8`` says whether edge
+    ``order[k]`` (edge ``k`` without an order) is open in stream
+    ``keys[i]``; the padding bits of the last byte are 0.  See
+    :func:`edge_draws`.
+    """
+    n_streams = keys.size
+    width = -(-n_streams // 8)
+    if p == 0.0 or p == 1.0:
+        open_edges = np.full((n_edges, width), 0xFF if p == 1.0 else 0, dtype=np.uint8)
+        if n_streams % 8:  # padding bits stay 0, as packbits leaves them
+            open_edges[:, -1] &= np.uint8((1 << n_streams % 8) - 1)
+        return open_edges
+    threshold = _threshold(p)
+    open_edges = np.empty((n_edges, width), dtype=np.uint8)
+    # a chunk is whole rows of all streams while one row fits, else one
+    # row of a slice of whole bytes of the streams
+    cols = max(1, min(n_streams, _CHUNK_BYTES // 8))
+    if cols < n_streams:
+        cols = max(8, cols - cols % 8)
+    rows = max(1, min(n_edges, _CHUNK_BYTES // (8 * cols)))
+    z = np.empty(rows * cols, dtype=np.uint64)
+    tmp = np.empty_like(z)
+    flags = np.empty(rows * cols, dtype=bool)
+    offsets = _edge_offsets(np.arange(n_edges) if order is None else order)
+    for c0 in range(0, n_streams, cols):
+        c1 = min(c0 + cols, n_streams)
+        for lo in range(0, n_edges, rows):
+            hi = min(lo + rows, n_edges)
+            shape = (hi - lo, c1 - c0)
+            size = shape[0] * shape[1]
+            zc, tc, fc = (a[:size].reshape(shape) for a in (z, tmp, flags))
+            np.add(offsets[lo:hi, None], keys[None, c0:c1], out=zc)
+            _mix64_inplace(zc, tc)
+            np.less(zc, threshold, out=fc)
+            open_edges[lo:hi, c0 // 8 : -(-c1 // 8)] = np.packbits(
+                fc, axis=1, bitorder="little"
+            )
+    return open_edges
+
+
 def edge_draws(
     seed: int,
     first_stream: int,
@@ -145,43 +225,4 @@ def edge_draws(
     bit for bit, without a permuted copy.
     """
     keys = _stream_keys(seed, first_stream, n_streams)
-    starts = _mix64_array(keys + np.uint64(_GOLDEN))
-    starts = (starts >> np.uint64(11)).astype(np.float64) * _U53
-
-    width = -(-n_streams // 8)
-    if p == 0.0 or p == 1.0:
-        open_edges = np.full((n_edges, width), 0xFF if p == 1.0 else 0, dtype=np.uint8)
-        if n_streams % 8:  # padding bits stay 0, as packbits leaves them
-            open_edges[:, -1] &= np.uint8((1 << n_streams % 8) - 1)
-        return starts, open_edges
-    threshold = np.uint64(math.ceil(p * 2.0**53) << 11)
-    open_edges = np.empty((n_edges, width), dtype=np.uint8)
-    # a chunk is whole rows of all streams while one row fits, else one
-    # row of a slice of whole bytes of the streams
-    cols = max(1, min(n_streams, _CHUNK_BYTES // 8))
-    if cols < n_streams:
-        cols = max(8, cols - cols % 8)
-    rows = max(1, min(n_edges, _CHUNK_BYTES // (8 * cols)))
-    z = np.empty(rows * cols, dtype=np.uint64)
-    tmp = np.empty_like(z)
-    flags = np.empty(rows * cols, dtype=bool)
-    # edge e is draw e + 1, i.e. counter position e + 2
-    if order is None:
-        positions = np.arange(2, n_edges + 2, dtype=np.uint64)
-    else:
-        positions = np.asarray(order, dtype=np.uint64) + np.uint64(2)
-    offsets = np.uint64(_GOLDEN) * positions
-    for c0 in range(0, n_streams, cols):
-        c1 = min(c0 + cols, n_streams)
-        for lo in range(0, n_edges, rows):
-            hi = min(lo + rows, n_edges)
-            shape = (hi - lo, c1 - c0)
-            size = shape[0] * shape[1]
-            zc, tc, fc = (a[:size].reshape(shape) for a in (z, tmp, flags))
-            np.add(offsets[lo:hi, None], keys[None, c0:c1], out=zc)
-            _mix64_inplace(zc, tc)
-            np.less(zc, threshold, out=fc)
-            open_edges[lo:hi, c0 // 8 : -(-c1 // 8)] = np.packbits(
-                fc, axis=1, bitorder="little"
-            )
-    return starts, open_edges
+    return _start_uniforms(keys), _edge_flags(keys, n_edges, p, order)

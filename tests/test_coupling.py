@@ -54,16 +54,23 @@ def matrix_dominance_rows(graph, p, replicates, seed):
     for gen in range(horizon + 1):
         y, xg = birth[gen], branching[:, gen]
         k_max = max(1, int(y.max()), int(xg.max()))
-        y_tail, y_se = matrix_tails(y, k_max, replicates)
-        x_tail, x_se = matrix_tails(xg, k_max, replicates)
-        for k in range(1, k_max + 1):
-            se_diff = float(np.hypot(y_se[k - 1], x_se[k - 1]))
-            rows.append(coupling.TailRow(
-                generation=gen, k=k, birth_tail=float(y_tail[k - 1]),
-                branching_tail=float(x_tail[k - 1]), birth_se=float(y_se[k - 1]),
-                branching_se=float(x_se[k - 1]),
-                within_tolerance=bool(y_tail[k - 1] <= x_tail[k - 1] + 3.0 * se_diff)))
+        rows += rows_one_by_one(gen, matrix_tails(y, k_max, replicates),
+                                matrix_tails(xg, k_max, replicates))
     return tuple(rows)
+
+
+def rows_one_by_one(gen, birth, branching):
+    """The rows of one generation from its (tail, se) arrays, a row and five floats at a time."""
+    (y_tail, y_se), (x_tail, x_se) = birth, branching
+    rows = []
+    for k in range(1, y_tail.size + 1):
+        se_diff = float(np.hypot(y_se[k - 1], x_se[k - 1]))
+        rows.append(coupling.TailRow(
+            generation=gen, k=k, birth_tail=float(y_tail[k - 1]),
+            branching_tail=float(x_tail[k - 1]), birth_se=float(y_se[k - 1]),
+            branching_se=float(x_se[k - 1]),
+            within_tolerance=bool(y_tail[k - 1] <= x_tail[k - 1] + 3.0 * se_diff)))
+    return rows
 
 
 def test_trace_shape_and_padding(tetrahedron):
@@ -274,6 +281,27 @@ def test_streamed_report_matches_whole_matrices(name, p, narrow, monkeypatch):
     assert dominance_report(g, p, reps, seed).rows == expected
 
 
+@pytest.mark.parametrize("name,p", [("complete(6)", 0.9), ("ring(30)", 0.9),
+                                    ("dodecahedron", 0.45)])
+def test_rows_built_per_generation_match_the_per_row_loop(name, p, monkeypatch):
+    # the rows of each generation come from whole columns; the same tails
+    # turned into rows one at a time must give the same rows, bit for bit
+    tails = []
+    compute = coupling._tails
+
+    def spy(hist, k_max, replicates):
+        tails.append(compute(hist, k_max, replicates))
+        return tails[-1]
+
+    monkeypatch.setattr(coupling, "_tails", spy)
+    report = dominance_report(generate_builtin(name), p, 3000, 5)
+    expected = []
+    for gen, (birth, branching) in enumerate(zip(tails[::2], tails[1::2])):
+        expected += rows_one_by_one(gen, birth, branching)
+    assert len(tails) == 2 * (report.horizon + 1)
+    assert report.rows == tuple(expected)
+
+
 def test_dominance_report_holds_no_replicate_matrix(dodecahedron):
     # the two int64 (20 x 60000) matrices it replaced took 9.6 MB each
     dominance_report(dodecahedron, 0.35, 1000, 1)
@@ -290,7 +318,7 @@ def test_dominance_report_holds_no_replicate_matrix(dodecahedron):
 def test_oversized_tail_tables_are_refused_before_any_row(name, p, reps, monkeypatch):
     # complete(20) at p = 1: generation n of every run is 19 * 18^(n-1), so
     # a histogram of it would take that many slots
-    def no_rows(**fields):
+    def no_rows(*fields, **named):
         raise AssertionError("a row was built for a table over the cap")
 
     slots = []

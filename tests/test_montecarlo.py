@@ -198,6 +198,12 @@ GOLDEN_ESTIMATES = [
     # boolean fixpoint that dropped converged columns
     ("random(200,3,1)", 0.45, 2 * _BLOCK + 100, 3,
      (11.187272506673137, 0.11601887698846704, 347.02250667313757, 7.837531339144896)),
+    # 1500 edges: recorded with the dense kernel alone, before spans of
+    # graphs above the dense switch began with a sparse search
+    ("random(1000,3,1)", 0.45, 2 * _BLOCK + 100, 3,
+     (13.639953894685755, 0.1746716149366539, 688.9475248726037, 22.1971581130035)),
+    ("random(1000,3,1)", 0.6, 2 * _BLOCK + 100, 3,
+     (490.1521475370056, 2.5103232036808634, 344120.4211356467, 1851.4463371586473)),
 ]
 GOLDEN_SWEEP = [  # icosahedron, 10000 replicates, seed 7
     (0.1, 9672475392221035855, (1.7735, 0.012152964430724113, 4.6221, 0.07781333208689271)),
@@ -305,22 +311,101 @@ def test_packed_full_blocks_match_per_replicate_clusters(name, p, lo, hi):
     np.testing.assert_array_equal(sizes, expected)
 
 
+# ---------------------------------------------------------------- two phases
+# Above the dense switch a span starts with a sparse breadth-first search
+# that draws only the edges it reads, and hands the replicates still open
+# to the packed fixpoint.
+
+
+def _sparse_spy(monkeypatch):
+    """Record (span width, replicates left dense) of every sparse phase."""
+    calls = []
+    sparse = montecarlo._sparse_sizes
+
+    def spy(graph, plan, p, seed, lo, hi):
+        sizes, dense = sparse(graph, plan, p, seed, lo, hi)
+        calls.append((hi - lo, dense.size))
+        return sizes, dense
+
+    monkeypatch.setattr(montecarlo, "_sparse_sizes", spy)
+    return calls
+
+
+def _reference_sizes(g, p, seed, lo, hi):
+    sizes = []
+    for r in range(lo, hi):
+        x, cfg = replicate_realization(g, p, seed, r)
+        sizes.append(cluster_of(g, cfg, x).size)
+    return sizes
+
+
+_EDGE_P = [0.0, 2.0**-53, 0.3, 0.45, 0.6, 1.0 - 2.0**-53, 1.0]
+
+
+@pytest.mark.parametrize("p", _EDGE_P)
+def test_two_phase_sizes_match_per_replicate_clusters(p, monkeypatch):
+    # 990 edges, above the switch; 37 and 141 columns, not whole bytes
+    g = _graph("random(660,3,1)")
+    assert not montecarlo._goes_dense(g, 1, 1)
+    calls = _sparse_spy(monkeypatch)
+    for lo, hi in ((5, 42), (_BLOCK - 70, _BLOCK + 71)):
+        sizes = _block_cluster_sizes(g, p, 21, lo, hi)
+        np.testing.assert_array_equal(sizes, _reference_sizes(g, p, 21, lo, hi))
+    if p in (0.0, 1.0):  # constant flags: no word to draw, no sparse phase
+        assert calls == []
+    elif p == 2.0**-53:  # every replicate finishes sparse
+        assert calls == [(37, 0), (141, 0)]
+    elif p == 1.0 - 2.0**-53:  # none does
+        assert calls == [(37, 37), (141, 141)]
+    elif p == 0.45:  # some do
+        assert all(0 < dense < width for width, dense in calls)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    shape=st.sampled_from([(660, 3), (700, 4)]),
+    p=st.one_of(st.sampled_from(_EDGE_P), st.floats(0.0, 1.0)),
+    seed=st.integers(0, 2**32),
+    lo=st.integers(0, 2**20),
+    width=st.integers(1, 30),
+)
+def test_two_phase_blocks_match_per_replicate_clusters(shape, p, seed, lo, width):
+    g = _random_graph(*shape, 3)
+    sizes = _block_cluster_sizes(g, p, seed, lo, lo + width)
+    np.testing.assert_array_equal(sizes, _reference_sizes(g, p, seed, lo, lo + width))
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron", "dodecahedron",
+                                  "icosahedron"])
+def test_solids_never_enter_the_sparse_phase(name, monkeypatch):
+    # generation 0 is already dense on every solid: D x 320 >= |E|
+    g = generate_builtin(name)
+    assert montecarlo._goes_dense(g, 1, 1)
+    calls = _sparse_spy(monkeypatch)
+    for p in (0.3, 0.5, 0.9):
+        estimate_moments(g, p, _BLOCK + 3, seed=1)
+    sweep(g, [0.2, 0.7], 1000, seed=2)
+    assert calls == []
+
+
 # ---------------------------------------------------------------- span schedule
 # A span is the replicates of one draw and one fixpoint: whole merge blocks
 # as the byte budget allows, or a sub-span of one block when a block does
 # not fit.  Neither the budget nor the worker count may move a bit.
 
 
-@pytest.mark.parametrize("name", ["dodecahedron", "random(80,3,4)"])
+@pytest.mark.parametrize("name", ["dodecahedron", "random(80,3,4)", "random(660,3,1)"])
 @pytest.mark.parametrize("reps", [2, _BLOCK + 1, 2 * _BLOCK + 100])
 def test_span_budget_and_workers_never_change_results(name, reps, monkeypatch):
-    g = _graph(name)  # 30 and 120 edges
+    g = _graph(name)  # 30, 120 and 990 edges, the last above the dense switch
+    sparse = not montecarlo._goes_dense(g, 1, 1)
     widths = []
     draws = montecarlo._block_draws
 
-    def spy(graph, order, p, seed, lo, hi):
-        widths.append(hi - lo)
-        return draws(graph, order, p, seed, lo, hi)
+    def spy(graph, order, p, seed, lo, hi, columns=None):
+        # columns: the replicates a span left open after its sparse phase
+        widths.append(hi - lo if columns is None else columns.size)
+        return draws(graph, order, p, seed, lo, hi, columns)
 
     monkeypatch.setattr(montecarlo, "_block_draws", spy)
     reference = repr(estimate_moments(g, 0.45, reps, seed=9))
@@ -333,6 +418,10 @@ def test_span_budget_and_workers_never_change_results(name, reps, monkeypatch):
             widths.clear()
             got = estimate_moments(g, 0.45, reps, seed=9, workers=workers)
             assert repr(got) == reference, (budget, workers)
+            if sparse:  # draws only for the dense phase, at most one per span
+                assert sum(widths) < reps or reps == 2
+                assert max(widths, default=0) <= (200 if budget == tiny else reps)
+                continue
             assert sum(widths) == reps
             if budget == tiny:
                 assert max(widths) == min(reps, 200)

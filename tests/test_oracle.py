@@ -374,6 +374,31 @@ def test_long_narrow_graphs_are_refused_before_the_dp(n, monkeypatch):
         moment_polynomial(generate_builtin(f"ring({n})"))
 
 
+def test_very_long_graphs_are_refused_before_their_edges_are_ordered(monkeypatch):
+    # ordering ring(2^20) took seconds before its work was estimated; every
+    # step holds at least its edge's two endpoints, so |E| bounds the work
+    def no_order(*args):
+        raise AssertionError("the edges were ordered before the |E| bound refused them")
+
+    monkeypatch.setattr(oracle, "_edge_order", no_order)
+    with pytest.raises(TooManyEdgesError, match="20000 edges would take an estimated"):
+        moment_polynomial(generate_builtin("ring(20000)"))
+    monkeypatch.undo()
+
+    class Accepted(Exception):
+        pass
+
+    def accepted(*args):
+        raise Accepted
+
+    # the bound never refuses what the full estimate accepts
+    monkeypatch.setattr(oracle, "_frontier_counts", accepted)
+    ring = generate_builtin("ring(1171)")
+    assert 12 * 1172 * 1173 - 24 <= oracle._dp_work(ring, oracle._edge_order(ring)[0])
+    with pytest.raises(Accepted):
+        moment_polynomial(ring)
+
+
 def test_work_cap_admits_the_longest_ring_and_the_widest_solids():
     ring = generate_builtin("ring(1171)")
     assert oracle._dp_work(ring, oracle._edge_order(ring)[0]) <= oracle.MAX_DP_WORK

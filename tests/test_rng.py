@@ -210,3 +210,40 @@ def test_edge_draws_at_extreme_thresholds(p):
     _, ordered = edge_draws(23, 4096, n_streams, n_edges, p, order=order)
     np.testing.assert_array_equal(ordered, ref_open[order])
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**40),
+    n_streams=st.integers(1, 40),
+    n_edges=st.integers(1, 40),
+    p=st.one_of(st.sampled_from([0.0, 2.0**-53, 1.0 - 2.0**-53, 1.0]), st.floats(0.0, 1.0),
+                _dyadic_p),
+    picks=st.data(),
+)
+def test_column_subsets_and_pairs_match_edge_draws(seed, first, n_streams, n_edges, p, picks):
+    # a subset of the streams, drawn from their keys alone, and single
+    # (stream, edge) words give the very bits of the whole block
+    _, whole = edge_draws(seed, first, n_streams, n_edges, p)
+    bits = np.unpackbits(whole, axis=1, count=n_streams, bitorder="little")
+    keys = rng._stream_keys(seed, first, n_streams)
+    columns = np.flatnonzero(picks.draw(st.lists(st.booleans(), min_size=n_streams,
+                                                 max_size=n_streams)))
+    order = picks.draw(st.permutations(range(n_edges)))
+    subset = rng._edge_flags(keys[columns], n_edges, p, np.asarray(order))
+    # packbits leaves the padding bits 0, as _edge_flags must
+    expected = np.packbits(bits[order][:, columns], axis=1, bitorder="little")
+    assert subset.shape == (n_edges, -(-columns.size // 8))
+    np.testing.assert_array_equal(subset, expected)
+    if 0.0 < p < 1.0:
+        stream = np.asarray(picks.draw(st.lists(st.integers(0, n_streams - 1), max_size=50)),
+                            dtype=np.intp)
+        edge = np.asarray(picks.draw(st.lists(st.integers(0, n_edges - 1),
+                                              min_size=stream.size, max_size=stream.size)),
+                          dtype=np.intp)
+        pairs = rng._pair_flags(keys[stream], edge, p)
+        np.testing.assert_array_equal(pairs, bits[edge, stream].astype(bool))
+        # broadcast as the sparse phase asks: a column of keys against rows of edges
+        grid = rng._pair_flags(keys[:, None], np.arange(n_edges)[None, :], p)
+        np.testing.assert_array_equal(grid, bits.T.astype(bool))
