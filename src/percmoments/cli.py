@@ -25,7 +25,9 @@ frontier-width or DP work cap, a builtin family or dominance run over its
 size cap, a dominance table over its row cap,
 ``--reps`` or ``--workers`` over their Monte Carlo caps, an ``--output``
 path that cannot be written).  The ``PERCMOMENTS_ORACLE_CAP`` variable
-sets the edge cap of all three; the width and work caps are fixed.  ``--workers``
+sets the edge cap of all three; the width and work caps are fixed.  An
+``oracle`` row whose enumeration is estimated to take over 10 s prints
+that estimate to stderr before it starts.  ``--workers``
 exists only where it schedules Monte Carlo blocks (``simulate`` and
 ``sweep``).
 """
@@ -47,7 +49,7 @@ from .coupling import dominance_report
 from .errors import BadParameterError, PercmomentsError, RetryLimitError
 from .graphs import Graph, generate_builtin, load_edge_file
 from .montecarlo import MAX_REPLICATES, MAX_WORKERS, MomentEstimate, estimate_moments, sweep
-from .oracle import exact_moments, moment_polynomial
+from .oracle import _enumeration_seconds, exact_moments, moment_polynomial
 
 __all__ = [
     "MOMENT_COLUMNS",
@@ -100,6 +102,8 @@ _OUTPUT_FORMATS = ("csv", "json")
 _ENV_CAP = "PERCMOMENTS_ORACLE_CAP"
 # Longest --p-grid accepted, in steps (a step of 1e-5 over [0, 1]).
 MAX_GRID_STEPS = 100_000
+# An oracle row estimated to enumerate for longer than this says so on stderr first.
+_NOTICE_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -289,7 +293,15 @@ def _moment_rows(request: CommandRequest, graph: Graph) -> list[dict]:
     if request.subcommand == "bounds":
         return [_moment_row(graph, p, _bounds(graph, p))]
     if request.subcommand == "oracle":
-        return [_moment_row(graph, p, exact=exact_moments(graph, p, _oracle_cap()))]
+        cap = _oracle_cap()
+        seconds = _enumeration_seconds(graph, cap)
+        if seconds > _NOTICE_SECONDS:
+            print(
+                f"percmoments: enumerating 2^{graph.n_edges} configurations of "
+                f"{graph.label}, estimated {seconds:.0f} s",
+                file=sys.stderr, flush=True,
+            )
+        return [_moment_row(graph, p, exact=exact_moments(graph, p, cap))]
     if request.subcommand == "simulate":
         est = estimate_moments(graph, p, request.replicates, request.seed, request.workers)
         return [_moment_row(graph, p, _bounds(graph, p), est)]

@@ -20,7 +20,13 @@ vectorized blocks of ``_BLOCK`` configurations by binary doubling (Newman &
 Ziff, PRL 85, 4104, 2000): configuration c with bit k set is configuration
 c - 2^k with edge k opened, so each configuration's clusters come from an
 earlier one by a single merge of two clusters, with no relaxation and no
-fixpoint.  They share no code with the DP and serve as its reference.
+fixpoint.  Consecutive blocks are doubled together in groups of about
+``_GROUP_BYTES`` of state, so each merge is one numpy call per group, not
+per block, and labels and sizes take the smallest signed integer type
+that holds N (int8 up to 127 vertices, which covers every graph under the
+default cap).  Blocks are handed out as views into their group, valid
+until the next group starts.  They share no code with the DP and serve as
+its reference.
 
 Three independent routes to the moments are exposed:
 
@@ -81,6 +87,19 @@ MAX_DP_WORK = 10**9
 _BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 # Configurations per block, a power of two: the low 12 edges vary within it.
 _BLOCK = 4096
+# State bytes of a group of blocks that are doubled together.  Each merge
+# is one numpy call over the whole group, so a wider group spreads the
+# per-call overhead over more columns.  exact_moments / connectivity_moments
+# on ring(20), int8 state, 2-vCPU host, medians of 7: one block at a time
+# 100-117 / 134-157 ms, 512 KB 72-84 / 92-117, 1 MB 52-58 / 84-87, 2 MB
+# 42-44 / 68-71, 4 MB no faster.  Past 1 MB the group's memory grows
+# faster than the gain: at 2 MB connectivity_moments on ring(20) peaks at
+# 3.9 MB of allocations, 2.6 MB at 1 MB.
+_GROUP_BYTES = 1 << 20
+# Enumeration time per vertex per configuration, in ns: exact_moments on
+# 24-edge random 3-regular graphs of 16 vertices took 0.86-1.08 s on a
+# 2-vCPU host (3.2-4.0 ns).
+_NS_PER_VERTEX_CONFIG = 3.7
 
 
 def _check_cap(graph: Graph, max_edges: int | None) -> None:
@@ -92,18 +111,25 @@ def _check_cap(graph: Graph, max_edges: int | None) -> None:
         )
 
 
+def _enumeration_seconds(graph: Graph, max_edges: int | None) -> float:
+    """Estimated seconds of one enumeration of ``graph``, once its edge cap admits it."""
+    _check_cap(graph, max_edges)
+    return (1 << graph.n_edges) * graph.n_vertices * _NS_PER_VERTEX_CONFIG * 1e-9
+
+
 def _open_edge(state: tuple[np.ndarray, ...], width: int, u: int, v: int) -> None:
     """Fill columns ``[width, 2 width)`` from ``[0, width)`` with edge (u, v) open.
 
     ``state`` is ``(n_open, labels, sizes, first, second)``: open-edge
-    counts, canonical labels and per-vertex cluster sizes (both vertices x
-    columns), and per-column sum_x S_x and sum_x S_x^2.  Opening the edge
-    merges the clusters labelled ``a`` and ``b`` into one labelled
+    counts, canonical labels and per-vertex cluster sizes (vertices first),
+    and per-column sum_x S_x and sum_x S_x^2.  Columns are the last axis;
+    any axes between (the blocks of a group) are carried along.  Opening
+    the edge merges the clusters labelled ``a`` and ``b`` into one labelled
     ``min(a, b)`` of size ``sa + sb``, so sum_x S_x gains ``2 sa sb`` and
     sum_x S_x^2 gains ``3 sa sb (sa + sb)``; where ``a == b`` nothing changes.
     """
     n_open, labels, sizes, first, second = state
-    lab, siz = labels[:, :width], sizes[:, :width]
+    lab, siz = labels[..., :width], sizes[..., :width]
     a, b = lab[u], lab[v]
     low, high = np.minimum(a, b), np.maximum(a, b)
     # Where a == b, added and high - low are 0 and the column is copied as is.
@@ -111,24 +137,31 @@ def _open_edge(state: tuple[np.ndarray, ...], width: int, u: int, v: int) -> Non
     merged = siz[u] + added
     # Masked arithmetic, not np.where: where with broadcast columns is ~3x slower.
     new_lab = lab - (lab == high) * (high - low)
-    labels[:, width : 2 * width] = new_lab
+    labels[..., width : 2 * width] = new_lab
     # Members of the merged cluster take its size, at least their old one.
-    sizes[:, width : 2 * width] = np.maximum(siz, (new_lab == low) * merged)
+    sizes[..., width : 2 * width] = np.maximum(siz, (new_lab == low) * merged)
     gain = np.multiply(siz[u], added, dtype=np.int64)
-    np.add(first[:width], 2 * gain, out=first[width : 2 * width])
-    np.add(second[:width], 3 * gain * merged, out=second[width : 2 * width])
-    np.add(n_open[:width], 1, out=n_open[width : 2 * width])
+    np.add(first[..., :width], 2 * gain, out=first[..., width : 2 * width])
+    np.add(second[..., :width], 3 * gain * merged, out=second[..., width : 2 * width])
+    np.add(n_open[..., :width], 1, out=n_open[..., width : 2 * width])
 
 
-def _empty_state(n: int, width: int) -> tuple[np.ndarray, ...]:
-    """State arrays for ``width`` columns, column 0 set to all edges closed."""
-    labels = np.empty((n, width), dtype=np.int16)
-    labels[:, 0] = np.arange(n)
-    sizes = np.empty((n, width), dtype=np.int16)
-    sizes[:, 0] = 1
-    n_open, first, second = (np.empty(width, dtype=np.int64) for _ in range(3))
-    n_open[0], first[0], second[0] = 0, n, n
+def _state_dtype(n: int) -> np.dtype:
+    """int8 if it holds ``n``, else int16: labels and sizes are at most n."""
+    return np.dtype(np.int8 if n <= np.iinfo(np.int8).max else np.int16)
+
+
+def _state(n: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Uninitialized ``(n_open, labels, sizes, first, second)`` of ``shape`` columns."""
+    labels, sizes = (np.empty((n, *shape), dtype=_state_dtype(n)) for _ in range(2))
+    n_open, first, second = (np.empty(shape, dtype=np.int64) for _ in range(3))
     return n_open, labels, sizes, first, second
+
+
+def _group_blocks(n: int, width: int) -> int:
+    """Blocks of ``width`` columns per group: as many as fit in ``_GROUP_BYTES``, at least one."""
+    per_block = width * (2 * n * _state_dtype(n).itemsize + 3 * 8)
+    return max(1, _GROUP_BYTES // per_block)
 
 
 def _double(
@@ -145,34 +178,47 @@ def _config_blocks(
     """Yield ``(n_open, labels, sizes, first, second)`` blocks of all configurations.
 
     Configuration c opens edge e iff bit e of c is set, and blocks hold
-    ``_BLOCK`` consecutive configurations.  Columns are configurations:
-    ``n_open`` their open-edge counts, ``labels`` (n_vertices, block) the
-    smallest vertex id in each vertex's cluster, ``sizes`` the cluster size
-    at each vertex, ``first``/``second`` sum_x S_x and sum_x S_x^2.  The
-    arrays are overwritten by the next block.
+    ``_BLOCK`` consecutive configurations, yielded in order.  Columns are
+    configurations: ``n_open`` their open-edge counts, ``labels``
+    (n_vertices, block) the smallest vertex id in each vertex's cluster,
+    ``sizes`` the cluster size at each vertex, ``first``/``second`` sum_x
+    S_x and sum_x S_x^2.  Labels and sizes have the smallest signed type
+    that holds N (:func:`_state_dtype`: int8 up to 127 vertices).  The
+    arrays are views into the state of a group of blocks and are
+    overwritten once the next group starts.
 
     Nothing is relaxed: configuration c with bit k set is configuration
     c - 2^k with edge k opened, one merge of two clusters.  Once per call,
     the block starts are doubled from the all-closed configuration over the
     high edges (those above the block's bits) and then over the first
     ``shared`` low edges, as long as that fits in one block of columns;
-    start column ``i * n_blocks + j`` is block j's column i.  Each block
-    copies its starts and doubles them over the remaining low edges, so the
-    many narrow merges at the start of a block run once, on wide columns.
+    start column ``i * n_blocks + j`` is block j's column i.  Groups of
+    consecutive blocks, as many as fit in ``_GROUP_BYTES`` of state, copy
+    their starts and are doubled together over the remaining low edges.
+    So the many narrow merges at the start of a block run once per call, on
+    wide columns, and every later merge is one numpy call per group.
     """
     _check_cap(graph, max_edges)
     n, m = graph.n_vertices, graph.n_edges
     low = min(m, _BLOCK.bit_length() - 1)
     n_blocks = 1 << (m - low)
     shared = max(0, low - (m - low))
-    starts = _empty_state(n, n_blocks << shared)
+    starts = _state(n, (n_blocks << shared,))
+    for a, closed in zip(starts, (0, np.arange(n), 1, n, n)):
+        a[..., 0] = closed
     _double(starts, graph.edges[low:] + graph.edges[:shared])
-    block = _empty_state(n, 1 << low)
-    for j in range(n_blocks):
-        for dst, src in zip(block, starts):
-            dst[..., : 1 << shared] = src[..., j::n_blocks]
-        _double(block, graph.edges[shared:low], shared)
-        yield block
+    # block j's starts along the last axis: (..., 2^shared, n_blocks) -> (..., n_blocks, 2^shared)
+    starts = [a.reshape(*a.shape[:-1], 1 << shared, n_blocks).swapaxes(-1, -2) for a in starts]
+    n_group = min(n_blocks, _group_blocks(n, 1 << low))
+    full = _state(n, (n_group, 1 << low))
+    for j in range(0, n_blocks, n_group):
+        g = min(n_group, n_blocks - j)
+        group = tuple(a[..., :g, :] for a in full)
+        for dst, src in zip(group, starts):
+            dst[..., : 1 << shared] = src[..., j : j + g, :]
+        _double(group, graph.edges[shared:low], shared)
+        for k in range(g):
+            yield tuple(a[..., k, :] for a in group)
 
 
 def _same_cluster(labels: np.ndarray) -> np.ndarray:

@@ -7,13 +7,16 @@ import time
 import pytest
 
 from percmoments import (
+    cli,
     estimate_moments,
     exact_moments,
     format_edge_file,
+    generate_builtin,
     moment_polynomial,
     montecarlo,
+    oracle,
 )
-from percmoments.bounds import BoundParams, isolation_bounds
+from percmoments.bounds import BoundParams, MomentPair, isolation_bounds
 from percmoments.cli import (
     DOMINANCE_COLUMNS,
     MAX_GRID_STEPS,
@@ -292,6 +295,49 @@ def test_oracle_cap_env_override(monkeypatch):
     monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "many")
     code, _ = run_cli(["oracle", "--graph", "complete(3)", "--p", "0.5"])
     assert code == 2
+
+
+def test_long_oracle_row_prints_its_estimate_to_stderr_first(capsys, monkeypatch):
+    # 2^32 configurations of 16 vertices: minutes of enumeration.  The
+    # enumeration stops at once here; the estimate must be on stderr before
+    # it starts, and stdout must be what it is without the estimate
+    at_start = []
+
+    def stop_at_once(graph, p, max_edges):
+        at_start.append(capsys.readouterr())
+        return MomentPair(first=1.0, second=1.0, kind="exact")
+
+    monkeypatch.setattr(cli, "exact_moments", stop_at_once)
+    monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "32")
+    argv = ["oracle", "--graph", "hypercube(4)", "--p", "0.5"]
+    assert main(argv) == 0
+    (before,) = at_start
+    assert before.out == ""
+    estimate = oracle._enumeration_seconds(generate_builtin("hypercube(4)"), 32)
+    assert estimate > 100
+    assert before.err == (
+        f"percmoments: enumerating 2^32 configurations of hypercube(4), "
+        f"estimated {estimate:.0f} s\n"
+    )
+    after = capsys.readouterr()
+    assert after.err == ""
+    monkeypatch.setattr(cli, "_NOTICE_SECONDS", float("inf"))
+    assert main(argv) == 0
+    quiet = capsys.readouterr()
+    assert quiet.err == "" and at_start[1] == ("", "")
+    assert after.out == quiet.out and after.out.startswith("graph,N,D,p,")
+
+
+def test_default_edge_cap_keeps_the_oracle_row_quiet(capsys):
+    # a connected regular graph has at most |E| vertices (D >= 2), so
+    # ring(24) is the longest enumeration the 24-edge default cap admits
+    assert oracle._enumeration_seconds(generate_builtin("ring(24)"), None) < cli._NOTICE_SECONDS
+    assert main(["oracle", "--graph", "octahedron", "--p", "0.5"]) == 0
+    assert capsys.readouterr().err == ""
+    # a graph over the cap is refused before any estimate
+    assert main(["oracle", "--graph", "dodecahedron", "--p", "0.5"]) == 2
+    assert capsys.readouterr().err == (
+        "percmoments: 30 edges exceeds enumeration cap 24; 2^30 configurations is too many\n")
 
 
 def test_unknown_graph_and_bad_p_exit_2():

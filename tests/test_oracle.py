@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import json
@@ -133,6 +134,20 @@ def test_connectivity_moments_memory_stays_small():
     assert peak < 4 * 2**20
 
 
+def test_exact_moments_memory_stays_small():
+    # one group of blocks is about oracle._GROUP_BYTES (1 MB) of state: a
+    # group budget past ~2 MB takes ring(20) past this bound
+    ring = generate_builtin("ring(20)")
+    exact_moments(ring, 0.4)
+    tracemalloc.start()
+    try:
+        exact_moments(ring, 0.4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_edge_cap_enforced(dodecahedron, k3, tetrahedron):
     with pytest.raises(TooManyEdgesError):
         exact_moments(dodecahedron, 0.5)
@@ -223,6 +238,80 @@ def test_ring16_golden_values():
     assert poly.second_counts == (
         16, 352, 3552, 22016, 94400, 298368, 722176, 1371136, 2072928,
         2516800, 2461888, 1936896, 1217216, 603008, 230400, 65536, 4096)
+
+
+def test_ring20_and_pair_table_golden_values():
+    # recorded before blocks were enumerated in groups with int8 state
+    ring = generate_builtin("ring(20)")
+    exact = exact_moments(ring, 0.4)
+    assert (exact.first.hex(), exact.second.hex()) == (
+        "0x1.2aaaa89b55f30p+1", "0x1.eaaa7ef697ea0p+2")
+    conn = connectivity_moments(ring, 0.4)
+    assert (conn.first.hex(), conn.second.hex()) == (
+        "0x1.2aaaa89b55f2cp+1", "0x1.eaaa7ef697e98p+2")
+    table = pair_connectivity(generate_builtin("ring(16)"), 0.37)
+    assert hashlib.sha256(table.pair_probs.tobytes()).hexdigest() == (
+        "0222638ff2354721acca9671441c3f631e3892bbf0d97e7cb55d8ab83bff1bfa")
+
+
+def reference_block(graph, j, width):
+    """Block j of the enumeration from scratch, as ``(n_open, labels, sizes, first, second)``.
+
+    Column c is configuration j * width + c.  Labels come from relaxing
+    the smallest vertex id over the open edges until nothing changes, and
+    sizes from counting equal labels; no merge step is shared with
+    :func:`oracle._open_edge`.
+    """
+    n = graph.n_vertices
+    configs = j * width + np.arange(width)
+    is_open = (configs >> np.arange(graph.n_edges)[:, None]) & 1 == 1
+    labels = np.repeat(np.arange(n)[:, None], width, axis=1)
+    changed = True
+    while changed:
+        changed = False
+        for flags, (u, v) in zip(is_open, graph.edges):
+            low = np.where(flags, np.minimum(labels[u], labels[v]), labels[[u, v]])
+            changed |= not np.array_equal(low, labels[[u, v]])
+            labels[[u, v]] = low
+    sizes = (labels[:, None, :] == labels[None, :, :]).sum(axis=1)
+    return is_open.sum(axis=0), labels, sizes, sizes.sum(axis=0), (sizes**2).sum(axis=0)
+
+
+def routes(graph, p):
+    exact, conn = exact_moments(graph, p), connectivity_moments(graph, p)
+    return (exact.first, exact.second, conn.first, conn.second,
+            pair_connectivity(graph, p).pair_probs.tobytes())
+
+
+@pytest.mark.parametrize("per_group", [1, 3, 16], ids=["one", "partial last", "all in one"])
+def test_group_layout_never_changes_a_block(per_group, monkeypatch):
+    # ring(16) has 16 blocks: groups of 1, of 3 (the last holds one block)
+    # and of all 16 must yield the same blocks in the same order
+    ring = generate_builtin("ring(16)")
+    expected = routes(ring, 0.37)
+    # int8 labels and sizes of 16 vertices, and three int64 rows, per column
+    monkeypatch.setattr(oracle, "_GROUP_BYTES", per_group * oracle._BLOCK * (2 * 16 + 3 * 8))
+    assert oracle._group_blocks(16, oracle._BLOCK) == per_group
+    blocks = 0
+    for j, block in enumerate(oracle._config_blocks(ring, None)):
+        assert block[1].dtype == block[2].dtype == np.int8
+        for got, want in zip(block, reference_block(ring, j, oracle._BLOCK)):
+            np.testing.assert_array_equal(got, want)
+        blocks += 1
+    assert blocks == 16
+    assert routes(ring, 0.37) == expected
+
+
+def test_state_type_is_the_smallest_that_holds_n(monkeypatch):
+    assert oracle._state_dtype(127) == np.int8
+    assert oracle._state_dtype(128) == np.int16
+    assert oracle._state_dtype(32767) == np.int16
+    # int16 state gives the same floats as int8
+    graphs = [generate_builtin(name) for name in ("ring(16)", "cube", "complete(5)")]
+    expected = [routes(g, 0.37) for g in graphs]
+    monkeypatch.setattr(oracle, "_state_dtype", lambda n: np.dtype(np.int16))
+    assert next(oracle._config_blocks(graphs[0], None))[1].dtype == np.int16
+    assert [routes(g, 0.37) for g in graphs] == expected
 
 
 def test_evaluate_past_float_range_is_exact():
