@@ -22,11 +22,9 @@ c - 2^k with edge k opened, so each configuration's clusters come from an
 earlier one by a single merge of two clusters, with no relaxation and no
 fixpoint.  Consecutive blocks are doubled together in groups of about
 ``_GROUP_BYTES`` of state, so each merge is one numpy call per group, not
-per block, and labels and sizes take the smallest signed integer type
-that holds N (int8 up to 127 vertices, which covers every graph under the
-default cap).  Blocks are handed out as views into their group, valid
-until the next group starts.  They share no code with the DP and serve as
-its reference.
+per block, and labels and sizes are int8 (``_STATE_DTYPE``).  Blocks are
+handed out as views into their group, valid until the next group starts.
+They share no code with the DP and serve as its reference.
 
 Three independent routes to the moments are exposed:
 
@@ -96,6 +94,11 @@ _BLOCK = 4096
 # faster than the gain: at 2 MB connectivity_moments on ring(20) peaks at
 # 3.9 MB of allocations, 2.6 MB at 1 MB.
 _GROUP_BYTES = 1 << 20
+# Labels and sizes are at most N, and int8 holds every N that can be
+# enumerated: a connected regular graph has N <= |E| (N = 2, |E| = 1 at
+# D = 1), and at |E| >= 128 the 2^(|E| - 12) block starts are refused by
+# numpy before any state is written.
+_STATE_DTYPE = np.dtype(np.int8)
 # Enumeration time per vertex per configuration, in ns: exact_moments on
 # 24-edge random 3-regular graphs of 16 vertices took 0.86-1.08 s on a
 # 2-vCPU host (3.2-4.0 ns).
@@ -146,21 +149,16 @@ def _open_edge(state: tuple[np.ndarray, ...], width: int, u: int, v: int) -> Non
     np.add(n_open[..., :width], 1, out=n_open[..., width : 2 * width])
 
 
-def _state_dtype(n: int) -> np.dtype:
-    """int8 if it holds ``n``, else int16: labels and sizes are at most n."""
-    return np.dtype(np.int8 if n <= np.iinfo(np.int8).max else np.int16)
-
-
 def _state(n: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Uninitialized ``(n_open, labels, sizes, first, second)`` of ``shape`` columns."""
-    labels, sizes = (np.empty((n, *shape), dtype=_state_dtype(n)) for _ in range(2))
+    labels, sizes = (np.empty((n, *shape), dtype=_STATE_DTYPE) for _ in range(2))
     n_open, first, second = (np.empty(shape, dtype=np.int64) for _ in range(3))
     return n_open, labels, sizes, first, second
 
 
 def _group_blocks(n: int, width: int) -> int:
     """Blocks of ``width`` columns per group: as many as fit in ``_GROUP_BYTES``, at least one."""
-    per_block = width * (2 * n * _state_dtype(n).itemsize + 3 * 8)
+    per_block = width * (2 * n * _STATE_DTYPE.itemsize + 3 * 8)
     return max(1, _GROUP_BYTES // per_block)
 
 
@@ -182,9 +180,8 @@ def _config_blocks(
     configurations: ``n_open`` their open-edge counts, ``labels``
     (n_vertices, block) the smallest vertex id in each vertex's cluster,
     ``sizes`` the cluster size at each vertex, ``first``/``second`` sum_x
-    S_x and sum_x S_x^2.  Labels and sizes have the smallest signed type
-    that holds N (:func:`_state_dtype`: int8 up to 127 vertices).  The
-    arrays are views into the state of a group of blocks and are
+    S_x and sum_x S_x^2.  Labels and sizes are int8 (``_STATE_DTYPE``).
+    The arrays are views into the state of a group of blocks and are
     overwritten once the next group starts.
 
     Nothing is relaxed: configuration c with bit k set is configuration

@@ -302,16 +302,13 @@ def test_group_layout_never_changes_a_block(per_group, monkeypatch):
     assert routes(ring, 0.37) == expected
 
 
-def test_state_type_is_the_smallest_that_holds_n(monkeypatch):
-    assert oracle._state_dtype(127) == np.int8
-    assert oracle._state_dtype(128) == np.int16
-    assert oracle._state_dtype(32767) == np.int16
-    # int16 state gives the same floats as int8
-    graphs = [generate_builtin(name) for name in ("ring(16)", "cube", "complete(5)")]
-    expected = [routes(g, 0.37) for g in graphs]
-    monkeypatch.setattr(oracle, "_state_dtype", lambda n: np.dtype(np.int16))
-    assert next(oracle._config_blocks(graphs[0], None))[1].dtype == np.int16
-    assert [routes(g, 0.37) for g in graphs] == expected
+def test_int8_state_holds_every_enumerable_graph():
+    # labels and sizes are at most N <= |E|; 128 vertices need 128 edges,
+    # whose block starts numpy refuses before any int8 state is written
+    assert oracle._STATE_DTYPE == np.int8
+    with pytest.raises(ValueError) as refused:
+        next(oracle._config_blocks(generate_builtin("ring(128)"), 128))
+    assert not isinstance(refused.value, TooManyEdgesError)
 
 
 def test_evaluate_past_float_range_is_exact():
