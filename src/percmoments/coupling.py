@@ -40,7 +40,9 @@ from .graphs import Graph, _check_integer, _check_vertex
 from .montecarlo import (
     _BLOCK,
     _block_draws,
+    _borrowed_workspace,
     _column_counts,
+    _drawing_into,
     _edge_plan,
     _packed_starts,
     _relax_edges,
@@ -266,27 +268,32 @@ def _birth_counts(
     ``run_birth_process(graph, config, x).counts[n]`` for ``(x, config) =
     replicate_realization(graph, p, seed, lo + i)``.  Generation 0 is 1
     in every replicate, and a generation not yielded is 0 in the block.
+    The blocks' buffers, ``sizes`` too, are one workspace's, so ``sizes``
+    holds until the next step.
     """
     n = graph.n_vertices
     plan = _edge_plan(graph)
     width = min(_BLOCK, _span_width(graph))
-    for lo in range(0, replicates, width):
-        hi = min(lo + width, replicates)
-        starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
-        frontier = _packed_starts(n, starts)
-        unreached = ~frontier  # padding bits set here never reach born
-        born = np.empty_like(frontier)
-        for gen in range(1, n):
-            born.fill(0)
-            _relax_edges(plan, open_edges, frontier, born)
-            born &= unreached
-            if not born.any():
-                break
-            unreached ^= born
-            sizes = np.empty(hi - lo, dtype=np.int64)
-            _column_counts(born, sizes)
-            yield gen, lo, sizes
-            frontier, born = born, frontier
+    with _borrowed_workspace() as work:
+        for lo in range(0, replicates, width):
+            hi = min(lo + width, replicates)
+            with _drawing_into(work):
+                starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
+            frontier = _packed_starts(n, starts, work)
+            unreached = np.invert(frontier, out=work("unreached", frontier.shape, np.uint8))
+            # padding bits set in unreached never reach born
+            born = work("born", frontier.shape, np.uint8)
+            sizes = work("sizes", hi - lo, np.int64)
+            for gen in range(1, n):
+                born.fill(0)
+                _relax_edges(plan, open_edges, frontier, born, work)
+                born &= unreached
+                if not born.any():
+                    break
+                unreached ^= born
+                _column_counts(born, sizes, work)
+                yield gen, lo, sizes
+                frontier, born = born, frontier
 
 
 def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> DominanceReport:

@@ -53,8 +53,8 @@ number of passes, nor the span a replicate shares can change a result.
   are never drawn densely.  At generation 0 the frontier is one vertex
   per column, so the test reads ``D * _DENSE_SWITCH >= |E|``: every
   Platonic solid, and any graph that small, runs the dense kernel alone,
-  drawn by :func:`percmoments.rng.edge_draws` as a whole span.  So does
-  ``p`` of 0 or 1, whose flags are constants.
+  drawn as a whole span, the bits :func:`percmoments.rng.edge_draws`
+  gives.  So does ``p`` of 0 or 1, whose flags are constants.
 
 The dense kernel grows a membership matrix (vertices x replicates) by passes
 over the edge list until a fixpoint, which reaches the full open cluster of
@@ -75,15 +75,29 @@ each start vertex.
   whole), and every operation moves an eighth of the bytes.  A pass that
   leaves the packed membership unchanged ends the fixpoint; the columns
   that converged early ride along at a bit each, which costs less than
-  finding and dropping them.  The sizes are read by unpacking one merge
-  block of columns at a time.
+  finding and dropping them.  The one-hot start matrix is packed from
+  pieces, and the sizes are read through words, of at most
+  ``_SCRATCH_BYTES`` (1 MB), so no unpacked (vertices x replicates) matrix
+  exists; a Platonic solid's span is one piece.
+
+Every buffer a span fills, from its stream keys to its sizes, is a named
+buffer of a workspace (``_Workspace``) that later spans reuse: a span takes
+an idle workspace from a module-wide free list and gives it back when done,
+so neither the spans of a call nor later calls allocate, and fault in,
+their megabytes again.  The list keeps idle workspaces up to
+``_KEEP_BYTES`` and drops the rest.  Reuse changes where numbers are
+written, never which, so results stay bit-identical.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +107,7 @@ from .errors import BadParameterError
 from .graphs import Graph, _check_integer
 from .oracle import moment_polynomial
 from .percolation import EdgeConfig, _check_probability
-from .rng import _edge_flags, _pair_flags, _start_uniforms, _stream_keys, derive_key, edge_draws
+from .rng import _edge_flags, _pair_flags, _start_uniforms, _stream_keys, derive_key
 from .stats import RunningMoments
 
 __all__ = [
@@ -113,8 +127,14 @@ _BLOCK = 8192
 # Above the 21 MB that count gives one merge block of a 1500-edge,
 # 1000-vertex graph, so graphs of that size still draw one block per span.
 _SPAN_BYTES = 1 << 25
-# 8-byte words a span holds per replicate besides its flags: stream key,
-# start uniform and vertex, cluster size, and their temporaries.
+# Bytes of idle workspaces the free list keeps for later spans and calls:
+# one span budget, eight times the 4 MB a 1000-vertex 8192-replicate span
+# holds.  A workspace given back past it is dropped.
+_KEEP_BYTES = _SPAN_BYTES
+# 8-byte words a span holds per replicate besides its flags, all in its
+# workspace: stream key, start uniform and vertex, the keys and sizes of the
+# columns left dense, cluster size and the span's joined sizes, and the
+# mixing scratch of the keys and start words.
 _COLUMN_WORDS = 8
 # Bytes of gathered membership rows per relaxation piece: 256 edge rows of
 # a packed 8192-replicate block, whole classes on narrow spans.
@@ -132,6 +152,18 @@ _PIECE_BYTES = 1 << 18
 _DENSE_SWITCH = 320
 # Bit k of a byte, by k.
 _BITS = (1 << np.arange(8)).astype(np.uint8)
+# Entry b: byte b's bits spread over the bytes of a little-endian word, bit
+# k in byte k, as unpackbits(bitorder="little") unpacks them.
+_SPREAD = np.array(
+    [int.from_bytes(bytes((b >> k) & 1 for k in range(8)), "little") for b in range(256)],
+    dtype="<u8",
+)
+# Bytes of a span's scratch, which its phases take in turn: the words of a
+# chunk of its draw and their mixing scratch, the one-hot pieces its start
+# matrix is packed from, the rows a relaxation piece gathers, and the words
+# its sizes are read through.  A start piece is whole bytes of columns, so
+# 1 MB keeps the 40 000 columns of a 20-vertex span one piece.
+_SCRATCH_BYTES = 1 << 20
 # Largest replicate count one call may ask for (``sweep``: summed over the
 # grid), refused before any block bounds are built.
 MAX_REPLICATES = 1 << 30
@@ -220,9 +252,77 @@ def _edge_plan(graph: Graph) -> _EdgePlan:
     )
 
 
-def _start_vertices(n_vertices: int, u0: np.ndarray) -> np.ndarray:
-    """The start vertex of each replicate, from its draw 0."""
-    return np.minimum((u0 * n_vertices).astype(np.int64), n_vertices - 1)
+class _Workspace:
+    """Named work buffers that a span fills and the next span reuses.
+
+    ``work(name, shape, dtype)`` is an array over the front of buffer
+    ``name``: new, or grown, only when the buffer is too small.  It holds
+    whatever its last user left, so users fill it (numpy ``out=``), and
+    two names are two buffers, live side by side.
+    """
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self._ramp = np.arange(0)
+
+    def __call__(self, name: str, shape: int | tuple[int, ...], dtype) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        size = (shape if isinstance(shape, int) else math.prod(shape)) * dtype.itemsize
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype=np.uint8)
+        return buffer[:size].view(dtype).reshape(shape)
+
+    def ramp(self, n: int) -> np.ndarray:
+        """``np.arange(n)``, kept: the one buffer whose contents last."""
+        if self._ramp.size < n:
+            self._ramp = np.arange(n)
+        return self._ramp[:n]
+
+    @property
+    def nbytes(self) -> int:
+        return self._ramp.nbytes + sum(buffer.size for buffer in self._buffers.values())
+
+
+# Idle workspaces, the last given back on top.  A pool lives for one call,
+# so buffers kept per thread would be faulted in again on every call; a
+# module-wide list lets spans of later calls, on any thread, reuse them.
+_FREE: list[_Workspace] = []
+_FREE_LOCK = threading.Lock()
+
+
+@contextmanager
+def _borrowed_workspace() -> Iterator[_Workspace]:
+    """An idle workspace, or a new one; kept afterwards while ``_KEEP_BYTES`` allows."""
+    with _FREE_LOCK:
+        work = _FREE.pop() if _FREE else _Workspace()
+    try:
+        yield work
+    finally:
+        with _FREE_LOCK:
+            if work.nbytes + sum(idle.nbytes for idle in _FREE) <= _KEEP_BYTES:
+                _FREE.append(work)
+
+
+# The workspace that _block_draws draws into.  Its arguments stay those of
+# a plain draw, so the kernel binds its span's workspace here
+# (_drawing_into) instead; unbound, a draw fills new arrays.
+_DRAW_INTO: ContextVar[_Workspace | None] = ContextVar("_DRAW_INTO", default=None)
+
+
+@contextmanager
+def _drawing_into(work: _Workspace) -> Iterator[None]:
+    token = _DRAW_INTO.set(work)
+    try:
+        yield
+    finally:
+        _DRAW_INTO.reset(token)
+
+
+def _start_vertices(n_vertices: int, u0: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The start vertex of each replicate, from its draw 0, into int64 ``out``."""
+    np.multiply(u0, n_vertices, out=out, casting="unsafe")  # truncated, as astype does
+    return np.minimum(out, n_vertices - 1, out=out)
 
 
 def _block_draws(
@@ -238,39 +338,79 @@ def _block_draws(
 
     Row ``k`` of the flags is edge ``order[k]``, or edge ``k`` without an
     order; the ``r``-th replicate drawn is bit ``r % 8`` of byte ``r // 8``
-    (see ``edge_draws``).
+    (see :func:`~percmoments.rng.edge_draws`, which draws the same bits).
+    The arrays are buffers of the workspace bound by ``_drawing_into``, or
+    new without one.
     """
-    if columns is None:
-        u0, open_edges = edge_draws(seed, lo, hi - lo, graph.n_edges, p, order=order)
-    else:
-        keys = _stream_keys(seed, lo, hi - lo)[columns]
-        u0, open_edges = _start_uniforms(keys), _edge_flags(keys, graph.n_edges, p, order)
-    return _start_vertices(graph.n_vertices, u0), open_edges
+    work = _DRAW_INTO.get()
+    if work is None:
+        work = _Workspace()
+    keys = _stream_keys(
+        seed, lo, hi - lo, work("keys", hi - lo, np.uint64), work("scratch", hi - lo, np.uint64)
+    )
+    if columns is not None:
+        keys = np.take(keys, columns, out=work("dense keys", columns.size, np.uint64))
+    width = keys.size
+    u0 = _start_uniforms(keys, work("uniforms", width, np.float64),
+                         work("scratch", width, np.uint64))
+    starts = _start_vertices(graph.n_vertices, u0, work("starts", width, np.int64))
+    open_edges = _edge_flags(
+        keys, graph.n_edges, p, order,
+        work("flags", (graph.n_edges, -(-width // 8)), np.uint8),
+        work("scratch", _SCRATCH_BYTES // 8, np.uint64),
+    )
+    return starts, open_edges
 
 
-def _packed_starts(n_vertices: int, starts: np.ndarray) -> np.ndarray:
-    """Packed (vertices x replicates) membership holding each replicate's start vertex alone."""
-    member = np.zeros((n_vertices, starts.size), dtype=bool)
-    member[starts, np.arange(starts.size)] = True
-    return np.packbits(member, axis=1, bitorder="little")
+def _packed_starts(n_vertices: int, starts: np.ndarray, work: _Workspace) -> np.ndarray:
+    """Packed (vertices x replicates) membership holding each replicate's start vertex alone.
+
+    The workspace's ``member``, packed from one-hot pieces of whole bytes of
+    columns and at most ``_SCRATCH_BYTES``, or 8 columns where one vertex
+    row of those is more.
+    """
+    member = work("member", (n_vertices, -(-starts.size // 8)), np.uint8)
+    step = max(8, _SCRATCH_BYTES // n_vertices // 8 * 8)
+    for c in range(0, starts.size, step):
+        piece = starts[c : c + step]
+        hot = work("scratch", (n_vertices, piece.size), bool)
+        hot.fill(False)
+        hot[piece, work.ramp(piece.size)] = True
+        member[:, c // 8 : (c + step) // 8] = np.packbits(hot, axis=1, bitorder="little")
+    return member
 
 
-def _column_counts(member: np.ndarray, out: np.ndarray) -> None:
+def _column_counts(member: np.ndarray, out: np.ndarray, work: _Workspace) -> None:
     """Set bits of each replicate column of the packed ``member``, into int64 ``out``.
 
-    Unpacks one merge block of columns at a time.  A column has at most N
-    set bits, so the smallest unsigned type that holds N sums it exactly,
-    and a few times faster than an int64 accumulator.
+    Pieces of rows and whole bytes of columns pass through ``_SCRATCH_BYTES``
+    of the workspace's scratch: a table lookup (``np.take`` of ``_SPREAD``)
+    unpacks each byte into the eight one-byte lanes of a word, and a sum of
+    the words down the piece's rows counts eight columns per add.  A lane
+    holds 255, so a piece has at most 255 rows, and its counts are added up
+    in ``out``.
     """
-    total = np.min_scalar_type(member.shape[0])
-    for c in range(0, out.size, _BLOCK):  # _BLOCK is a multiple of 8
-        piece = member[:, c // 8 : (c + _BLOCK) // 8]
-        bits = np.unpackbits(piece, axis=1, count=min(_BLOCK, out.size - c), bitorder="little")
-        out[c : c + _BLOCK] = bits.sum(axis=0, dtype=total)
+    n, width = member.shape
+    cols = max(1, min(width, _SCRATCH_BYTES // 8))
+    rows = max(1, min(n, 255, _SCRATCH_BYTES // (8 * cols)))
+    for c0 in range(0, width, cols):
+        c1 = min(c0 + cols, width)
+        counts = out[8 * c0 : 8 * c1]
+        sums = work("lane sums", c1 - c0, "<u8")
+        for r0 in range(0, n, rows):
+            piece = member[r0 : r0 + rows, c0:c1]
+            words = work("scratch", piece.shape, "<u8")
+            np.take(_SPREAD, piece, out=words, mode="clip")  # in range; clip spares a copy
+            words.sum(axis=0, out=sums)
+            lanes = sums.view(np.uint8)[: counts.size]
+            if r0:
+                counts += lanes
+            else:
+                counts[:] = lanes
 
 
 def _relax_edges(
-    plan: _EdgePlan, open_edges: np.ndarray, src: np.ndarray, dst: np.ndarray
+    plan: _EdgePlan, open_edges: np.ndarray, src: np.ndarray, dst: np.ndarray, work: _Workspace
 ) -> None:
     """Spread ``src`` one open edge into ``dst``, per replicate column.
 
@@ -279,12 +419,13 @@ def _relax_edges(
     arrays it is one exact BFS step.  Within a class the gathered rows are
     distinct, so scattering them back never collides.  The matrices are
     uint8 with eight replicate columns packed per byte; every operation
-    acts on each bit lane alone.
+    acts on each bit lane alone.  The rows are gathered in the workspace's
+    scratch.
     """
     width = src.shape[1]
     rows = max(1, _PIECE_BYTES // width)
     rows = min(rows, max(stop - start for start, stop in plan.classes))
-    scratch = np.empty((3, rows, width), dtype=np.uint8)
+    scratch = work("scratch", (3, rows, width), np.uint8)
     for start, stop in plan.classes:
         for lo in range(start, stop, rows):
             hi = min(lo + rows, stop)
@@ -328,7 +469,7 @@ def _goes_dense(graph: Graph, frontier: int, columns: int) -> bool:
 
 
 def _sparse_sizes(
-    graph: Graph, plan: _EdgePlan, p: float, seed: int, lo: int, hi: int
+    graph: Graph, plan: _EdgePlan, p: float, seed: int, lo: int, hi: int, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first cluster sizes of replicates [lo, hi), while the frontier is small.
 
@@ -342,17 +483,24 @@ def _sparse_sizes(
     the same indices.  Only the edges at a frontier vertex are drawn, each
     from its own word (:func:`~percmoments.rng._pair_flags`), the bit
     ``edge_draws`` would give it.
+
+    ``sizes`` is the workspace's.  The bitset takes the buffer of the
+    packed membership, which the dense kernel fills only after the search.
     """
     n, width = graph.n_vertices, hi - lo
     index = np.int32 if n * width < 1 << 31 else np.int64
-    keys = _stream_keys(seed, lo, width)
+    scratch = work("scratch", width, np.uint64)
+    keys = _stream_keys(seed, lo, width, work("keys", width, np.uint64), scratch)
+    u0 = _start_uniforms(keys, work("uniforms", width, np.float64), scratch)
     neighbors = plan.neighbors.astype(index)
     incident = plan.incident.astype(np.uint64)
     column = np.arange(width, dtype=index)
-    frontier = column * n + _start_vertices(n, _start_uniforms(keys)).astype(index)
-    visited = np.zeros(-(-n * width // 8), dtype=np.uint8)
+    frontier = column * n + _start_vertices(n, u0, work("starts", width, np.int64)).astype(index)
+    visited = work("member", -(-n * width // 8), np.uint8)
+    visited.fill(0)
     np.bitwise_or.at(visited, frontier >> 3, _BITS[frontier & 7])
-    sizes = np.ones(width, dtype=np.int64)
+    sizes = work("sizes", width, np.int64)
+    sizes.fill(1)
     while frontier.size:
         if _goes_dense(graph, frontier.size, width):
             return sizes, column[np.diff(column, prepend=-1) != 0]
@@ -371,32 +519,44 @@ def _sparse_sizes(
 
 
 def _block_cluster_sizes(
-    graph: Graph, p: float, seed: int, lo: int, hi: int, plan: _EdgePlan | None = None
+    graph: Graph,
+    p: float,
+    seed: int,
+    lo: int,
+    hi: int,
+    plan: _EdgePlan | None = None,
+    work: _Workspace | None = None,
 ) -> np.ndarray:
     """Cluster sizes of replicates [lo, hi) as an int64 array.
 
     A sparse breadth-first phase first, where generation 0 is not already
     dense, then one draw and fixpoint for the replicates it leaves open.
+    Every buffer, the sizes too, is ``work``'s, or a new workspace's.
     """
     if plan is None:
         plan = _edge_plan(graph)
+    if work is None:
+        work = _Workspace()
     columns = None
     if 0.0 < p < 1.0 and not _goes_dense(graph, hi - lo, hi - lo):
-        sizes, columns = _sparse_sizes(graph, plan, p, seed, lo, hi)
+        sizes, columns = _sparse_sizes(graph, plan, p, seed, lo, hi, work)
         if not columns.size:
             return sizes
-    starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi, columns)
-    member = _packed_starts(graph.n_vertices, starts)
+    with _drawing_into(work):
+        starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi, columns)
+    member = _packed_starts(graph.n_vertices, starts, work)
     total = _bit_total(member)
     while True:
-        _relax_edges(plan, open_edges, member, member)
+        _relax_edges(plan, open_edges, member, member, work)
         total, before = _bit_total(member), total
         if total == before:
             break
-    dense = np.empty(starts.size, dtype=np.int64)
-    _column_counts(member, dense)
     if columns is None:
-        return dense
+        sizes = work("sizes", starts.size, np.int64)
+        _column_counts(member, sizes, work)
+        return sizes
+    dense = work("dense sizes", starts.size, np.int64)
+    _column_counts(member, dense, work)
     sizes[columns] = dense
     return sizes
 
@@ -423,10 +583,10 @@ def replicate_realization(
 def _span_width(graph: Graph) -> int:
     """Replicates one draw and fixpoint may take: ``_SPAN_BYTES`` over a column's bytes."""
     # A byte per open flag and per vertex is eight times what a packed
-    # column of the flag and membership matrices holds, so the budget
-    # bounds them with room to spare; a byte per vertex is also what the
-    # unpacked start matrix and the unpacked merge block that sizes are
-    # read from take.
+    # column of the flag and membership matrices (or of the visited bitset
+    # that shares the membership's buffer) holds, so the budget bounds them
+    # with room to spare.  Nothing unpacked grows with the span: the start
+    # matrix and the size readout pass through the fixed _SCRATCH_BYTES.
     column = graph.n_edges + graph.n_vertices + 8 * _COLUMN_WORDS
     return max(1, _SPAN_BYTES // column)
 
@@ -452,20 +612,24 @@ def _block_stats(
     The pool's worker body.  ``lo`` is a merge-block boundary.  The span is
     one draw and one fixpoint when it is at most ``_span_width`` wide;
     wider, it is a single merge block, relaxed in sub-spans of that width
-    whose sizes are joined before the block's partials.
+    whose sizes are joined before the block's partials.  Its buffers come
+    from an idle workspace, given back at the end.
     """
     width = _span_width(graph)
-    sizes = np.concatenate([
-        _block_cluster_sizes(graph, p, seed, start, min(start + width, hi), plan)
-        for start in range(lo, hi, width)
-    ])
-    partials = []
-    for start in range(0, hi - lo, _BLOCK):
-        block = sizes[start : start + _BLOCK].astype(np.float64)
-        acc_s, acc_s2 = RunningMoments(), RunningMoments()
-        acc_s.add_batch(block)
-        acc_s2.add_batch(block * block)
-        partials.append((acc_s, acc_s2))
+    with _borrowed_workspace() as work:
+        sizes = work("span sizes", hi - lo, np.int64)
+        for start in range(lo, hi, width):
+            stop = min(start + width, hi)
+            sizes[start - lo : stop - lo] = _block_cluster_sizes(
+                graph, p, seed, start, stop, plan, work
+            )
+        partials = []
+        for start in range(0, hi - lo, _BLOCK):
+            block = sizes[start : start + _BLOCK].astype(np.float64)
+            acc_s, acc_s2 = RunningMoments(), RunningMoments()
+            acc_s.add_batch(block)
+            acc_s2.add_batch(block * block)
+            partials.append((acc_s, acc_s2))
     return partials
 
 

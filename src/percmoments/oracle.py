@@ -95,10 +95,15 @@ _BLOCK = 4096
 # 3.9 MB of allocations, 2.6 MB at 1 MB.
 _GROUP_BYTES = 1 << 20
 # Labels and sizes are at most N, and int8 holds every N that can be
-# enumerated: a connected regular graph has N <= |E| (N = 2, |E| = 1 at
-# D = 1), and at |E| >= 128 the 2^(|E| - 12) block starts are refused by
-# numpy before any state is written.
+# enumerated: a D-regular graph has N = 2 |E| / D <= 2 |E|, and
+# _MAX_STATE_BYTES refuses every graph of more than 35 edges.
 _STATE_DTYPE = np.dtype(np.int8)
+# Most bytes of enumeration state one call may hold: the block starts of
+# _config_blocks, 2^(|E| - 12) columns of 2N + 24 bytes from 24 edges on,
+# and the group doubled from them.  hypercube(4), 32 edges on 16 vertices,
+# holds 57 MB (and takes minutes); 34 edges on 20 vertices would hold
+# 257 MB, and 36 edges on 24 vertices 1.1 GB.
+_MAX_STATE_BYTES = 1 << 28
 # Enumeration time per vertex per configuration, in ns: exact_moments on
 # 24-edge random 3-regular graphs of 16 vertices took 0.86-1.08 s on a
 # 2-vCPU host (3.2-4.0 ns).
@@ -106,11 +111,20 @@ _NS_PER_VERTEX_CONFIG = 3.7
 
 
 def _check_cap(graph: Graph, max_edges: int | None) -> None:
+    """Refuse an enumeration past the edge cap, or whose state passes ``_MAX_STATE_BYTES``."""
     cap = DEFAULT_EDGE_CAP if max_edges is None else _check_integer("max_edges", max_edges)
     if graph.n_edges > cap:
         raise TooManyEdgesError(
             f"{graph.n_edges} edges exceeds enumeration cap {cap}; "
             f"2^{graph.n_edges} configurations is too many"
+        )
+    low, n_blocks, shared, n_group = _layout(graph.n_vertices, graph.n_edges)
+    state = ((n_blocks << shared) + (n_group << low)) * _column_bytes(graph.n_vertices)
+    if state > _MAX_STATE_BYTES:
+        raise TooManyEdgesError(
+            f"{graph.n_edges} edges on {graph.n_vertices} vertices need "
+            f"{state / 2**20:.3g} MB of enumeration state, above its cap of "
+            f"{_MAX_STATE_BYTES >> 20} MB"
         )
 
 
@@ -156,10 +170,22 @@ def _state(n: int, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return n_open, labels, sizes, first, second
 
 
+def _column_bytes(n: int) -> int:
+    """State bytes of one configuration column: labels and sizes, then three int64."""
+    return 2 * n * _STATE_DTYPE.itemsize + 3 * 8
+
+
 def _group_blocks(n: int, width: int) -> int:
     """Blocks of ``width`` columns per group: as many as fit in ``_GROUP_BYTES``, at least one."""
-    per_block = width * (2 * n * _STATE_DTYPE.itemsize + 3 * 8)
-    return max(1, _GROUP_BYTES // per_block)
+    return max(1, _GROUP_BYTES // (width * _column_bytes(n)))
+
+
+def _layout(n: int, m: int) -> tuple[int, int, int, int]:
+    """``(low, n_blocks, shared, n_group)`` of the enumeration of ``m`` edges (see _config_blocks)."""
+    low = min(m, _BLOCK.bit_length() - 1)
+    n_blocks = 1 << (m - low)
+    shared = max(0, low - (m - low))
+    return low, n_blocks, shared, min(n_blocks, _group_blocks(n, 1 << low))
 
 
 def _double(
@@ -196,17 +222,14 @@ def _config_blocks(
     wide columns, and every later merge is one numpy call per group.
     """
     _check_cap(graph, max_edges)
-    n, m = graph.n_vertices, graph.n_edges
-    low = min(m, _BLOCK.bit_length() - 1)
-    n_blocks = 1 << (m - low)
-    shared = max(0, low - (m - low))
+    n = graph.n_vertices
+    low, n_blocks, shared, n_group = _layout(n, graph.n_edges)
     starts = _state(n, (n_blocks << shared,))
     for a, closed in zip(starts, (0, np.arange(n), 1, n, n)):
         a[..., 0] = closed
     _double(starts, graph.edges[low:] + graph.edges[:shared])
     # block j's starts along the last axis: (..., 2^shared, n_blocks) -> (..., n_blocks, 2^shared)
     starts = [a.reshape(*a.shape[:-1], 1 << shared, n_blocks).swapaxes(-1, -2) for a in starts]
-    n_group = min(n_blocks, _group_blocks(n, 1 << low))
     full = _state(n, (n_group, 1 << low))
     for j in range(0, n_blocks, n_group):
         g = min(n_group, n_blocks - j)
@@ -667,11 +690,15 @@ def connectivity_moments(
     first_per_x = np.zeros(n)
     second_per_x = np.zeros(n)
     weights = _config_weights(graph.n_edges, p)
+    s = None  # one float64 buffer for every block's sizes, then their squares
     for n_open, _, sizes, _, _ in _config_blocks(graph, max_edges):
         w = weights[n_open]
-        s = sizes.astype(np.float64)
+        if s is None:
+            s = np.empty(sizes.shape)
+        np.copyto(s, sizes)
         first_per_x += s @ w
-        second_per_x += (s**2) @ w
+        np.square(s, out=s)
+        second_per_x += s @ w
     first = float(first_per_x.mean())
     second = float(second_per_x.mean())
     return MomentPair(first=first, second=second, kind="exact")

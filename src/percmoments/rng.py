@@ -42,7 +42,10 @@ place: :func:`_edge_flags` draws the packed flags of any set of stream
 keys, so the Monte Carlo kernel can draw the replicates its sparse phase
 left open and no others, and :func:`_pair_flags` draws single (stream,
 edge) words, the bits ``_edge_flags`` would give them, for the edges that
-sparse phase reads.
+sparse phase reads.  :func:`_stream_keys`, :func:`_start_uniforms` and
+:func:`_edge_flags` take optional output and scratch arrays, so the Monte
+Carlo kernel draws into buffers it reuses; the only new array of a span's
+size is the counter column that :func:`_stream_keys` multiplies.
 :func:`stream_uniforms` and :func:`uniform_matrix` compute the same draws as
 plain uniforms, one stream or a matrix of streams at a time; they are not
 exported and serve as the reference that ``edge_draws`` is checked against.
@@ -90,11 +93,24 @@ def _mix64_inplace(z: np.ndarray, tmp: np.ndarray) -> None:
     z ^= tmp
 
 
-def _stream_keys(seed: int, first_stream: int, n_streams: int) -> np.ndarray:
-    """``derive_key(seed, r)`` for ``r`` in ``first_stream .. + n_streams``."""
+def _stream_keys(
+    seed: int,
+    first_stream: int,
+    n_streams: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """``derive_key(seed, r)`` for ``r`` in ``first_stream .. + n_streams``.
+
+    Mixed in place, into the uint64 ``out`` if given, with the front of the
+    1-D uint64 ``scratch``, if given, as the mixing scratch.
+    """
     base = np.uint64(_mix64_scalar(seed & _MASK))
     idx = np.arange(first_stream + 1, first_stream + n_streams + 1, dtype=np.uint64)
-    return _mix64_array(base + np.uint64(_GOLDEN) * idx)
+    keys = np.multiply(idx, np.uint64(_GOLDEN), out=idx if out is None else out)
+    keys += base
+    _mix64_inplace(keys, np.empty_like(keys) if scratch is None else scratch[:n_streams])
+    return keys
 
 
 def derive_key(seed: int, index: int) -> int:
@@ -137,10 +153,22 @@ def _edge_offsets(edges: np.ndarray) -> np.ndarray:
     return np.uint64(_GOLDEN) * (np.asarray(edges, dtype=np.uint64) + np.uint64(2))
 
 
-def _start_uniforms(keys: np.ndarray) -> np.ndarray:
-    """Draw 0 of the streams with the given keys, as uniforms."""
-    z = _mix64_array(keys + np.uint64(_GOLDEN))
-    return (z >> np.uint64(11)).astype(np.float64) * _U53
+def _start_uniforms(
+    keys: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Draw 0 of the streams with the given keys, as uniforms.
+
+    The words are mixed in place in the float64 ``out``, if given, and
+    turned into its uniforms there; ``scratch`` as in :func:`_stream_keys`.
+    """
+    u = np.empty(keys.size, dtype=np.float64) if out is None else out
+    z = u.view(np.uint64)
+    np.add(keys, np.uint64(_GOLDEN), out=z)
+    _mix64_inplace(z, np.empty_like(z) if scratch is None else scratch[: keys.size])
+    z >>= np.uint64(11)
+    # element by element over the same bytes: each word is read before its double is written
+    np.multiply(z, _U53, out=u)
+    return u
 
 
 def _pair_flags(keys: np.ndarray, edges: np.ndarray, p: float) -> np.ndarray:
@@ -156,33 +184,43 @@ def _pair_flags(keys: np.ndarray, edges: np.ndarray, p: float) -> np.ndarray:
 
 
 def _edge_flags(
-    keys: np.ndarray, n_edges: int, p: float, order: np.ndarray | None = None
+    keys: np.ndarray,
+    n_edges: int,
+    p: float,
+    order: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Edge-major, bit-packed open flags of the streams with the given keys.
 
     Bit ``i % 8`` of row ``k``, byte ``i // 8`` says whether edge
     ``order[k]`` (edge ``k`` without an order) is open in stream
     ``keys[i]``; the padding bits of the last byte are 0.  See
-    :func:`edge_draws`.
+    :func:`edge_draws`.  The flags go into the uint8 ``out`` if given.  A
+    chunk's words and their mixing scratch take halves of the 1-D uint64
+    ``scratch`` if given, so chunks shrink to fit it; new arrays otherwise.
     """
     n_streams = keys.size
     width = -(-n_streams // 8)
+    open_edges = np.empty((n_edges, width), dtype=np.uint8) if out is None else out
     if p == 0.0 or p == 1.0:
-        open_edges = np.full((n_edges, width), 0xFF if p == 1.0 else 0, dtype=np.uint8)
+        open_edges.fill(0xFF if p == 1.0 else 0)
         if n_streams % 8:  # padding bits stay 0, as packbits leaves them
             open_edges[:, -1] &= np.uint8((1 << n_streams % 8) - 1)
         return open_edges
     threshold = _threshold(p)
-    open_edges = np.empty((n_edges, width), dtype=np.uint8)
+    chunk = _CHUNK_BYTES if scratch is None else min(_CHUNK_BYTES, scratch.nbytes // 2)
     # a chunk is whole rows of all streams while one row fits, else one
     # row of a slice of whole bytes of the streams
-    cols = max(1, min(n_streams, _CHUNK_BYTES // 8))
+    cols = max(1, min(n_streams, chunk // 8))
     if cols < n_streams:
         cols = max(8, cols - cols % 8)
-    rows = max(1, min(n_edges, _CHUNK_BYTES // (8 * cols)))
-    z = np.empty(rows * cols, dtype=np.uint64)
-    tmp = np.empty_like(z)
-    flags = np.empty(rows * cols, dtype=bool)
+    rows = max(1, min(n_edges, chunk // (8 * cols)))
+    size = rows * cols
+    if scratch is None or scratch.size < 2 * size:
+        scratch = np.empty(2 * size, dtype=np.uint64)
+    z, tmp = scratch[:size], scratch[size : 2 * size]
+    flags = tmp.view(bool)[:size]  # the mixing scratch is free once a chunk is mixed
     offsets = _edge_offsets(np.arange(n_edges) if order is None else order)
     for c0 in range(0, n_streams, cols):
         c1 = min(c0 + cols, n_streams)

@@ -285,6 +285,18 @@ def test_polynomial_and_sweep_reach_the_dp_only_solids(monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["ring(128)", "ring(100)"])
+def test_raised_cap_refuses_oversized_enumeration_state(name, monkeypatch):
+    # past the edge cap, the enumeration's block starts would need more
+    # memory than exists (numpy once raised a ValueError traceback, exit 1)
+    monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "200")
+    code, out = run_cli(["oracle", "--graph", name, "--p", "0.3", "--format", "json"])
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error"] == "TooManyEdges"
+    assert "MB of enumeration state" in payload["message"]
+
+
 def test_oracle_cap_env_override(monkeypatch):
     monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "2")
     code, _ = run_cli(["oracle", "--graph", "complete(3)", "--p", "0.5"])

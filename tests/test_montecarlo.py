@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,23 @@ def test_block_sizes_match_per_replicate_clusters(
     np.testing.assert_array_equal(sizes, expected)
 
 
+def test_a_block_holds_no_unpacked_vertex_matrix(monkeypatch):
+    # built whole, the one-hot start matrix and the size readout of one
+    # 8192-replicate block on N = 1000 took 8 MB each (a 10 MB peak); a new
+    # workspace, counted whole here, holds the span's buffers in about 4 MB.
+    # At p = 0.6 most replicates go dense (at 0.5 all end sparse).
+    monkeypatch.setattr(montecarlo, "_FREE", [])
+    g = _random_graph(1000, 3, 1)
+    estimate_moments(g, 0.6, 64, 3)
+    tracemalloc.start()
+    try:
+        estimate_moments(g, 0.6, _BLOCK, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 @pytest.mark.parametrize("shape", [(3, 5), (7, 3), (20, 1024), (1, 1)])
 def test_bit_total_grows_with_every_set_bit(shape):
     # the fixpoint stops when this total stays put, so it must grow on every
@@ -322,8 +340,8 @@ def _sparse_spy(monkeypatch):
     calls = []
     sparse = montecarlo._sparse_sizes
 
-    def spy(graph, plan, p, seed, lo, hi):
-        sizes, dense = sparse(graph, plan, p, seed, lo, hi)
+    def spy(graph, plan, p, seed, lo, hi, work):
+        sizes, dense = sparse(graph, plan, p, seed, lo, hi, work)
         calls.append((hi - lo, dense.size))
         return sizes, dense
 
@@ -438,6 +456,46 @@ def test_spans_are_streamed_on_block_bounds(k3):
     (lo, hi), (lo2, _) = next(spans), next(spans)
     assert lo == 0 and hi == lo2 and hi % _BLOCK == 0
     assert hi <= montecarlo._span_width(k3)
+
+
+# ---------------------------------------------------------------- workspaces
+# A span's buffers come from a workspace that later spans and calls reuse;
+# the free list keeps idle ones within _KEEP_BYTES.
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_repeated_calls_make_no_new_workspace(workers, monkeypatch):
+    made = []
+
+    class Counted(montecarlo._Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(montecarlo, "_Workspace", Counted)
+    monkeypatch.setattr(montecarlo, "_FREE", [])
+    g = _random_graph(1000, 3, 1)  # above the dense switch: both phases run
+    first = estimate_moments(g, 0.6, 2 * _BLOCK, 3, workers=workers)
+    assert estimate_moments(g, 0.6, 2 * _BLOCK, 3, workers=workers) == first
+    assert 1 <= len(made) <= workers
+    count = len(made)
+    kept = [(work, dict(work._buffers)) for work in montecarlo._FREE]
+    assert estimate_moments(g, 0.6, 2 * _BLOCK, 3, workers=workers) == first
+    assert len(made) == count
+    if workers == 1:  # the same spans again: not a buffer grows
+        assert [(work, dict(work._buffers)) for work in montecarlo._FREE] == kept
+
+
+def test_idle_workspaces_stay_within_their_bound(monkeypatch):
+    g = _random_graph(1000, 3, 1)
+    for bound in (montecarlo._KEEP_BYTES, 6 * 2**20):  # room for all four, then for one
+        monkeypatch.setattr(montecarlo, "_KEEP_BYTES", bound)
+        monkeypatch.setattr(montecarlo, "_FREE", [])
+        estimate_moments(g, 0.6, 4 * _BLOCK, 3, workers=4)
+        idle = [work.nbytes for work in montecarlo._FREE]
+        assert 0 < sum(idle) <= bound
+        assert max(idle) > 2**20  # a span's buffers, not an empty workspace
+    assert len(idle) == 1
 
 
 @pytest.mark.parametrize(

@@ -302,13 +302,27 @@ def test_group_layout_never_changes_a_block(per_group, monkeypatch):
     assert routes(ring, 0.37) == expected
 
 
-def test_int8_state_holds_every_enumerable_graph():
-    # labels and sizes are at most N <= |E|; 128 vertices need 128 edges,
-    # whose block starts numpy refuses before any int8 state is written
+def test_int8_state_holds_every_enumerable_graph(monkeypatch):
+    # labels and sizes are at most N <= 2 |E|; 128 vertices need 64 edges
+    # or more, whose state the byte cap refuses before any of it exists
+    # (numpy once refused ring(128)'s block starts with a ValueError)
     assert oracle._STATE_DTYPE == np.int8
-    with pytest.raises(ValueError) as refused:
-        next(oracle._config_blocks(generate_builtin("ring(128)"), 128))
-    assert not isinstance(refused.value, TooManyEdgesError)
+    monkeypatch.setattr(oracle, "_state", _no_state)
+    for name in ("ring(128)", "ring(100)", "ring(36)"):
+        with pytest.raises(TooManyEdgesError, match="MB of enumeration state"):
+            next(oracle._config_blocks(generate_builtin(name), 200))
+
+
+def _no_state(*args):
+    raise AssertionError("enumeration state allocated before the refusal")
+
+
+def test_state_cap_admits_the_raised_edge_caps_that_fit():
+    # 57 MB of block starts for hypercube(4), 16 MB for the dodecahedron
+    oracle._check_cap(generate_builtin("hypercube(4)"), 32)
+    oracle._check_cap(generate_builtin("dodecahedron"), 30)
+    with pytest.raises(TooManyEdgesError, match="1.54e\\+03 MB"):
+        oracle._check_cap(generate_builtin("ring(36)"), 36)
 
 
 def test_evaluate_past_float_range_is_exact():
