@@ -1,4 +1,5 @@
 import functools
+import sys
 import tracemalloc
 
 import numpy as np
@@ -484,6 +485,23 @@ def test_repeated_calls_make_no_new_workspace(workers, monkeypatch):
     assert len(made) == count
     if workers == 1:  # the same spans again: not a buffer grows
         assert [(work, dict(work._buffers)) for work in montecarlo._FREE] == kept
+
+
+def test_threads_never_share_a_workspace(monkeypatch):
+    # more threads than cores, switching often: a workspace handed to two
+    # spans at once would mix their buffers and move a result
+    g = _graph("random(200,3,1)")
+    serial = estimate_moments(g, 0.5, 8 * _BLOCK, seed=4)
+    monkeypatch.setattr(montecarlo, "_FREE", [])
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert estimate_moments(g, 0.5, 8 * _BLOCK, seed=4, workers=8) == serial
+    finally:
+        sys.setswitchinterval(saved)
+    idle = montecarlo._FREE
+    assert 0 < len(idle) == len({id(work) for work in idle}) <= 8
 
 
 def test_idle_workspaces_stay_within_their_bound(monkeypatch):
