@@ -311,8 +311,9 @@ def _borrowed_workspace() -> Iterator[_Workspace]:
 
 
 # The workspace that _block_draws draws into.  Its arguments stay those of
-# a plain draw, so the kernel binds its span's workspace here
-# (_drawing_into) instead; unbound, a draw fills new arrays.
+# a plain draw, the signature tests wrap to count draws, so the kernel
+# binds its span's workspace here (_drawing_into); unbound, a draw fills
+# new arrays.
 _DRAW_INTO: ContextVar[_Workspace | None] = ContextVar("_DRAW_INTO", default=None)
 
 
