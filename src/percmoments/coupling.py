@@ -39,13 +39,13 @@ from .errors import BadParameterError
 from .graphs import Graph, _check_integer, _check_vertex
 from .montecarlo import (
     _BLOCK,
-    _block_draws,
     _borrowed_workspace,
     _column_counts,
-    _drawing_into,
     _edge_plan,
     _packed_starts,
     _relax_edges,
+    _span_flags,
+    _span_starts,
     _span_width,
 )
 from .percolation import EdgeConfig, _check_config, _check_probability
@@ -277,8 +277,8 @@ def _birth_counts(
     with _borrowed_workspace() as work:
         for lo in range(0, replicates, width):
             hi = min(lo + width, replicates)
-            with _drawing_into(work):
-                starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi)
+            keys, starts = _span_starts(graph, seed, lo, hi, work)
+            open_edges = _span_flags(graph, plan.order, p, keys, work)
             frontier = _packed_starts(n, starts, work)
             unreached = np.invert(frontier, out=work("unreached", frontier.shape, np.uint8))
             # padding bits set in unreached never reach born

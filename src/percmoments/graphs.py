@@ -94,12 +94,17 @@ def _check_integer(name: str, value) -> int:
     raise BadParameterError(f"{name} must be an integer, got {value!r}")
 
 
-def _check_vertex(graph: Graph, x) -> int:
-    """``x`` as a vertex of ``graph``; a non-integer or one out of range is refused."""
+def _vertex_id(x) -> int:
+    """``x`` as an int; a non-integer vertex id is refused."""
     try:
-        vertex = _check_integer("vertex", x)
+        return _check_integer("vertex", x)
     except BadParameterError:
         raise BadIndexError(f"vertex must be an integer, got {x!r}") from None
+
+
+def _check_vertex(graph: Graph, x) -> int:
+    """``x`` as a vertex of ``graph``; a non-integer or one out of range is refused."""
+    vertex = _vertex_id(x)
     if not 0 <= vertex < graph.n_vertices:
         raise BadIndexError(f"vertex {x} out of range [0, {graph.n_vertices})")
     return vertex
@@ -127,18 +132,25 @@ def build_from_edge_list(
 
     Raises ``NotSimpleError`` on loops/duplicates, ``NotRegularError`` if
     degrees differ, ``NotConnectedError`` if disconnected, ``BadIndexError``
-    on out-of-range vertices.
+    on non-integer or out-of-range vertices, ``BadParameterError`` on a
+    non-integer vertex count.  More vertices than edge ends are refused
+    before anything of the vertex count's size is built.
     """
+    n_vertices = _check_integer("n_vertices", n_vertices)
     if n_vertices < 2:
         raise BadParameterError(f"need at least 2 vertices, got {n_vertices}")
     edge_list = list(edges)
     if not edge_list:
         raise BadParameterError("edge list is empty")
+    if n_vertices > 2 * len(edge_list):
+        raise NotRegularError(
+            f"{n_vertices} vertices but {len(edge_list)} edges: some vertex has no edge"
+        )
 
     seen: set[tuple[int, int]] = set()
     canonical: list[tuple[int, int]] = []
     for u, v in edge_list:
-        u, v = int(u), int(v)
+        u, v = _vertex_id(u), _vertex_id(v)
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise BadIndexError(f"edge ({u}, {v}) out of range [0, {n_vertices})")
         if u == v:
@@ -158,8 +170,6 @@ def build_from_edge_list(
     if len(degrees) != 1:
         raise NotRegularError(f"vertex degrees vary: {sorted(degrees)}")
     degree = degrees.pop()
-    if degree == 0:
-        raise NotRegularError("graph has no edges at some vertex")
     if not _connected(n_vertices, adjacency):
         raise NotConnectedError("graph is not connected")
 

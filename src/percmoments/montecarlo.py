@@ -12,8 +12,10 @@ Statistics and work are grouped separately:
   ``k``.  Each block's sizes give one partial of S and one of S^2, and the
   partials are merged in block order, so results are bit-identical for any
   worker count and any grouping of the work.
-* **Spans.**  A span is the replicates that one draw
-  (:func:`percmoments.rng.edge_draws`) and one cluster fixpoint handle
+* **Spans.**  A span is the replicates whose stream keys and start
+  vertices are mixed together, once (``_span_starts``), and whose clusters
+  one search, one draw of open flags (``_span_flags``, the bits
+  :func:`percmoments.rng.edge_draws` gives) and one fixpoint find
   together.  Its width comes from one byte budget, ``_SPAN_BYTES``, counted
   per replicate column as a byte for each of the |E| open flags and N
   membership flags (eight times their packed size) and ``_COLUMN_WORDS``
@@ -48,7 +50,8 @@ number of passes, nor the span a replicate shares can change a result.
   span goes dense once ``D * frontier * _DENSE_SWITCH >= |E| * columns``:
   once the generation's words would cost more than a small share of the
   dense kernel on the span.  The replicates still open then go to the
-  dense fixpoint below, with flags drawn for those columns only
+  dense fixpoint below: their keys and start vertices are compacted from
+  the span's, not mixed again, and flags are drawn for those columns only
   (:func:`percmoments.rng._edge_flags`); replicates that finished sparse
   are never drawn densely.  At generation 0 the frontier is one vertex
   per column, so the test reads ``D * _DENSE_SWITCH >= |E|``: every
@@ -84,7 +87,8 @@ Every buffer a span fills, from its stream keys to its sizes, is a named
 buffer of a workspace (``_Workspace``) that later spans reuse: a span takes
 an idle workspace from a module-wide free list and gives it back when done,
 so neither the spans of a call nor later calls allocate, and fault in,
-their megabytes again.  The list keeps idle workspaces up to
+their megabytes again.  The workspace is an argument of every step that
+fills it, the draws included.  The list keeps idle workspaces up to
 ``_KEEP_BYTES`` and drops the rest.  Reuse changes where numbers are
 written, never which, so results stay bit-identical.
 """
@@ -97,7 +101,6 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,9 +135,10 @@ _SPAN_BYTES = 1 << 25
 # holds.  A workspace given back past it is dropped.
 _KEEP_BYTES = _SPAN_BYTES
 # 8-byte words a span holds per replicate besides its flags, all in its
-# workspace: stream key, start uniform and vertex, the keys and sizes of the
-# columns left dense, cluster size and the span's joined sizes, and the
-# mixing scratch of the keys and start words.
+# workspace: stream key, start uniform (later the start of a column left
+# dense) and vertex, the keys and sizes of the columns left dense, cluster
+# size and the span's joined sizes, and the mixing scratch of the keys and
+# start words.
 _COLUMN_WORDS = 8
 # Bytes of gathered membership rows per relaxation piece: 256 edge rows of
 # a packed 8192-replicate block, whole classes on narrow spans.
@@ -310,64 +314,41 @@ def _borrowed_workspace() -> Iterator[_Workspace]:
                 _FREE.append(work)
 
 
-# The workspace that _block_draws draws into.  Its arguments stay those of
-# a plain draw, the signature tests wrap to count draws, so the kernel
-# binds its span's workspace here (_drawing_into); unbound, a draw fills
-# new arrays.
-_DRAW_INTO: ContextVar[_Workspace | None] = ContextVar("_DRAW_INTO", default=None)
-
-
-@contextmanager
-def _drawing_into(work: _Workspace) -> Iterator[None]:
-    token = _DRAW_INTO.set(work)
-    try:
-        yield
-    finally:
-        _DRAW_INTO.reset(token)
-
-
-def _start_vertices(n_vertices: int, u0: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The start vertex of each replicate, from its draw 0, into int64 ``out``."""
-    np.multiply(u0, n_vertices, out=out, casting="unsafe")  # truncated, as astype does
-    return np.minimum(out, n_vertices - 1, out=out)
-
-
-def _block_draws(
-    graph: Graph,
-    order: np.ndarray | None,
-    p: float,
-    seed: int,
-    lo: int,
-    hi: int,
-    columns: np.ndarray | None = None,
+def _span_starts(
+    graph: Graph, seed: int, lo: int, hi: int, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Start vertices and packed open flags of replicates [lo, hi), or of ``lo + columns``.
+    """Stream keys and start vertices of replicates [lo, hi), in the workspace.
 
-    Row ``k`` of the flags is edge ``order[k]``, or edge ``k`` without an
-    order; the ``r``-th replicate drawn is bit ``r % 8`` of byte ``r // 8``
-    (see :func:`~percmoments.rng.edge_draws`, which draws the same bits).
-    The arrays are buffers of the workspace bound by ``_drawing_into``, or
-    new without one.
+    The one place a span's streams are mixed: both phases, and the dense
+    draw of the columns the sparse phase leaves open, take them from here.
+    A start vertex is its draw 0 as a uniform times N, truncated, as
+    ``astype`` does.
     """
-    work = _DRAW_INTO.get()
-    if work is None:
-        work = _Workspace()
-    keys = _stream_keys(
-        seed, lo, hi - lo, work("keys", hi - lo, np.uint64), work("scratch", hi - lo, np.uint64)
-    )
-    if columns is not None:
-        keys = np.take(keys, columns, out=work("dense keys", columns.size, np.uint64))
-    width = keys.size
-    u0 = _start_uniforms(keys, work("uniforms", width, np.float64),
-                         work("scratch", width, np.uint64))
-    starts = _start_vertices(graph.n_vertices, u0, work("starts", width, np.int64))
-    open_edges = _edge_flags(
+    width = hi - lo
+    scratch = work("scratch", width, np.uint64)
+    keys = _stream_keys(seed, lo, width, work("keys", width, np.uint64), scratch)
+    u0 = _start_uniforms(keys, work("uniforms", width, np.float64), scratch)
+    # not over u0's own words: numpy would copy them to cast in place
+    starts = np.multiply(u0, graph.n_vertices, out=work("starts", width, np.int64),
+                         casting="unsafe")
+    return keys, np.minimum(starts, graph.n_vertices - 1, out=starts)
+
+
+def _span_flags(
+    graph: Graph, order: np.ndarray | None, p: float, keys: np.ndarray, work: _Workspace
+) -> np.ndarray:
+    """Packed open flags of the streams ``keys``, in the workspace's ``flags``.
+
+    Row ``k`` is edge ``order[k]``, or edge ``k`` without an order; the
+    ``r``-th key is bit ``r % 8`` of byte ``r // 8`` (see
+    :func:`~percmoments.rng.edge_draws`, which draws the same bits).
+    """
+    return _edge_flags(
         keys, graph.n_edges, p, order,
-        work("flags", (graph.n_edges, -(-width // 8)), np.uint8),
+        work("flags", (graph.n_edges, -(-keys.size // 8)), np.uint8),
         # a chunk's words and their scratch, no more than a draw this small needs
-        work("scratch", min(_SCRATCH_BYTES // 8, 2 * graph.n_edges * width), np.uint64),
+        work("scratch", min(_SCRATCH_BYTES // 8, 2 * graph.n_edges * keys.size), np.uint64),
     )
-    return starts, open_edges
 
 
 def _packed_starts(n_vertices: int, starts: np.ndarray, work: _Workspace) -> np.ndarray:
@@ -476,14 +457,15 @@ def _goes_dense(graph: Graph, frontier: int, columns: int) -> bool:
 
 
 def _sparse_sizes(
-    graph: Graph, plan: _EdgePlan, p: float, seed: int, lo: int, hi: int, work: _Workspace
+    graph: Graph, plan: _EdgePlan, p: float, keys: np.ndarray, starts: np.ndarray, work: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Breadth-first cluster sizes of replicates [lo, hi), while the frontier is small.
+    """Breadth-first cluster sizes of the span whose streams are ``keys``, from ``starts``.
 
-    Returns ``(sizes, dense)``.  ``dense`` holds the offsets from ``lo`` of
-    the replicates whose search was still open when a generation went
-    dense (``_goes_dense``), in order; their ``sizes`` are left to the
-    dense kernel.  Every other size is final.  ``0 < p < 1``.
+    ``keys`` and ``starts`` are the span's from :func:`_span_starts`.
+    Returns ``(sizes, dense)``.  ``dense`` holds the columns of the
+    replicates whose search was still open when a generation went dense
+    (``_goes_dense``), in order; their ``sizes`` are left to the dense
+    kernel.  Every other size is final.  ``0 < p < 1``.
 
     The frontier is the sorted, distinct flat indices ``column * N +
     vertex`` of all replicates together, and the visited set a bitset over
@@ -494,15 +476,12 @@ def _sparse_sizes(
     ``sizes`` is the workspace's.  The bitset takes the buffer of the
     packed membership, which the dense kernel fills only after the search.
     """
-    n, width = graph.n_vertices, hi - lo
+    n, width = graph.n_vertices, keys.size
     index = np.int32 if n * width < 1 << 31 else np.int64
-    scratch = work("scratch", width, np.uint64)
-    keys = _stream_keys(seed, lo, width, work("keys", width, np.uint64), scratch)
-    u0 = _start_uniforms(keys, work("uniforms", width, np.float64), scratch)
     neighbors = plan.neighbors.astype(index)
     incident = plan.incident.astype(np.uint64)
     column = np.arange(width, dtype=index)
-    frontier = column * n + _start_vertices(n, u0, work("starts", width, np.int64)).astype(index)
+    frontier = column * n + starts.astype(index)
     visited = work("member", -(-n * width // 8), np.uint8)
     visited.fill(0)
     np.bitwise_or.at(visited, frontier >> 3, _BITS[frontier & 7])
@@ -536,21 +515,26 @@ def _block_cluster_sizes(
 ) -> np.ndarray:
     """Cluster sizes of replicates [lo, hi) as an int64 array.
 
-    A sparse breadth-first phase first, where generation 0 is not already
-    dense, then one draw and fixpoint for the replicates it leaves open.
-    Every buffer, the sizes too, is ``work``'s, or a new workspace's.
+    The span's streams are mixed once.  A sparse breadth-first phase comes
+    first, where generation 0 is not already dense, then one draw and
+    fixpoint for the replicates it leaves open, from their compacted keys
+    and starts.  Every buffer, the sizes too, is ``work``'s, or a new
+    workspace's.
     """
     if plan is None:
         plan = _edge_plan(graph)
     if work is None:
         work = _Workspace()
+    keys, starts = _span_starts(graph, seed, lo, hi, work)
     columns = None
     if 0.0 < p < 1.0 and not _goes_dense(graph, hi - lo, hi - lo):
-        sizes, columns = _sparse_sizes(graph, plan, p, seed, lo, hi, work)
+        sizes, columns = _sparse_sizes(graph, plan, p, keys, starts, work)
         if not columns.size:
             return sizes
-    with _drawing_into(work):
-        starts, open_edges = _block_draws(graph, plan.order, p, seed, lo, hi, columns)
+        keys = np.take(keys, columns, out=work("dense keys", columns.size, np.uint64))
+        # the start uniforms are spent, so their buffer takes the open columns' starts
+        starts = np.take(starts, columns, out=work("uniforms", columns.size, np.int64))
+    open_edges = _span_flags(graph, plan.order, p, keys, work)
     member = _packed_starts(graph.n_vertices, starts, work)
     total = _bit_total(member)
     while True:
@@ -579,9 +563,12 @@ def replicate_realization(
     """
     p = _check_probability(p)
     seed = _check_integer("seed", seed)
-    if _check_integer("replicate index", index) < 0:
-        raise BadParameterError(f"replicate index must be >= 0, got {index}")
-    starts, open_edges = _block_draws(graph, None, p, seed, index, index + 1)
+    index = _check_integer("replicate index", index)
+    if not 0 <= index <= 2**64 - 2:  # stream r mixes counter r + 1, a uint64 word
+        raise BadParameterError(f"replicate index must be in [0, 2^64 - 2], got {index}")
+    work = _Workspace()
+    keys, starts = _span_starts(graph, seed, index, index + 1, work)
+    open_edges = _span_flags(graph, None, p, keys, work)
     # one replicate is bit 0 of each row's only byte, the other bits padding
     flags = open_edges[:, 0].astype(bool)
     return int(starts[0]), EdgeConfig(open_flags=tuple(flags.tolist()), p=p)

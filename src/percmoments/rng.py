@@ -39,10 +39,13 @@ Every realization of the package is drawn by :func:`edge_draws` or by
 its two private parts, which write the counter position of an edge's draw
 (:func:`_edge_offsets`) and the threshold (:func:`_threshold`) in one
 place: :func:`_edge_flags` draws the packed flags of any set of stream
-keys, so the Monte Carlo kernel can draw the replicates its sparse phase
-left open and no others, and :func:`_pair_flags` draws single (stream,
-edge) words, the bits ``_edge_flags`` would give them, for the edges that
-sparse phase reads.  :func:`_stream_keys`, :func:`_start_uniforms` and
+keys, and :func:`_pair_flags` draws single (stream, edge) words, the bits
+``_edge_flags`` would give them.  The Monte Carlo kernel mixes each span's
+keys and start draws once (:func:`_stream_keys`, :func:`_start_uniforms`),
+reads the edges its sparse phase reaches through ``_pair_flags``, and
+hands ``_edge_flags`` the keys of the replicates that phase left open and
+no others; the dominance birth counts draw whole blocks through the same
+``_edge_flags``.  :func:`_stream_keys`, :func:`_start_uniforms` and
 :func:`_edge_flags` take optional output and scratch arrays, so the Monte
 Carlo kernel draws into buffers it reuses; the only new array of a span's
 size is the counter column that :func:`_stream_keys` multiplies.

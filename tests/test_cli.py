@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import time
+import tracemalloc
 
 import pytest
 
@@ -487,6 +488,21 @@ def test_malformed_edge_file_exits_2(tmp_path, capsys, content):
     path.write_bytes(content)
     assert main(["bounds", "--edge-file", str(path), "--p", "0.5"]) == 2
     assert "bad.edges" in capsys.readouterr().err
+
+
+def test_edge_file_with_more_vertices_than_edge_ends_exits_2(tmp_path, capsys):
+    # 22 bytes that once built a million-vertex adjacency before the refusal
+    path = tmp_path / "sparse.edges"
+    path.write_text(f"{10**6} 2\n0 1\n1 2\n2 0\n")
+    tracemalloc.start()
+    try:
+        code = main(["bounds", "--edge-file", str(path), "--p", "0.5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 2**20
+    assert "some vertex has no edge" in capsys.readouterr().err
 
 
 def test_supercritical_bounds_fall_back_to_isolation():

@@ -224,13 +224,13 @@ def test_birth_blocks_follow_the_span_budget(name, p, monkeypatch):
     g = generate_builtin(name)
     seed, reps = 13, _BLOCK + 50
     widths = []
-    draws = coupling._block_draws
+    draws = coupling._span_flags
 
-    def spy(graph, order, p, seed, lo, hi):
-        widths.append(hi - lo)
-        return draws(graph, order, p, seed, lo, hi)
+    def spy(graph, order, p, keys, work):
+        widths.append(keys.size)
+        return draws(graph, order, p, keys, work)
 
-    monkeypatch.setattr(coupling, "_block_draws", spy)
+    monkeypatch.setattr(coupling, "_span_flags", spy)
     reference = birth_matrix(g, p, seed, reps)
     assert widths == [_BLOCK, 50]  # the default budget keeps full blocks here
     widths.clear()

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -152,6 +153,39 @@ def test_edge_list_validation():
         build_from_edge_list(3, [(0, 1), (1, 3), (0, 3)])
     with pytest.raises(BadParameterError):
         build_from_edge_list(1, [])
+
+
+@pytest.mark.parametrize(
+    "n, edges, error",
+    [
+        (3, [(0, 1.5), (1, 2), (0, 2)], BadIndexError),
+        (3, [(0, 1), ("1", 2), (0, 2)], BadIndexError),
+        (3, [(0, 1), (1, None), (0, 2)], BadIndexError),
+        ("3", [(0, 1), (1, 2), (0, 2)], BadParameterError),
+        (3.0, [(0, 1), (1, 2), (0, 2)], BadParameterError),
+        (None, [(0, 1), (1, 2), (0, 2)], BadParameterError),
+    ],
+    ids=["float vertex", "str vertex", "None vertex", "str N", "float N", "None N"],
+)
+def test_edge_list_refuses_non_integers(n, edges, error):
+    # int() once truncated the edge (0, 1.5) to (0, 1)
+    with pytest.raises(error):
+        build_from_edge_list(n, edges)
+
+
+def test_edge_file_with_more_vertices_than_edge_ends_is_refused(tmp_path):
+    # every vertex of a D-regular graph with D >= 1 has an edge, so N <= 2|E|;
+    # a per-vertex adjacency of N = 3 000 000 once took 1.7 s and 237 MB
+    path = tmp_path / "sparse.edges"
+    path.write_text(f"{10**6} 2\n0 1\n1 2\n2 0\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotRegularError):
+            load_edge_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_edges_are_canonicalized():

@@ -20,6 +20,7 @@ from percmoments import (
 )
 from percmoments import montecarlo
 from percmoments.montecarlo import _BLOCK, _block_cluster_sizes
+from percmoments.rng import derive_key, stream_uniforms
 
 
 @functools.lru_cache(maxsize=None)
@@ -321,7 +322,9 @@ def test_packed_full_blocks_match_per_replicate_clusters(name, p, lo, hi):
     # full-width blocks of a 40 000-replicate run: 8192 columns, then the last 7232
     g = _graph(name)
     sizes = _block_cluster_sizes(g, p, 11, lo, hi)
-    starts, packed = montecarlo._block_draws(g, None, p, 11, lo, hi)
+    work = montecarlo._Workspace()
+    keys, starts = montecarlo._span_starts(g, 11, lo, hi, work)
+    packed = montecarlo._span_flags(g, None, p, keys, work)
     open_edges = np.unpackbits(packed, axis=1, count=hi - lo, bitorder="little").astype(bool)
     expected = [
         cluster_of(g, EdgeConfig(tuple(open_edges[:, r].tolist()), p), int(x)).size
@@ -341,9 +344,9 @@ def _sparse_spy(monkeypatch):
     calls = []
     sparse = montecarlo._sparse_sizes
 
-    def spy(graph, plan, p, seed, lo, hi, work):
-        sizes, dense = sparse(graph, plan, p, seed, lo, hi, work)
-        calls.append((hi - lo, dense.size))
+    def spy(graph, plan, p, keys, starts, work):
+        sizes, dense = sparse(graph, plan, p, keys, starts, work)
+        calls.append((keys.size, dense.size))
         return sizes, dense
 
     monkeypatch.setattr(montecarlo, "_sparse_sizes", spy)
@@ -378,6 +381,27 @@ def test_two_phase_sizes_match_per_replicate_clusters(p, monkeypatch):
         assert calls == [(37, 37), (141, 141)]
     elif p == 0.45:  # some do
         assert all(0 < dense < width for width, dense in calls)
+
+
+@pytest.mark.parametrize("p", [0.45, 0.6])
+def test_a_span_mixes_its_streams_once(p, monkeypatch):
+    # both phases run here: the dense draw takes the open columns' keys and
+    # starts from the sparse phase, not from a second mixing of the span
+    g = _graph("random(660,3,1)")
+    calls = _sparse_spy(monkeypatch)
+    mixed = []
+    stream_keys = montecarlo._stream_keys
+
+    def spy(seed, first_stream, n_streams, *args):
+        mixed.append(n_streams)
+        return stream_keys(seed, first_stream, n_streams, *args)
+
+    monkeypatch.setattr(montecarlo, "_stream_keys", spy)
+    sizes = _block_cluster_sizes(g, p, 21, _BLOCK - 70, _BLOCK + 71)
+    ((width, dense),) = calls
+    assert 0 < dense < width == 141
+    assert mixed == [141]
+    np.testing.assert_array_equal(sizes, _reference_sizes(g, p, 21, _BLOCK - 70, _BLOCK + 71))
 
 
 @settings(max_examples=12, deadline=None)
@@ -419,14 +443,14 @@ def test_span_budget_and_workers_never_change_results(name, reps, monkeypatch):
     g = _graph(name)  # 30, 120 and 990 edges, the last above the dense switch
     sparse = not montecarlo._goes_dense(g, 1, 1)
     widths = []
-    draws = montecarlo._block_draws
+    draws = montecarlo._span_flags
 
-    def spy(graph, order, p, seed, lo, hi, columns=None):
-        # columns: the replicates a span left open after its sparse phase
-        widths.append(hi - lo if columns is None else columns.size)
-        return draws(graph, order, p, seed, lo, hi, columns)
+    def spy(graph, order, p, keys, work):
+        # keys: the whole span's, or those of the replicates its sparse phase left open
+        widths.append(keys.size)
+        return draws(graph, order, p, keys, work)
 
-    monkeypatch.setattr(montecarlo, "_block_draws", spy)
+    monkeypatch.setattr(montecarlo, "_span_flags", spy)
     reference = repr(estimate_moments(g, 0.45, reps, seed=9))
     blocks = -(-reps // _BLOCK)
     column = g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
@@ -540,3 +564,16 @@ def test_non_integer_arguments_are_refused_before_work(k3, monkeypatch, call):
     monkeypatch.setattr(montecarlo, "moment_polynomial", _no_work)
     with pytest.raises(BadParameterError):
         call(k3)
+
+
+def test_last_replicate_index_is_drawn_and_later_ones_refused(k3, monkeypatch):
+    # stream r mixes counter r + 1, a uint64 word, so 2^64 - 2 is the last index
+    last = 2**64 - 2
+    x, cfg = replicate_realization(k3, 0.5, 7, last)
+    u = stream_uniforms(derive_key(7, last), 0, k3.n_edges + 1)
+    assert x == min(int(u[0] * k3.n_vertices), k3.n_vertices - 1)
+    assert cfg.open_flags == tuple((u[1:] < 0.5).tolist())
+    monkeypatch.setattr(montecarlo, "_span_starts", _no_work)
+    for index in (last + 1, 2**64, 2**70):
+        with pytest.raises(BadParameterError):
+            replicate_realization(k3, 0.5, 7, index)
