@@ -20,10 +20,13 @@ of seed ``s`` is replicate ``r`` of :func:`~percmoments.estimate_moments`
 replicates advance together in a level-synchronous breadth-first search
 over (vertices x replicates) matrices bit-packed eight replicates per byte,
 one relaxation step of the Monte Carlo cluster kernel per generation.  A
-block is at most 8192 replicates, and fewer where the Monte Carlo span
-budget allows fewer on a large graph.  Each generation of a block is
-reduced to a histogram of its sizes as it is born, and the branching runs
-arrive one generation vector at a time, so no (generations x replicates)
+block is as wide as the Monte Carlo span budget allows and its
+per-replicate words fit ``_BIRTH_BYTES``: 32768 replicates on a Platonic
+solid, fewer where the span budget binds first (a 3-regular graph of more
+than 384 vertices).  Each
+generation of a block is reduced to a histogram of its sizes as it is
+born.  The branching runs arrive one generation at a time, and only the
+runs still alive are carried and binned, so no (generations x replicates)
 matrix of either ensemble is ever held; the tail table is built from the
 histograms once their sizes are known to fit ``MAX_TAIL_ROWS``.
 """
@@ -38,7 +41,6 @@ import numpy as np
 from .errors import BadParameterError
 from .graphs import Graph, _check_integer, _check_vertex
 from .montecarlo import (
-    _BLOCK,
     _borrowed_workspace,
     _column_counts,
     _edge_plan,
@@ -70,6 +72,18 @@ MAX_DOMINANCE_CELLS = 1 << 27
 # explode (complete(8) at p = 0.9 and 100 replicates gives 238 328 rows,
 # complete(9) millions), and each row's histogram slot is allocated first.
 MAX_TAIL_ROWS = 1 << 20
+# 8-byte words a birth block holds per replicate: stream key, start uniform,
+# start vertex (then generation size) and mixing scratch.
+_BIRTH_WORDS = 4
+# Bytes of those words in one birth block: 32768 replicates.  On a small
+# graph they are most of its bytes (dodecahedron: 32 of 43 per replicate)
+# and the span budget would let one block take a whole run.  On the
+# dominance benchmark (two solids at 60 000 replicates, 2 vCPUs) the birth
+# phase took ~30% less time than in 8192-replicate blocks (23 against 32
+# ms) at no higher peak RSS (median 44.96 against 45.08 MB); one block of
+# 60 000 was no faster and raised it to 46.3-46.7 MB.  On a 3-regular
+# graph of more than 384 vertices the span budget binds first.
+_BIRTH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,33 +196,40 @@ def branching_generation_samples(
     that matrix, are refused before it is allocated.
     """
     degree, p, horizon, replicates = _check_branching_args(degree, p, horizon, replicates)
-    out = np.empty((replicates, horizon + 1), dtype=np.int64)
-    for n, sizes in enumerate(_branching_generations(degree, p, horizon, replicates, rng)):
-        out[:, n] = sizes
+    out = np.zeros((replicates, horizon + 1), dtype=np.int64)
+    runs = np.arange(replicates)
+    for n, (live, sizes) in enumerate(_branching_generations(degree, p, horizon, replicates, rng)):
+        runs = runs[live]
+        out[runs, n] = sizes
     return out
 
 
 def _branching_generations(
     degree: int, p: float, horizon: int, replicates: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """``X_0 .. X_horizon`` of :func:`branching_generation_samples`, one vector each.
+) -> Iterator[tuple[np.ndarray | slice, np.ndarray]]:
+    """``X_0 .. X_horizon`` of :func:`branching_generation_samples`, live runs only.
 
-    Only runs still alive are handed to ``rng.binomial``.  It returns 0 for
-    zero trials without drawing, so every run draws what it would draw
-    among the dead ones, and the vectors are the matrix's columns.
+    A generation carries the runs alive at the one before (generations 0
+    and 1 carry all runs), in the order of the matrix's rows; the runs it
+    does not carry have size 0.  Yields ``(live, sizes)`` per generation:
+    ``live`` picks its runs out of the runs carried by the generation
+    before (``slice(None)`` at generations 0 and 1) and ``sizes`` are their
+    sizes, 0 where a run dies.  Only carried runs are handed to
+    ``rng.binomial``.  It returns 0 for zero trials without drawing, so
+    every run draws what it would draw among the dead ones.
     """
-    sizes = np.ones(replicates, dtype=np.int64)
-    yield sizes
+    live = slice(None)
+    yield live, np.ones(replicates, dtype=np.int64)
     sizes = rng.binomial(degree, p, size=replicates)
     for _ in range(2, horizon + 1):
-        yield sizes
-        alive = np.flatnonzero(sizes)
-        trials = sizes[alive] * (degree - 1)
+        yield live, sizes
+        live = sizes > 0
+        trials = sizes[live]
+        trials *= degree - 1
         if trials.max(initial=0) > _SIZE_LIMIT:
             raise BadParameterError("branching generation size exceeds 2^62")
-        sizes = np.zeros(replicates, dtype=np.int64)
-        sizes[alive] = rng.binomial(trials, p)
-    yield sizes
+        sizes = rng.binomial(trials, p)
+    yield live, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +267,8 @@ def _tails(hist: np.ndarray, k_max: int, replicates: int) -> tuple[np.ndarray, n
     """P(v >= k) for k = 1 .. k_max and its standard error.
 
     ``hist[v]`` counts the replicates of size ``v``, none above
-    ``hist.size - 1 <= k_max``; its entry at 0 does not enter a tail.
+    ``hist.size - 1 <= k_max``.  Its entry at 0 does not enter a tail, and
+    a branching histogram counts there only the runs dying at its generation.
     """
     counts = np.zeros(k_max + 1, dtype=np.int64)
     counts[: hist.size] = hist
@@ -254,6 +276,11 @@ def _tails(hist: np.ndarray, k_max: int, replicates: int) -> tuple[np.ndarray, n
     tail = above[1:] / replicates
     se = np.sqrt(tail * (1.0 - tail) / replicates)
     return tail, se
+
+
+def _birth_width(graph: Graph) -> int:
+    """Replicates of one birth block: as many as the span budget and ``_BIRTH_BYTES`` allow."""
+    return min(_span_width(graph), _BIRTH_BYTES // (8 * _BIRTH_WORDS))
 
 
 def _birth_counts(
@@ -273,7 +300,7 @@ def _birth_counts(
     """
     n = graph.n_vertices
     plan = _edge_plan(graph)
-    width = min(_BLOCK, _span_width(graph))
+    width = _birth_width(graph)
     with _borrowed_workspace() as work:
         for lo in range(0, replicates, width):
             hi = min(lo + width, replicates)
@@ -283,7 +310,7 @@ def _birth_counts(
             unreached = np.invert(frontier, out=work("unreached", frontier.shape, np.uint8))
             # padding bits set in unreached never reach born
             born = work("born", frontier.shape, np.uint8)
-            sizes = work("sizes", hi - lo, np.int64)
+            sizes = starts  # packed into frontier, so their buffer takes the sizes
             for gen in range(1, n):
                 born.fill(0)
                 _relax_edges(plan, open_edges, frontier, born, work)
@@ -338,7 +365,7 @@ def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> Domi
     def count(hists: dict[int, np.ndarray], gen: int, sizes: np.ndarray) -> None:
         # histogram of one generation vector, once the table's rows allow its slots
         nonlocal n_rows
-        top = int(sizes.max())
+        top = int(sizes.max(initial=0))
         if top > k_max[gen]:
             n_rows += top - k_max[gen]
             k_max[gen] = top
@@ -364,7 +391,9 @@ def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> Domi
         count(birth, gen, sizes)
     branching: dict[int, np.ndarray] = {}
     rng = np.random.default_rng(seed)
-    for gen, sizes in enumerate(_branching_generations(graph.degree, p, horizon, replicates, rng)):
+    for gen, (_, sizes) in enumerate(
+        _branching_generations(graph.degree, p, horizon, replicates, rng)
+    ):
         count(branching, gen, sizes)
 
     rows: list[TailRow] = []

@@ -39,6 +39,7 @@ import numpy as np
 from .errors import (
     BadIndexError,
     BadParameterError,
+    GraphConstructionError,
     InfeasibleError,
     NotConnectedError,
     NotRegularError,
@@ -132,14 +133,22 @@ def build_from_edge_list(
 
     Raises ``NotSimpleError`` on loops/duplicates, ``NotRegularError`` if
     degrees differ, ``NotConnectedError`` if disconnected, ``BadIndexError``
-    on non-integer or out-of-range vertices, ``BadParameterError`` on a
-    non-integer vertex count.  More vertices than edge ends are refused
-    before anything of the vertex count's size is built.
+    on non-integer or out-of-range vertices, ``GraphConstructionError`` on
+    an edge that is not a pair of vertices, ``BadParameterError`` on a
+    non-integer vertex count or an ``edges`` that is not iterable.  More
+    vertices than edge ends are refused before anything of the vertex
+    count's size is built.
     """
     n_vertices = _check_integer("n_vertices", n_vertices)
     if n_vertices < 2:
         raise BadParameterError(f"need at least 2 vertices, got {n_vertices}")
-    edge_list = list(edges)
+    try:
+        edge_iter = iter(edges)
+    except TypeError:
+        raise BadParameterError(
+            f"edges must be an iterable of vertex pairs, got {type(edges).__name__}"
+        ) from None
+    edge_list = list(edge_iter)
     if not edge_list:
         raise BadParameterError("edge list is empty")
     if n_vertices > 2 * len(edge_list):
@@ -149,7 +158,11 @@ def build_from_edge_list(
 
     seen: set[tuple[int, int]] = set()
     canonical: list[tuple[int, int]] = []
-    for u, v in edge_list:
+    for edge in edge_list:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise GraphConstructionError(f"edge {edge!r} is not a pair of vertices") from None
         u, v = _vertex_id(u), _vertex_id(v)
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise BadIndexError(f"edge ({u}, {v}) out of range [0, {n_vertices})")

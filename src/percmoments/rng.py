@@ -161,16 +161,18 @@ def _start_uniforms(
 ) -> np.ndarray:
     """Draw 0 of the streams with the given keys, as uniforms.
 
-    The words are mixed in place in the float64 ``out``, if given, and
-    turned into its uniforms there; ``scratch`` as in :func:`_stream_keys`.
+    The words are mixed in place in the float64 ``out``, if given, then
+    shifted into ``scratch`` (as in :func:`_stream_keys`) and turned into
+    uniforms in ``out``.  Turned in place, they would be copied anyway:
+    numpy copies an input that overlaps its output with another dtype.
     """
     u = np.empty(keys.size, dtype=np.float64) if out is None else out
     z = u.view(np.uint64)
+    tmp = np.empty_like(z) if scratch is None else scratch[: keys.size]
     np.add(keys, np.uint64(_GOLDEN), out=z)
-    _mix64_inplace(z, np.empty_like(z) if scratch is None else scratch[: keys.size])
-    z >>= np.uint64(11)
-    # element by element over the same bytes: each word is read before its double is written
-    np.multiply(z, _U53, out=u)
+    _mix64_inplace(z, tmp)
+    np.right_shift(z, np.uint64(11), out=tmp)
+    np.multiply(tmp, _U53, out=u)
     return u
 
 

@@ -232,12 +232,55 @@ def test_birth_blocks_follow_the_span_budget(name, p, monkeypatch):
 
     monkeypatch.setattr(coupling, "_span_flags", spy)
     reference = birth_matrix(g, p, seed, reps)
-    assert widths == [_BLOCK, 50]  # the default budget keeps full blocks here
+    assert widths == [reps]  # the default budgets take the whole run in one block here
     widths.clear()
     column = g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
     monkeypatch.setattr(montecarlo, "_SPAN_BYTES", 203 * column)
     np.testing.assert_array_equal(birth_matrix(g, p, seed, reps), reference)
     assert max(widths) == 203 and sum(widths) == reps
+
+
+def test_birth_block_width_is_the_tighter_budget():
+    words = coupling._BIRTH_BYTES // (8 * coupling._BIRTH_WORDS)
+    assert coupling._birth_width(generate_builtin("dodecahedron")) == words == 32768
+    big = generate_builtin("hypercube(10)")  # 1024 vertices, 5120 edges
+    assert coupling._birth_width(big) == montecarlo._span_width(big) < words
+
+
+@pytest.mark.parametrize("name,p", [("dodecahedron", 0.45), ("icosahedron", 0.3)])
+def test_dominance_rows_do_not_depend_on_the_birth_block_width(name, p, monkeypatch):
+    g = generate_builtin(name)
+    reps, seed = _BLOCK + 808, 21
+    widths = []
+    draws = coupling._span_flags
+
+    def spy(graph, order, p, keys, work):
+        widths.append(keys.size)
+        return draws(graph, order, p, keys, work)
+
+    monkeypatch.setattr(coupling, "_span_flags", spy)
+    default = dominance_report(g, p, reps, seed).rows
+    assert widths == [reps]
+    for width, blocks in ((203, [203] * 44 + [68]), (_BLOCK, [_BLOCK, 808])):
+        widths.clear()
+        monkeypatch.setattr(coupling, "_birth_width", lambda graph: width)
+        assert dominance_report(g, p, reps, seed).rows == default
+        assert widths == blocks
+
+
+@pytest.mark.parametrize("degree,p", [(3, 0.35), (5, 0.2), (4, 0.5), (2, 1.0)])
+def test_live_branching_histograms_match_the_sample_columns(degree, p):
+    horizon, reps, seed = 12, 5000, 8
+    matrix = branching_generation_samples(degree, p, horizon, reps, np.random.default_rng(seed))
+    gens = coupling._branching_generations(degree, p, horizon, reps, np.random.default_rng(seed))
+    for n, (_, sizes) in enumerate(gens):
+        carried = reps if n < 2 else np.count_nonzero(matrix[:, n - 1])
+        assert sizes.size == carried  # the dead are not carried
+        live = np.bincount(sizes, minlength=2)
+        whole = np.bincount(matrix[:, n], minlength=live.size)
+        np.testing.assert_array_equal(live[1:], whole[1 : live.size])
+        assert whole.size == live.size
+    assert n == horizon
 
 
 def test_dominance_report_rejects_negative_seed(tetrahedron):
@@ -317,7 +360,8 @@ def test_dominance_report_holds_no_replicate_matrix(dodecahedron):
 @pytest.mark.parametrize("name,p,reps", [("complete(9)", 0.9, 100), ("complete(20)", 1.0, 10)])
 def test_oversized_tail_tables_are_refused_before_any_row(name, p, reps, monkeypatch):
     # complete(20) at p = 1: generation n of every run is 19 * 18^(n-1), so
-    # a histogram of it would take that many slots
+    # a histogram of it would take that many slots; the generation that
+    # breaks the cap is refused from its largest size, and never binned
     def no_rows(*fields, **named):
         raise AssertionError("a row was built for a table over the cap")
 
@@ -331,9 +375,11 @@ def test_oversized_tail_tables_are_refused_before_any_row(name, p, reps, monkeyp
 
     monkeypatch.setattr(coupling, "TailRow", no_rows)
     monkeypatch.setattr(coupling.np, "bincount", spy)
-    with pytest.raises(BadParameterError, match=f"exceeds {coupling.MAX_TAIL_ROWS} rows"):
+    cap = f"exceeds {coupling.MAX_TAIL_ROWS} rows"
+    with pytest.raises(BadParameterError, match=cap) as refusal:
         dominance_report(generate_builtin(name), p, reps, seed=0)
-    assert max(slots) <= coupling.MAX_TAIL_ROWS + 1
+    top = int(str(refusal.value).rsplit(" ", 1)[1])
+    assert max(slots) <= min(coupling.MAX_TAIL_ROWS + 1, top)
 
 
 def test_tail_row_cap_counts_every_row(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from percmoments import (
     BadIndexError,
     BadParameterError,
+    GraphConstructionError,
     InfeasibleError,
     NotConnectedError,
     NotRegularError,
@@ -171,6 +172,24 @@ def test_edge_list_refuses_non_integers(n, edges, error):
     # int() once truncated the edge (0, 1.5) to (0, 1)
     with pytest.raises(error):
         build_from_edge_list(n, edges)
+
+
+@pytest.mark.parametrize(
+    "edges, error",
+    [
+        ([(0, 1, 2), (1, 2), (0, 2)], GraphConstructionError),
+        ([(0, 1), 5, (0, 2)], GraphConstructionError),
+        ([(0, 1), (1,), (0, 2)], GraphConstructionError),
+        (None, BadParameterError),
+        (5, BadParameterError),
+    ],
+    ids=["three ids", "int edge", "one id", "None edges", "int edges"],
+)
+def test_edge_list_refuses_malformed_edges(edges, error):
+    # these once escaped as bare ValueError (unpacking) or TypeError
+    with pytest.raises(error) as refusal:
+        build_from_edge_list(3, edges)
+    assert type(refusal.value) is error
 
 
 def test_edge_file_with_more_vertices_than_edge_ends_is_refused(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,25 @@ def test_uniform_matrix_rows_match_scalar_streams():
     for i in range(n_streams):
         row = stream_uniforms(derive_key(seed, first + i), 0, n_draws)
         np.testing.assert_array_equal(mat[i], row)
+
+
+def test_start_uniforms_fill_their_buffers_without_a_copy():
+    # converting the words in place once made numpy copy all of them: a
+    # 577 KiB peak for these 65 536 streams
+    seed, first, n = 5, 1000, 65_536
+    keys = rng._stream_keys(seed, first, n)
+    out, scratch = np.empty(n), np.empty(n, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        u = rng._start_uniforms(keys, out, scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u is out and peak < 2**17
+    expected = uniform_matrix(seed, first, n, 1)[:, 0]
+    np.testing.assert_array_equal(u.view(np.uint64), expected.view(np.uint64))
+    np.testing.assert_array_equal(rng._start_uniforms(keys).view(np.uint64),
+                                  expected.view(np.uint64))
 
 
 def test_values_live_in_unit_interval():
