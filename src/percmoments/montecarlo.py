@@ -1,10 +1,12 @@
 """Reproducible Monte Carlo estimation of cluster-size moments.
 
-Replicate r of a run with seed s is a pure function of (s, r): its uniforms
+Replicate r of a run with seed s is a pure function of (s, r): its draws
 come from counter-based streams (see :mod:`percmoments.rng`), draw 0 picking
-the start vertex and draws 1..|E| the edge states.  Any single replicate can
-therefore be reconstructed in isolation for auditing, and replicates can be
-grouped in any way without changing what they draw.
+the start vertex and draws 1..ceil(|E| / 4) the edge states, four 16-bit
+lanes to a word (a lane that ties with the threshold is decided by the
+edge's own tail word).  Any single replicate can therefore be reconstructed
+in isolation for auditing, and replicates can be grouped in any way without
+changing what they draw.
 
 Statistics and work are grouped separately:
 
@@ -43,7 +45,7 @@ number of passes, nor the span a replicate shares can change a result.
   SC 2012).  The frontier is the flat indices ``column * N + vertex``,
   the visited set a bitset over them (an eighth of a byte per
   vertex-replicate pair), and only the edges at a frontier vertex are
-  drawn, one word each, the bit the dense draw would give them
+  drawn, one word and lane each, the bit the dense draw would give them
   (:func:`percmoments.rng._pair_flags`).  A replicate whose frontier
   empties has its size: the count of its visited vertices.
 * **Switch to dense.**  Before every generation, the first included, a
@@ -470,8 +472,8 @@ def _sparse_sizes(
     The frontier is the sorted, distinct flat indices ``column * N +
     vertex`` of all replicates together, and the visited set a bitset over
     the same indices.  Only the edges at a frontier vertex are drawn, each
-    from its own word (:func:`~percmoments.rng._pair_flags`), the bit
-    ``edge_draws`` would give it.
+    from its own word and lane (:func:`~percmoments.rng._pair_flags`), the
+    bit ``edge_draws`` would give it.
 
     ``sizes`` is the workspace's.  The bitset takes the buffer of the
     packed membership, which the dense kernel fills only after the search.
@@ -655,6 +657,22 @@ def _check_workers(workers: int) -> None:
         raise BadParameterError(f"workers must be in [1, {MAX_WORKERS}], got {workers}")
 
 
+def _check_replicates(replicates: int, points: int = 1) -> int:
+    """``replicates`` per grid point: an integer of at least 2.
+
+    Over ``points`` grid points, at most ``MAX_REPLICATES`` in all.
+    """
+    replicates = _check_integer("replicates", replicates)
+    if replicates < 2:
+        raise BadParameterError(f"need at least 2 replicates, got {replicates}")
+    if replicates * points > MAX_REPLICATES:
+        grid = f" x {points} grid points" if points > 1 else ""
+        raise BadParameterError(
+            f"{replicates} replicates{grid} exceeds the cap of {MAX_REPLICATES} replicates"
+        )
+    return replicates
+
+
 def estimate_moments(
     graph: Graph, p: float, replicates: int, seed: int, workers: int = 1
 ) -> MomentEstimate:
@@ -668,17 +686,16 @@ def estimate_moments(
     before any work.
     """
     p = _check_probability(p)
-    replicates = _check_integer("replicates", replicates)
+    replicates = _check_replicates(replicates)
     seed = _check_integer("seed", seed)
-    if replicates < 2:
-        raise BadParameterError(f"need at least 2 replicates, got {replicates}")
-    if replicates > MAX_REPLICATES:
-        raise BadParameterError(
-            f"{replicates} replicates exceeds the cap of {MAX_REPLICATES}"
-        )
     _check_workers(workers)
+    return _estimate(graph, _edge_plan(graph), p, replicates, seed, workers)
 
-    plan = _edge_plan(graph)
+
+def _estimate(
+    graph: Graph, plan: _EdgePlan, p: float, replicates: int, seed: int, workers: int
+) -> MomentEstimate:
+    """:func:`estimate_moments` of checked arguments, on the graph's edge plan."""
     acc_s = RunningMoments()
     acc_s2 = RunningMoments()
     for partials in _span_partials(graph, plan, p, seed, replicates, workers):
@@ -711,9 +728,10 @@ def sweep(
     from (seed, sorted position), so points are independent and the whole
     sweep is reproducible.  With ``include_oracle`` the frontier DP of
     :func:`~percmoments.oracle.moment_polynomial` runs once, and its
-    polynomial in p is evaluated per point.  The caps of
-    :func:`estimate_moments` apply, ``MAX_REPLICATES`` to replicates times
-    grid points, before the DP or any point.
+    polynomial in p is evaluated per point.  The edge plan is built once
+    and serves every point.  The caps of :func:`estimate_moments` apply,
+    ``MAX_REPLICATES`` to replicates times grid points, before the DP or
+    any point.
     """
     try:
         points = list(p_grid)
@@ -722,17 +740,13 @@ def sweep(
     grid = sorted(_check_probability(p) for p in points)
     if not grid:
         raise BadParameterError("p grid is empty")
-    replicates = _check_integer("replicates", replicates)
+    replicates = _check_replicates(replicates, len(grid))
     seed = _check_integer("seed", seed)
-    if replicates * len(grid) > MAX_REPLICATES:
-        raise BadParameterError(
-            f"{replicates} replicates x {len(grid)} grid points exceeds the cap "
-            f"of {MAX_REPLICATES} replicates"
-        )
     _check_workers(workers)
 
     poly = moment_polynomial(graph, max_oracle_edges) if include_oracle else None
 
+    plan = _edge_plan(graph)
     rows = []
     for i, p in enumerate(grid):
         point_seed = derive_key(seed, i)
@@ -743,7 +757,7 @@ def sweep(
                 branching=branching_bounds(params),
                 isolation=isolation_bounds(params),
                 combined=best_bounds(params),
-                estimate=estimate_moments(graph, p, replicates, point_seed, workers),
+                estimate=_estimate(graph, plan, p, replicates, point_seed, workers),
                 exact=poly.evaluate(p) if poly is not None else None,
             )
         )

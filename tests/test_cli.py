@@ -163,17 +163,17 @@ GOLDEN_STDOUT = [
     ("oracle --graph dodecahedron --p 0.5 --format json", 2,
      "943d0cb77925eea15f797474f03f0637b3720f89320281ef289d213571093c1e"),
     ("simulate --graph octahedron --p 0.3 --reps 3000 --seed 5", 0,
-     "cb459973b5e617d880e0d6a2dd239d4e9c622a04ae8d1c2e60b9fb2fdf34a4a8"),
+     "b55224cb0bc4526534b12a0fca6923cd386ec1ca7ae23d783b4a0747aff3ac7a"),
     ("simulate --graph cube --p 0.6 --reps 2000 --workers 2 --format json", 0,
-     "274ab25c7fb22db2912a2d67aaa11a5c0a5f6adbbcd52b075f6c1cf0777bed31"),
+     "91455111e35f8d514a0721ab51c5d8d88c5bfa9a8759eb7c39e6239caf19068f"),
     ("sweep --graph tetrahedron --p-grid 0:1:0.25 --reps 2000 --oracle", 0,
-     "5b4ae15831d7b500c257a0076893d24770fdd69dc91eeebde19a1efc5c0be07d"),
+     "1ae9ba97f87f3c354cb62b60c067b5da88c3598bdedb87d9ce6af53c4079d576"),
     ("sweep --graph cube --p-grid 0.2:0.4:0.2 --reps 1500 --seed 7 --format json", 0,
-     "cb053d0a27b3b033b7465ec86710374a42d2b660b2965e8a31f7d24970a28db6"),
+     "bf61b46fa8c5fc3160f76e2aad5f6b46d85f4460ba706fb94a67619fb6ba351e"),
     ("dominance --graph complete(3) --p 0.5 --reps 2000", 0,
-     "14f723d8e6579ab1639f2d98043c57b446f3af395729fa338a42bc2db2d149ef"),
+     "3a3d2638e3705ab231bcef5ea773f0d3950f11b16bec609e182fba19b685554e"),
     ("dominance --graph cube --p 0.3 --reps 1500 --seed 2 --format json", 0,
-     "d4e7530c3ba1ce622939571879171b01733ac8734a526bf2c74660fff27dc3c1"),
+     "ed4b2371a1d2a351533fd4e9511a96a8c584d627fa1164cde32fb4125402167d"),
 ]
 
 

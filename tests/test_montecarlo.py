@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import edge_uniforms
 from percmoments import (
     BadParameterError,
     EdgeConfig,
@@ -131,6 +132,25 @@ def test_sweep_rows_are_sorted_and_seeded(tetrahedron):
     assert again.rows == result.rows
 
 
+def test_sweep_builds_one_edge_plan_and_matches_point_estimates(monkeypatch):
+    g = generate_builtin("icosahedron")
+    plans = []
+    build = montecarlo._edge_plan
+    monkeypatch.setattr(montecarlo, "_edge_plan", lambda graph: plans.append(1) or build(graph))
+    result = sweep(g, [0.1, 0.3, 0.5, 0.7], 3000, seed=5)
+    assert len(plans) == 1
+    for row in result.rows:
+        assert row.estimate == estimate_moments(g, row.p, 3000, row.estimate.seed)
+
+
+def test_sweep_refuses_too_few_replicates_before_the_dp(k3, monkeypatch):
+    monkeypatch.setattr(montecarlo, "_edge_plan", _no_work)
+    monkeypatch.setattr(montecarlo, "moment_polynomial", _no_work)
+    for reps in (1, 0, -4):
+        with pytest.raises(BadParameterError, match="at least 2"):
+            sweep(k3, [0.2, 0.5], reps, seed=0, include_oracle=True)
+
+
 def test_sweep_oracle_columns(tetrahedron):
     with_oracle = sweep(tetrahedron, [0.3, 0.5], 20000, seed=0, include_oracle=True)
     for row in with_oracle.rows:
@@ -190,28 +210,28 @@ def test_oversized_worker_counts_are_refused_before_a_pool(k3, monkeypatch):
             sweep(k3, [0.5], 100, seed=0, include_oracle=True, workers=workers)
 
 
-# Seeded results pinned to the values the uniform-matrix kernel produced, so
-# that a change of RNG layout or kernel cannot move a single bit unnoticed.
+# Seeded results pinned, so that a change of RNG layout or kernel cannot
+# move a single bit unnoticed.  Recorded with four edge flags per mixed word
+# (see percmoments.rng); every kernel change before that kept them.
 GOLDEN_ESTIMATES = [
     ("dodecahedron", 0.35, 2 * _BLOCK + 100, 3,
-     (3.9582018927444795, 0.026477270247844256, 27.22270080077651, 0.36460291024640246)),
+     (3.9296893957777237, 0.026189307642352694, 26.74781606406212, 0.3617381534237796)),
     ("random(60,3,5)", 0.5, 5000, 11,
-     (13.5494, 0.1831556199635295, 351.2826, 7.7944529177297195)),
-    # 300 edges: recorded when graphs of 100 edges or more still ran a
-    # boolean fixpoint that dropped converged columns
+     (13.691, 0.18794448229646205, 364.0238, 8.208786660792232)),
+    # 300 edges: the dense kernel alone (D x _DENSE_SWITCH >= |E|)
     ("random(200,3,1)", 0.45, 2 * _BLOCK + 100, 3,
-     (11.187272506673137, 0.11601887698846704, 347.02250667313757, 7.837531339144896)),
-    # 1500 edges: recorded with the dense kernel alone, before spans of
-    # graphs above the dense switch began with a sparse search
+     (11.358650812909488, 0.1163282188555379, 352.0710992477554, 7.556046866650706)),
+    # 1500 edges: a sparse phase first, then the dense kernel for the columns left open
     ("random(1000,3,1)", 0.45, 2 * _BLOCK + 100, 3,
-     (13.639953894685755, 0.1746716149366539, 688.9475248726037, 22.1971581130035)),
+     (13.176838146081048, 0.16838934601382302, 641.00406454744, 22.04033914474374)),
     ("random(1000,3,1)", 0.6, 2 * _BLOCK + 100, 3,
-     (490.1521475370056, 2.5103232036808634, 344120.4211356467, 1851.4463371586473)),
+     (487.53639893229797, 2.522927675114737, 342608.7393836448, 1861.0986743553397)),
 ]
 GOLDEN_SWEEP = [  # icosahedron, 10000 replicates, seed 7
-    (0.1, 9672475392221035855, (1.7735, 0.012152964430724113, 4.6221, 0.07781333208689271)),
-    (0.3, 5573481420429128725, (6.2476, 0.03805067948698081, 53.5096, 0.4862981794906676)),
-    (0.5, 17358316652931856208, (10.8962, 0.024703513563018437, 124.8292, 0.3641701041031131)),
+    (0.1, 9672475392221035855, (1.795, 0.012511321006006182, 4.7872, 0.08272336992406172)),
+    (0.3, 5573481420429128725, (6.2346, 0.03814658307345519, 53.4204, 0.4888230571302035)),
+    (0.5, 17358316652931856208,
+     (10.8791, 0.024836867878228933, 124.52289999999999, 0.36580624513517807)),
 ]
 
 
@@ -570,9 +590,9 @@ def test_last_replicate_index_is_drawn_and_later_ones_refused(k3, monkeypatch):
     # stream r mixes counter r + 1, a uint64 word, so 2^64 - 2 is the last index
     last = 2**64 - 2
     x, cfg = replicate_realization(k3, 0.5, 7, last)
-    u = stream_uniforms(derive_key(7, last), 0, k3.n_edges + 1)
+    u = stream_uniforms(derive_key(7, last), 0, 1)
     assert x == min(int(u[0] * k3.n_vertices), k3.n_vertices - 1)
-    assert cfg.open_flags == tuple((u[1:] < 0.5).tolist())
+    assert cfg.open_flags == tuple((edge_uniforms(7, last, 1, k3.n_edges)[0] < 0.5).tolist())
     monkeypatch.setattr(montecarlo, "_span_starts", _no_work)
     for index in (last + 1, 2**64, 2**70):
         with pytest.raises(BadParameterError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import generator_config, open_distances
+from conftest import edge_uniforms, generator_config, open_distances
 from percmoments import (
     BadIndexError,
     BadParameterError,
@@ -12,7 +12,6 @@ from percmoments import (
     generate_builtin,
     replicate_realization,
 )
-from percmoments.rng import uniform_matrix
 
 
 def test_endpoint_configs(tetrahedron):
@@ -25,9 +24,9 @@ def test_endpoint_configs(tetrahedron):
 
 def test_threshold_is_strict(k3):
     # an edge opens iff its uniform is strictly below p: at p equal to the
-    # draw of edge e it is closed, one ulp above it is open
+    # uniform of edge e it is closed, one ulp above it is open
     seed, index = 4, 9
-    u = uniform_matrix(seed, index, 1, k3.n_edges + 1)[0, 1:]
+    u = edge_uniforms(seed, index, 1, k3.n_edges)[0]
     for e, ue in enumerate(u):
         _, at = replicate_realization(k3, float(ue), seed, index)
         _, above = replicate_realization(k3, float(np.nextafter(ue, 1.0)), seed, index)

@@ -1,10 +1,12 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from percmoments import rng
+from conftest import edge_uniforms
+from percmoments import BadParameterError, BadProbabilityError, PercmomentsError, rng
 from percmoments.rng import derive_key, edge_draws, stream_uniforms, uniform_matrix
 
 
@@ -91,9 +93,13 @@ _dyadic_p = st.builds(
 
 
 def _reference(seed, first, n_streams, n_edges, p):
-    """Start uniforms and the flags ``u < p``, edge-major, packed as edge_draws packs them."""
-    u = uniform_matrix(seed, first, n_streams, n_edges + 1)
-    return u[:, 0], np.packbits((u[:, 1:] < p).T, axis=1, bitorder="little")
+    """Start uniforms and the flags ``u < p`` of the edge uniforms, packed as edge_draws packs them.
+
+    See ``conftest.edge_uniforms``.
+    """
+    flags = edge_uniforms(seed, first, n_streams, n_edges) < p
+    starts = uniform_matrix(seed, first, n_streams, 1)[:, 0]
+    return starts, np.packbits(flags.T, axis=1, bitorder="little")
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,25 +147,24 @@ def test_packed_edge_draws_are_packed_flags(
         starts, packed = edge_draws(seed, first, n_streams, n_edges, p, order)
     finally:
         rng._CHUNK_BYTES = saved
-    u = uniform_matrix(seed, first, n_streams, n_edges + 1)
-    flags = (u[:, 1:] < p).T
+    flags = (edge_uniforms(seed, first, n_streams, n_edges) < p).T
     if reverse:
         flags = flags[::-1]
     assert packed.shape == (n_edges, -(-n_streams // 8)) and packed.dtype == np.uint8
-    np.testing.assert_array_equal(starts, u[:, 0])
+    np.testing.assert_array_equal(starts, uniform_matrix(seed, first, n_streams, 1)[:, 0])
     bits = np.unpackbits(packed, axis=1, bitorder="little")
     np.testing.assert_array_equal(bits[:, :n_streams].astype(bool), flags)
     assert not bits[:, n_streams:].any()
 
 
 def test_edge_draws_threshold_at_drawn_values():
-    # p equal to a drawn uniform closes that edge; the next double opens it
-    u = uniform_matrix(5, 0, 3, 9)
-    for i, j in ((0, 1), (1, 4), (2, 8)):
-        at = u[i, j]
+    # p equal to an edge's uniform closes that edge; the next double opens it
+    u = edge_uniforms(5, 0, 3, 8)
+    for i, e in ((0, 0), (1, 3), (2, 7)):
+        at = u[i, e]
         for p, is_open in ((np.nextafter(at, 0.0), False), (at, False), (np.nextafter(at, 1.0), True)):
             _, open_edges = edge_draws(5, 0, 3, 8, float(p))
-            assert bool(open_edges[j - 1, 0] >> i & 1) == is_open
+            assert bool(open_edges[e, 0] >> i & 1) == is_open
             np.testing.assert_array_equal(open_edges, _reference(5, 0, 3, 8, float(p))[1])
 
 
@@ -268,3 +273,131 @@ def test_column_subsets_and_pairs_match_edge_draws(seed, first, n_streams, n_edg
         # broadcast as the sparse phase asks: a column of keys against rows of edges
         grid = rng._pair_flags(keys[:, None], np.arange(n_edges)[None, :], p)
         np.testing.assert_array_equal(grid, bits.T.astype(bool))
+
+
+def _scalar_flag(key, edge, p):
+    """The draw rule in pure Python: lane ``edge % 4`` of flag word ``edge // 4``.
+
+    A lane equal to the threshold's top 16 bits is decided by the edge's tail word.
+    """
+    if p in (0.0, 1.0):
+        return p == 1.0
+    t = math.ceil(p * 2**53)
+    word = rng._mix64_scalar(key + rng._GOLDEN * (edge // 4 + 2))
+    lane = word >> 16 * (edge % 4) & 0xFFFF
+    if lane != t >> 37:
+        return lane < t >> 37
+    tail = rng._mix64_scalar(key + rng._GOLDEN * (2**64 - 1 - edge))
+    return tail >> 27 < t % 2**37
+
+
+@pytest.mark.parametrize("n_streams", [1, 7, 8, 13, 21])
+@pytest.mark.parametrize("n_edges", [1, 3, 4, 6, 13])
+def test_edge_draws_match_the_scalar_rule(n_streams, n_edges):
+    # |E| not a multiple of 4 leaves lanes of the last word unused, replicate
+    # counts not a multiple of 8 leave padding bits, which must be 0
+    seed, first = 2024, 77
+    keys = [derive_key(seed, first + i) for i in range(n_streams)]
+    for p in (0.0, 2.0**-53, 0.3, 0.5, 0.8125, 1.0 - 2.0**-53, 1.0):
+        _, packed = edge_draws(seed, first, n_streams, n_edges, p)
+        bits = np.unpackbits(packed, axis=1, bitorder="little")
+        expected = [[_scalar_flag(k, e, p) for k in keys] for e in range(n_edges)]
+        assert bits[:, :n_streams].astype(bool).tolist() == expected
+        assert not bits[:, n_streams:].any()
+
+
+def _lane_of(key, edge):
+    word = rng._mix64_scalar(key + rng._GOLDEN * (edge // 4 + 2))
+    return word >> 16 * (edge % 4) & 0xFFFF
+
+
+@pytest.mark.parametrize("edge", [0, 5, 10, 15, 18])
+def test_tied_lanes_are_decided_by_their_tail_words(edge):
+    # p whose threshold's top 16 bits equal an observed lane, and whose low
+    # 37 bits sit at or just above the edge's tail: the tie then closes the
+    # edge (T equals its uniform) or opens it (T one above)
+    seed, first, n_streams, n_edges, stream = 31, 5, 21, 19, 11
+    key = derive_key(seed, first + stream)
+    lane = _lane_of(key, edge)
+    tail = rng._mix64_scalar(key + rng._GOLDEN * (2**64 - 1 - edge)) >> 27
+    order = np.random.default_rng(edge).permutation(n_edges)
+    row = int(np.flatnonzero(order == edge)[0])
+    for t, is_open in ((lane << 37 | tail, False), ((lane << 37 | tail) + 1, True)):
+        p = t * 2.0**-53
+        assert math.ceil(p * 2**53) == t and t >> 37 == lane  # the lane ties
+        _, packed = edge_draws(seed, first, n_streams, n_edges, p)
+        assert bool(packed[edge, stream // 8] >> stream % 8 & 1) == is_open
+        np.testing.assert_array_equal(packed, _reference(seed, first, n_streams, n_edges, p)[1])
+        _, ordered = edge_draws(seed, first, n_streams, n_edges, p, order)
+        np.testing.assert_array_equal(ordered, packed[order])
+        assert bool(ordered[row, stream // 8] >> stream % 8 & 1) == is_open
+        keys = rng._stream_keys(seed, first, n_streams)
+        assert rng._pair_flags(keys[stream : stream + 1], np.array([edge]), p).tolist() == [is_open]
+
+
+def test_pair_flags_match_every_lane_of_the_dense_draw():
+    # every lane position 0-3, a last word with unused lanes, and rows in a
+    # permuted order: a pair's flag is the bit of its edge's row
+    seed, first, n_streams, n_edges = 8, 300, 29, 23
+    keys = rng._stream_keys(seed, first, n_streams)
+    order = np.random.default_rng(3).permutation(n_edges)
+    for p in (0.05, 0.45, 0.9):
+        packed = rng._edge_flags(keys, n_edges, p, order)
+        bits = np.unpackbits(packed, axis=1, count=n_streams, bitorder="little").astype(bool)
+        pairs = rng._pair_flags(keys[:, None], order[None, :].astype(np.int64), p)
+        np.testing.assert_array_equal(pairs, bits.T)
+        for lane in range(4):
+            edges = np.arange(lane, n_edges, 4)
+            rows = np.argsort(order)[edges]
+            np.testing.assert_array_equal(rng._pair_flags(keys[:, None], edges[None, :], p),
+                                          bits[rows].T)
+
+
+@pytest.mark.parametrize("p", [0.1, 0.45, 0.8])
+def test_open_fraction_and_lane_correlation_within_five_sigma(p):
+    # the fraction of open flags, and the joint fraction of each pair of
+    # lanes of one word, against p and p^2 within 5 standard errors
+    n_streams, n_edges = 8192, 64
+    _, packed = edge_draws(99, 0, n_streams, n_edges, p)
+    flags = np.unpackbits(packed, axis=1, bitorder="little").astype(bool)
+    assert abs(flags.mean() - p) < 5 * math.sqrt(p * (1 - p) / flags.size)
+    words = flags.reshape(n_edges // 4, 4, n_streams)
+    q = p * p
+    for a in range(4):
+        for b in range(a + 1, 4):
+            joint = (words[:, a] & words[:, b]).mean()
+            assert abs(joint - q) < 5 * math.sqrt(q * (1 - q) / words[:, a].size), (a, b)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        ({"n_streams": -3}, BadParameterError),
+        ({"first_stream": -5}, BadParameterError),
+        ({"first_stream": 2**64 - 2, "n_streams": 2}, BadParameterError),
+        ({"p": 1.5}, BadProbabilityError),
+        ({"p": float("nan")}, BadProbabilityError),
+        ({"seed": 1.5}, BadParameterError),
+        ({"n_edges": -1}, BadParameterError),
+        ({"order": [0, 0, 1]}, BadParameterError),
+        ({"order": [0, 1]}, BadParameterError),
+        ({"order": [0.0, 1.0, 2.0]}, BadParameterError),
+    ],
+    ids=["negative n_streams", "negative first_stream", "stream past 2^64 - 2", "p above 1",
+         "p nan", "float seed", "negative n_edges", "repeated order", "short order",
+         "float order"],
+)
+def test_edge_draws_refuses_bad_arguments_before_any_draw(monkeypatch, kwargs, error):
+    def no_draw(*args, **kw):
+        raise AssertionError("drew before the arguments were refused")
+
+    monkeypatch.setattr(rng, "_stream_keys", no_draw)
+    args = {"seed": 1, "first_stream": 0, "n_streams": 5, "n_edges": 3, "p": 0.5, **kwargs}
+    with pytest.raises(error) as info:
+        edge_draws(**args)
+    assert isinstance(info.value, PercmomentsError)
+
+
+def test_edge_draws_takes_the_last_stream():
+    _, packed = edge_draws(4, 2**64 - 3, 2, 5, 0.5)
+    np.testing.assert_array_equal(packed, _reference(4, 2**64 - 3, 2, 5, 0.5)[1])
