@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import BadParameterError
+from .graphs import _check_integer
 from .percolation import _check_probability
 
 __all__ = [
@@ -36,8 +37,24 @@ __all__ = [
 
 # Width of the removable-singularity window around nu = 1.
 NU_WINDOW = 1e-9
+# Largest degree, vertex count or horizon the formulas take: every such
+# count is exact in a double, and no product of up to three of them leaves
+# the double range.
+_MAX_SIZE = 1 << 53
 
 MOMENT_KINDS = ("branching", "isolation", "combined", "exact", "estimate")
+
+
+def _check_size(name: str, value, low: int) -> int:
+    """``value`` as an int in [low, ``_MAX_SIZE``]; a non-integer is refused."""
+    value = _check_integer(name, value)
+    if value < low:
+        raise BadParameterError(f"{name} must be >= {low}, got {value}")
+    if value > _MAX_SIZE:
+        raise BadParameterError(
+            f"{name} of {value.bit_length()} bits is past the cap of 2^53"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -68,7 +85,8 @@ class BoundParams:
 
     ``nu = (degree-1)*p`` is the subcritical/supercritical dial of the
     branching envelope, ``q = 1-p``, and ``horizon = n_vertices - 1`` is the
-    longest possible open path, hence the truncation depth.
+    longest possible open path, hence the truncation depth.  ``degree`` and
+    ``n_vertices`` must be integers of at most 2^53.
     """
 
     degree: int
@@ -79,14 +97,9 @@ class BoundParams:
     horizon: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise BadParameterError(f"degree must be >= 1, got {self.degree}")
-        if self.n_vertices < 2:
-            raise BadParameterError(
-                f"need at least 2 vertices, got {self.n_vertices}"
-            )
-        _check_probability(self.p)
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "degree", _check_size("degree", self.degree, 1))
+        object.__setattr__(self, "n_vertices", _check_size("n_vertices", self.n_vertices, 2))
+        object.__setattr__(self, "p", _check_probability(self.p))
         object.__setattr__(self, "nu", (self.degree - 1) * self.p)
         object.__setattr__(self, "q", 1.0 - self.p)
         object.__setattr__(self, "horizon", self.n_vertices - 1)
@@ -140,10 +153,8 @@ def branching_total_first_moment(degree: int, p: float, horizon: int) -> float:
     Equals 1 + D p (1 + nu + ... + nu^(horizon-1)) since each of the D
     first-generation lines is a geometric cascade with ratio nu.
     """
-    if degree < 1:
-        raise BadParameterError(f"degree must be >= 1, got {degree}")
-    if horizon < 1:
-        raise BadParameterError(f"horizon must be >= 1, got {horizon}")
+    degree = _check_size("degree", degree, 1)
+    horizon = _check_size("horizon", horizon, 1)
     p = _check_probability(p)
     nu = (degree - 1) * p
     return 1.0 + degree * p * _geometric_sum(nu, horizon)
@@ -156,6 +167,8 @@ def branching_total_second_moment(degree: int, p: float, horizon: int) -> float:
     kernel collapses the double sum of generation covariances.  ``inf``
     where a supercritical term overflows a double.
     """
+    degree = _check_size("degree", degree, 1)
+    horizon = _check_size("horizon", horizon, 1)
     mean = branching_total_first_moment(degree, p, horizon)
     scale = degree * p * (1.0 - p)
     if scale == 0.0:  # p in {0, 1}: the total is deterministic

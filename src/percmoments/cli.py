@@ -3,7 +3,7 @@
 Subcommands::
 
     percmoments bounds    --graph NAME --p P            closed-form bounds
-    percmoments oracle    --graph NAME --p P            exact moments (small graphs)
+    percmoments oracle    --graph NAME --p P            exact moments (frontier DP)
     percmoments simulate  --graph NAME --p P            Monte Carlo estimate
     percmoments sweep     --graph NAME --p-grid A:B:C   bounds + estimates over a grid
     percmoments dominance --graph NAME --p P            birth vs branching tail table
@@ -18,18 +18,17 @@ empty cells and, since strict JSON has no infinity or nan, a non-finite
 float as the string its CSV cell holds (``"inf"``, ``"-inf"``, ``"nan"``).
 Floats are written with ``repr`` so they round-trip exactly.
 
+Every exact value, the ``oracle`` row, ``--polynomial`` and ``sweep
+--oracle`` alike, comes from the frontier DP of
+:func:`~percmoments.oracle.moment_polynomial`.
+
 Exit codes: 0 on success, 1 on runtime failures, 2 on usage errors or
-refused preconditions (bad parameters, invalid graphs, an ``oracle`` row
-over the enumeration edge cap, ``--polynomial`` or ``--oracle`` over the
-frontier-width or DP work cap, a builtin family or dominance run over its
-size cap, a dominance table over its row cap,
-``--reps`` or ``--workers`` over their Monte Carlo caps, an ``--output``
-path that cannot be written).  The ``PERCMOMENTS_ORACLE_CAP`` variable
-sets the edge cap of all three; the width and work caps are fixed.  An
-``oracle`` row whose enumeration is estimated to take over 10 s prints
-that estimate to stderr before it starts.  ``--workers``
-exists only where it schedules Monte Carlo blocks (``simulate`` and
-``sweep``).
+refused preconditions (bad parameters, invalid graphs, exact work over the
+DP's frontier-width or work cap, a builtin family or dominance run over its
+size cap, a dominance table over its row cap, ``--reps`` or ``--workers``
+over their Monte Carlo caps, an ``--output`` path that cannot be written).
+``--workers`` exists only where it schedules Monte Carlo blocks
+(``simulate`` and ``sweep``).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import TextIO
@@ -49,7 +47,8 @@ from .coupling import dominance_report
 from .errors import BadParameterError, PercmomentsError, RetryLimitError
 from .graphs import Graph, generate_builtin, load_edge_file
 from .montecarlo import MAX_REPLICATES, MAX_WORKERS, MomentEstimate, estimate_moments, sweep
-from .oracle import _enumeration_seconds, exact_moments, moment_polynomial
+from .oracle import moment_polynomial
+from .percolation import _check_probability
 
 __all__ = [
     "MOMENT_COLUMNS",
@@ -99,11 +98,8 @@ DOMINANCE_COLUMNS = [
 ]
 
 _OUTPUT_FORMATS = ("csv", "json")
-_ENV_CAP = "PERCMOMENTS_ORACLE_CAP"
 # Longest --p-grid accepted, in steps (a step of 1e-5 over [0, 1]).
 MAX_GRID_STEPS = 100_000
-# An oracle row estimated to enumerate for longer than this says so on stderr first.
-_NOTICE_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -206,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add_command("bounds", "closed-form moment bounds at one p")
 
-    sp = add_command("oracle", "exact moments by enumeration at one p")
+    sp = add_command("oracle", "exact moments by the frontier DP at one p")
     sp.add_argument(
         "--polynomial",
         action="store_true",
@@ -250,16 +246,6 @@ def _resolve_graph(request: CommandRequest) -> Graph:
     return load_edge_file(request.edge_file)
 
 
-def _oracle_cap() -> int | None:
-    raw = os.environ.get(_ENV_CAP)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise BadParameterError(f"{_ENV_CAP} must be an integer, got {raw!r}") from None
-
-
 def _bounds(graph: Graph, p: float) -> tuple[MomentPair, MomentPair, MomentPair]:
     """The (branching, isolation, combined) bounds of ``graph`` at ``p``, in row order."""
     params = BoundParams(degree=graph.degree, n_vertices=graph.n_vertices, p=p)
@@ -293,15 +279,8 @@ def _moment_rows(request: CommandRequest, graph: Graph) -> list[dict]:
     if request.subcommand == "bounds":
         return [_moment_row(graph, p, _bounds(graph, p))]
     if request.subcommand == "oracle":
-        cap = _oracle_cap()
-        seconds = _enumeration_seconds(graph, cap)
-        if seconds > _NOTICE_SECONDS:
-            print(
-                f"percmoments: enumerating 2^{graph.n_edges} configurations of "
-                f"{graph.label}, estimated {seconds:.0f} s",
-                file=sys.stderr, flush=True,
-            )
-        return [_moment_row(graph, p, exact=exact_moments(graph, p, cap))]
+        p = _check_probability(p)  # before the DP, which may take seconds
+        return [_moment_row(graph, p, exact=moment_polynomial(graph).evaluate(p))]
     if request.subcommand == "simulate":
         est = estimate_moments(graph, p, request.replicates, request.seed, request.workers)
         return [_moment_row(graph, p, _bounds(graph, p), est)]
@@ -310,7 +289,6 @@ def _moment_rows(request: CommandRequest, graph: Graph) -> list[dict]:
     result = sweep(
         graph, request.p_grid or (), request.replicates, request.seed,
         include_oracle=request.include_oracle, workers=request.workers,
-        max_oracle_edges=_oracle_cap(),
     )
     return [
         _moment_row(graph, r.p, (r.branching, r.isolation, r.combined), r.estimate, r.exact)
@@ -368,7 +346,7 @@ def execute(request: CommandRequest, out: TextIO | None = None) -> int:
         if request.subcommand == "oracle" and request.dump_polynomial:
             if request.output_format != "json":
                 raise BadParameterError("--polynomial output is JSON only")
-            poly = moment_polynomial(graph, _oracle_cap())
+            poly = moment_polynomial(graph)
             payload = poly.to_json_dict()
             payload["graph"] = graph.label
             text = json.dumps(payload, indent=2) + "\n"

@@ -301,8 +301,18 @@ def generate_random_regular(
 
     Stubs are shuffled and paired; attempts producing a loop, a duplicate
     edge, or a disconnected graph are discarded and retried.  Deterministic
-    given ``seed``.
+    given ``seed``, a non-negative integer.  Arguments that are not
+    integers, a negative seed and ``max_attempts < 1`` are refused before
+    any draw.
     """
+    n_vertices = _check_integer("n_vertices", n_vertices)
+    degree = _check_integer("degree", degree)
+    seed = _check_integer("seed", seed)
+    max_attempts = _check_integer("max_attempts", max_attempts)
+    if seed < 0:
+        raise BadParameterError(f"seed must be >= 0, got {seed}")
+    if max_attempts < 1:
+        raise BadParameterError(f"max_attempts must be >= 1, got {max_attempts}")
     if n_vertices * degree % 2 != 0:
         raise InfeasibleError(f"N*D must be even, got N={n_vertices}, D={degree}")
     if not 1 <= degree < n_vertices:

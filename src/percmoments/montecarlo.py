@@ -720,7 +720,6 @@ def sweep(
     seed: int,
     include_oracle: bool = False,
     workers: int = 1,
-    max_oracle_edges: int | None = None,
 ) -> SweepResult:
     """Bounds, estimates, and optionally exact values over a grid of p.
 
@@ -744,7 +743,7 @@ def sweep(
     seed = _check_integer("seed", seed)
     _check_workers(workers)
 
-    poly = moment_polynomial(graph, max_oracle_edges) if include_oracle else None
+    poly = moment_polynomial(graph) if include_oracle else None
 
     plan = _edge_plan(graph)
     rows = []

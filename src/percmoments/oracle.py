@@ -104,10 +104,6 @@ _STATE_DTYPE = np.dtype(np.int8)
 # holds 57 MB (and takes minutes); 34 edges on 20 vertices would hold
 # 257 MB, and 36 edges on 24 vertices 1.1 GB.
 _MAX_STATE_BYTES = 1 << 28
-# Enumeration time per vertex per configuration, in ns: exact_moments on
-# 24-edge random 3-regular graphs of 16 vertices took 0.86-1.08 s on a
-# 2-vCPU host (3.2-4.0 ns).
-_NS_PER_VERTEX_CONFIG = 3.7
 
 
 def _check_cap(graph: Graph, max_edges: int | None) -> None:
@@ -126,12 +122,6 @@ def _check_cap(graph: Graph, max_edges: int | None) -> None:
             f"{state / 2**20:.3g} MB of enumeration state, above its cap of "
             f"{_MAX_STATE_BYTES >> 20} MB"
         )
-
-
-def _enumeration_seconds(graph: Graph, max_edges: int | None) -> float:
-    """Estimated seconds of one enumeration of ``graph``, once its edge cap admits it."""
-    _check_cap(graph, max_edges)
-    return (1 << graph.n_edges) * graph.n_vertices * _NS_PER_VERTEX_CONFIG * 1e-9
 
 
 def _open_edge(state: tuple[np.ndarray, ...], width: int, u: int, v: int) -> None:
@@ -618,22 +608,15 @@ def _check_dp_work(graph: Graph, work: int) -> None:
         )
 
 
-def moment_polynomial(graph: Graph, max_edges: int | None = None) -> MomentPolynomial:
+def moment_polynomial(graph: Graph) -> MomentPolynomial:
     """Integer configuration counts per number of open edges, by a frontier DP.
 
     No configuration is enumerated, so the cost depends on the frontier
     width of :func:`_edge_order` rather than on 2^|E|.  A graph whose
     frontier passes :data:`MAX_FRONTIER` vertices, or whose estimated work
     passes :data:`MAX_DP_WORK` (ring(N) above N = 1171), is refused with
-    :class:`TooManyEdgesError` before any DP step, and so is one with more
-    than ``max_edges`` edges when that is given.
+    :class:`TooManyEdgesError` before any DP step.
     """
-    if max_edges is not None:
-        cap = _check_integer("max_edges", max_edges)
-        if graph.n_edges > cap:
-            raise TooManyEdgesError(
-                f"{graph.n_edges} edges exceeds the exact DP's edge cap {cap}"
-            )
     # every step's frontier holds its edge's two endpoints, so the work is
     # at least 2 x (2 + 10) rows x its columns: refused before any ordering
     _check_dp_work(graph, 12 * (graph.n_edges + 1) * (graph.n_edges + 2) - 24)

@@ -192,6 +192,37 @@ def test_bound_params_validation():
     assert params.horizon == 19
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: BoundParams(degree=3, n_vertices=10.5, p=0.5), "n_vertices must be an integer"),
+        (lambda: BoundParams(degree=2.5, n_vertices=10, p=0.5), "degree must be an integer"),
+        (lambda: BoundParams(degree="3", n_vertices=10, p=0.5), "degree must be an integer"),
+        (lambda: BoundParams(degree=3, n_vertices=10**400, p=0.5), "n_vertices of 1329 bits"),
+        (lambda: BoundParams(degree=3, n_vertices=(1 << 53) + 1, p=0.5), "cap of 2"),
+        (lambda: branching_total_first_moment("3", 0.5, 9), "degree must be an integer"),
+        (lambda: branching_total_first_moment(3, 0.5, 9.0), "horizon must be an integer"),
+        (lambda: branching_total_second_moment(3, 0.5, True), "horizon must be an integer"),
+        (lambda: branching_total_second_moment(3, 0.5, 10**400), "horizon of 1329 bits"),
+        (lambda: branching_total_second_moment(10**400, 0.5, 9), "degree of 1329 bits"),
+    ],
+    ids=["float N", "float D", "str D", "N past a double", "N past 2^53", "str D first",
+         "float horizon", "bool horizon", "huge horizon", "huge D"],
+)
+def test_bounds_refuse_non_integer_and_oversized_sizes(call, match):
+    with pytest.raises(BadParameterError, match=match):
+        call()
+
+
+def test_bounds_take_numpy_integers_and_the_largest_sizes():
+    params = BoundParams(degree=np.int64(3), n_vertices=np.int64(20), p=0.25)
+    assert type(params.degree) is int and type(params.n_vertices) is int
+    assert params.horizon == 19
+    pair = isolation_bounds(BoundParams(degree=3, n_vertices=1 << 53, p=1.0))
+    assert (pair.first, pair.second) == (2.0**53, 2.0**106)
+    assert branching_total_first_moment(3, 0.25, 1 << 53) == 2.5
+
+
 def test_overflowing_branching_terms_are_infinite():
     # hypercube(10) at p = 1/2: nu = 4.5, nu^1023 is past the double range
     params = BoundParams(degree=10, n_vertices=1024, p=0.5)

@@ -8,7 +8,6 @@ import tracemalloc
 import pytest
 
 from percmoments import (
-    cli,
     estimate_moments,
     exact_moments,
     format_edge_file,
@@ -17,7 +16,7 @@ from percmoments import (
     montecarlo,
     oracle,
 )
-from percmoments.bounds import BoundParams, MomentPair, isolation_bounds
+from percmoments.bounds import BoundParams, isolation_bounds
 from percmoments.cli import (
     DOMINANCE_COLUMNS,
     MAX_GRID_STEPS,
@@ -126,6 +125,21 @@ def test_oracle_row(k3):
     assert row["reps"] == "" and row["thm1_first"] == ""
 
 
+@pytest.mark.parametrize(
+    "name, p",
+    [("tetrahedron", 0.5), ("cube", 0.3), ("octahedron", 0.7), ("dodecahedron", 0.35),
+     ("icosahedron", 0.2), ("hypercube(4)", 0.45)],
+)
+def test_oracle_row_is_the_dp_evaluated_at_p(name, p, capsys):
+    # every solid is answered, bit for bit the DP's float, and nothing on stderr
+    code, out = run_cli(["oracle", "--graph", name, "--p", str(p), "--format", "json"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    (row,) = json.loads(out)
+    exact = moment_polynomial(generate_builtin(name)).evaluate(p)
+    assert (row["exact_first"], row["exact_second"]) == (exact.first, exact.second)
+
+
 def test_simulate_row_round_trips_floats(cube):
     args = ["simulate", "--graph", "cube", "--p", "0.4", "--reps", "5000", "--seed", "3"]
     code, out = run_cli(args)
@@ -155,13 +169,13 @@ GOLDEN_STDOUT = [
     ("bounds --graph hypercube(10) --p 0.5 --format json", 0,
      "9c266b4b60537c16742ff2af6d3951f70f8fcb1af9aeaff386fedfcd10054c35"),
     ("oracle --graph cube --p 0.3", 0,
-     "bed5f1d57758c0af83fc354e8ec502b97e85b433fc965b4a7bf3f888375870f5"),
+     "cc01766b5f51ead2f8c441c039acac549b302dbc9b08e9c9b2ca25864d58acbb"),
     ("oracle --graph octahedron --p 0.7 --format json", 0,
-     "b2b7b42e6730e2395056b5f76f08390044968a7098f7e9bde36b1097c19c63a1"),
+     "f5d23b4859464187d4ef367336754914f10f86bd19f36f40bdae9081c93365b8"),
     ("oracle --graph cube --p 0.5 --polynomial --format json", 0,
      "bc36d83acd245e1ccadcd96029b9ef6e7f6779c3420b0e0850698a35b3a112c6"),
-    ("oracle --graph dodecahedron --p 0.5 --format json", 2,
-     "943d0cb77925eea15f797474f03f0637b3720f89320281ef289d213571093c1e"),
+    ("oracle --graph complete(12) --p 0.5 --format json", 2,
+     "099c025f3f460f920e84cd72fb3bdc47de198a2e237315202544cd328d17006a"),
     ("simulate --graph octahedron --p 0.3 --reps 3000 --seed 5", 0,
      "b55224cb0bc4526534b12a0fca6923cd386ec1ca7ae23d783b4a0747aff3ac7a"),
     ("simulate --graph cube --p 0.6 --reps 2000 --workers 2 --format json", 0,
@@ -254,17 +268,27 @@ def test_polynomial_dump(cube):
 
 def test_oracle_refuses_large_graph_with_json_error():
     code, out = run_cli(
-        ["oracle", "--graph", "dodecahedron", "--p", "0.5", "--format", "json"]
+        ["oracle", "--graph", "complete(12)", "--p", "0.5", "--format", "json"]
     )
     assert code == 2
     payload = json.loads(out)
     assert payload["error"] == "TooManyEdges"
-    assert "30 edges" in payload["message"]
+    assert "frontier width" in payload["message"] and "66 edges" in payload["message"]
 
 
-def test_polynomial_and_sweep_reach_the_dp_only_solids(monkeypatch):
-    # the frontier DP lifts the 24-edge cap from --polynomial and --oracle:
-    # the 30-edge solids get exact counts, complete(12) is refused by width
+def test_oracle_checks_p_before_the_dp(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the DP started before p was refused")
+
+    monkeypatch.setattr(oracle, "_frontier_counts", no_work)
+    code, out = run_cli(["oracle", "--graph", "cube", "--p", "1.5", "--format", "json"])
+    assert code == 2
+    assert json.loads(out)["error"] == "BadProbability"
+
+
+def test_polynomial_and_sweep_reach_the_dp_only_solids():
+    # the frontier DP has no edge cap: the 30-edge solids get exact counts,
+    # complete(12) is refused by width
     code, out = run_cli(["oracle", "--graph", "icosahedron", "--p", "0.5", "--polynomial",
                          "--format", "json"])
     assert code == 0
@@ -279,78 +303,6 @@ def test_polynomial_and_sweep_reach_the_dp_only_solids(monkeypatch):
     assert code == 2
     payload = json.loads(out)
     assert payload["error"] == "TooManyEdges" and "frontier width" in payload["message"]
-    # an explicit cap still bounds the edges
-    monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "24")
-    code, _ = run_cli(["sweep", "--graph", "dodecahedron", "--p-grid", "0.3:0.3:0.1",
-                       "--reps", "200", "--oracle"])
-    assert code == 2
-
-
-@pytest.mark.parametrize("name", ["ring(128)", "ring(100)"])
-def test_raised_cap_refuses_oversized_enumeration_state(name, monkeypatch):
-    # past the edge cap, the enumeration's block starts would need more
-    # memory than exists (numpy once raised a ValueError traceback, exit 1)
-    monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "200")
-    code, out = run_cli(["oracle", "--graph", name, "--p", "0.3", "--format", "json"])
-    assert code == 2
-    payload = json.loads(out)
-    assert payload["error"] == "TooManyEdges"
-    assert "MB of enumeration state" in payload["message"]
-
-
-def test_oracle_cap_env_override(monkeypatch):
-    monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "2")
-    code, _ = run_cli(["oracle", "--graph", "complete(3)", "--p", "0.5"])
-    assert code == 2
-    monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "6")
-    code, _ = run_cli(["oracle", "--graph", "tetrahedron", "--p", "0.5"])
-    assert code == 0
-    monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "many")
-    code, _ = run_cli(["oracle", "--graph", "complete(3)", "--p", "0.5"])
-    assert code == 2
-
-
-def test_long_oracle_row_prints_its_estimate_to_stderr_first(capsys, monkeypatch):
-    # 2^32 configurations of 16 vertices: minutes of enumeration.  The
-    # enumeration stops at once here; the estimate must be on stderr before
-    # it starts, and stdout must be what it is without the estimate
-    at_start = []
-
-    def stop_at_once(graph, p, max_edges):
-        at_start.append(capsys.readouterr())
-        return MomentPair(first=1.0, second=1.0, kind="exact")
-
-    monkeypatch.setattr(cli, "exact_moments", stop_at_once)
-    monkeypatch.setenv("PERCMOMENTS_ORACLE_CAP", "32")
-    argv = ["oracle", "--graph", "hypercube(4)", "--p", "0.5"]
-    assert main(argv) == 0
-    (before,) = at_start
-    assert before.out == ""
-    estimate = oracle._enumeration_seconds(generate_builtin("hypercube(4)"), 32)
-    assert estimate > 100
-    assert before.err == (
-        f"percmoments: enumerating 2^32 configurations of hypercube(4), "
-        f"estimated {estimate:.0f} s\n"
-    )
-    after = capsys.readouterr()
-    assert after.err == ""
-    monkeypatch.setattr(cli, "_NOTICE_SECONDS", float("inf"))
-    assert main(argv) == 0
-    quiet = capsys.readouterr()
-    assert quiet.err == "" and at_start[1] == ("", "")
-    assert after.out == quiet.out and after.out.startswith("graph,N,D,p,")
-
-
-def test_default_edge_cap_keeps_the_oracle_row_quiet(capsys):
-    # a connected regular graph has at most |E| vertices (D >= 2), so
-    # ring(24) is the longest enumeration the 24-edge default cap admits
-    assert oracle._enumeration_seconds(generate_builtin("ring(24)"), None) < cli._NOTICE_SECONDS
-    assert main(["oracle", "--graph", "octahedron", "--p", "0.5"]) == 0
-    assert capsys.readouterr().err == ""
-    # a graph over the cap is refused before any estimate
-    assert main(["oracle", "--graph", "dodecahedron", "--p", "0.5"]) == 2
-    assert capsys.readouterr().err == (
-        "percmoments: 30 edges exceeds enumeration cap 24; 2^30 configurations is too many\n")
 
 
 def test_unknown_graph_and_bad_p_exit_2():
@@ -461,7 +413,7 @@ def test_output_file(tmp_path):
 
 def test_main_returns_codes():
     assert main(["bounds", "--graph", "cube", "--p", "0.5", "--output", "/dev/null"]) == 0
-    assert main(["oracle", "--graph", "dodecahedron", "--p", "0.5", "--output", "/dev/null"]) == 2
+    assert main(["oracle", "--graph", "complete(12)", "--p", "0.5", "--output", "/dev/null"]) == 2
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

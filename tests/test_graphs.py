@@ -257,6 +257,30 @@ def test_random_regular_complete_case():
     assert set(g.edges) == set(generate_builtin("complete(5)").edges)
 
 
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((10, 3, -1), "seed must be >= 0"),
+        ((10, 3, 1.5), "seed must be an integer"),
+        ((10, 3, "a"), "seed must be an integer"),
+        ((10, 3, None), "seed must be an integer"),
+        (("10", 3, 1), "n_vertices must be an integer"),
+        ((10, 3.0, 1), "degree must be an integer"),
+        ((10, 3, 1, 0), "max_attempts must be >= 1"),
+        ((10, 3, 1, 2.5), "max_attempts must be an integer"),
+    ],
+    ids=["negative seed", "float seed", "str seed", "None seed", "str N", "float D",
+         "no attempts", "float attempts"],
+)
+def test_random_regular_refuses_bad_arguments_before_any_draw(args, match, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a draw started before the arguments were refused")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    with pytest.raises(BadParameterError, match=match):
+        generate_random_regular(*args)
+
+
 @pytest.mark.parametrize("n,d", [(5, 3), (4, 4), (4, 0), (4, 1)])
 def test_random_regular_infeasible(n, d):
     with pytest.raises(InfeasibleError):

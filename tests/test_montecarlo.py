@@ -162,13 +162,11 @@ def test_sweep_oracle_columns(tetrahedron):
 
 
 def test_sweep_respects_edge_cap(dodecahedron):
-    with pytest.raises(TooManyEdgesError):
-        sweep(dodecahedron, [0.5], 100, seed=0, include_oracle=True, max_oracle_edges=24)
     with pytest.raises(TooManyEdgesError, match="frontier width"):
         sweep(generate_builtin("complete(12)"), [0.5], 100, seed=0, include_oracle=True)
-    # cap override mirrors the library-level one
-    result = sweep(dodecahedron, [0.0], 100, seed=0, include_oracle=False)
-    assert result.rows[0].estimate.mean_s == 1.0
+    # the 30-edge dodecahedron, past the enumeration cap, is within the DP's
+    result = sweep(dodecahedron, [0.0], 100, seed=0, include_oracle=True)
+    assert result.rows[0].estimate.mean_s == 1.0 and result.rows[0].exact.first == 1.0
 
 
 def test_sweep_rejects_bad_grid(k3):
@@ -191,12 +189,6 @@ def test_oversized_replicates_are_refused_before_work(k3, monkeypatch):
     # each point alone is within the cap, the grid's total is not
     with pytest.raises(BadParameterError, match="grid points"):
         sweep(k3, [0.2, 0.4], cap // 2 + 1, seed=0, include_oracle=True)
-
-
-def test_non_integer_oracle_cap_is_refused_before_work(k3, monkeypatch):
-    monkeypatch.setattr(montecarlo, "_edge_plan", _no_work)
-    with pytest.raises(BadParameterError, match="max_edges"):
-        sweep(k3, [0.5], 100, seed=0, include_oracle=True, max_oracle_edges="5")
 
 
 def test_oversized_worker_counts_are_refused_before_a_pool(k3, monkeypatch):
