@@ -132,7 +132,9 @@ def _variance_kernel(nu: float, horizon: int) -> float:
     terms.  Inside the singular window the exact nu = 1 limit is returned:
     R(R+1)(2R+1)/6, the sum of the first R squares, which is also what the
     sum degenerates to there.  Supercritical terms that overflow a double
-    become ``inf``, never an error.
+    become ``inf``, never an error.  The loop stops at the first step that
+    changes neither ``partial`` nor ``acc``, or that makes ``acc`` inf:
+    ``power`` only falls, so every later step would repeat it.
     """
     r = horizon
     if abs(1.0 - nu) < NU_WINDOW:
@@ -142,8 +144,11 @@ def _variance_kernel(nu: float, horizon: int) -> float:
     acc = 1.0  # Horner form of sum nu^(R-m) G_m^2
     for _ in range(r - 1):
         power *= nu
-        partial += power
-        acc = acc * nu + partial * partial
+        grown = partial + power
+        step = acc * nu + grown * grown
+        if step == math.inf or (grown == partial and step == acc):
+            return step
+        partial, acc = grown, step
     return acc
 
 

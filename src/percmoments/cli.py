@@ -25,7 +25,8 @@ Every exact value, the ``oracle`` row, ``--polynomial`` and ``sweep
 Exit codes: 0 on success, 1 on runtime failures, 2 on usage errors or
 refused preconditions (bad parameters, invalid graphs, exact work over the
 DP's frontier-width or work cap, a builtin family or dominance run over its
-size cap, a dominance table over its row cap, ``--reps`` or ``--workers``
+size cap, a dominance table over its row cap or exact branching tails
+over their work cap, ``--reps`` or ``--workers``
 over their Monte Carlo caps, an ``--output`` path that cannot be written).
 ``--workers`` exists only where it schedules Monte Carlo blocks
 (``simulate`` and ``sweep``).

@@ -9,8 +9,8 @@ particle count summed over generations equals the cluster size.
 The *branching process* is the same growth with the vacancy constraint
 dropped: the first individual has ``Binomial(D, p)`` offspring and every
 later individual ``Binomial(D-1, p)``.  Its generation sizes stochastically
-dominate the birth process; :func:`dominance_report` checks this empirically
-via tail probabilities.
+dominate the birth process; :func:`dominance_report` checks this tail by
+tail against the exact branching law.
 
 :func:`run_birth_process` grows one trace, with per-particle detail.
 :func:`dominance_report` needs only the generation counts of many
@@ -23,18 +23,19 @@ one relaxation step of the Monte Carlo cluster kernel per generation.  A
 block is as wide as the Monte Carlo span budget allows and its
 per-replicate words fit ``_BIRTH_BYTES``: 32768 replicates on a Platonic
 solid, fewer where the span budget binds first (a 3-regular graph of more
-than 384 vertices).  Each
-generation of a block is reduced to a histogram of its sizes as it is
-born.  The branching runs arrive one generation at a time, and only the
-runs still alive are carried and binned, so no (generations x replicates)
-matrix of either ensemble is ever held; the tail table is built from the
-histograms once their sizes are known to fit ``MAX_TAIL_ROWS``.
+than 384 vertices).  Each generation of a block is reduced to a histogram
+of its sizes as it is born, so no (generations x replicates) matrix is held.
+The branching tails are exact: generation ``n`` has the pgf F_1(G^(n-1)(s)),
+F_1(s) = (q+ps)^D and G(s) = (q+ps)^(D-1) (Harris 1963; Athreya & Ney
+1972).  :func:`branching_generation_samples` samples that law from a
+caller's generator and is their independent reference.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -63,14 +64,15 @@ __all__ = [
 
 # Largest generation size that can still be fed to a 64-bit binomial sampler.
 _SIZE_LIMIT = 1 << 62
-# Largest N x replicates accepted by dominance_report, and generations x
-# replicates by branching_generation_samples: it bounds the sampling work
-# of a report, and the int64 matrix (1 GiB) the public sampler returns.
+# Largest N x replicates accepted by dominance_report, generations x
+# replicates by branching_generation_samples, and coefficient updates of a
+# report's exact branching tails: it bounds the sampling work of a report,
+# its pgf iteration, and the int64 matrix (1 GiB) the public sampler returns.
 MAX_DOMINANCE_CELLS = 1 << 27
 # Most (generation, k) rows a dominance table may have.  A generation has a
-# row per k up to its largest size, which supercritical branching makes
-# explode (complete(8) at p = 0.9 and 100 replicates gives 238 328 rows,
-# complete(9) millions), and each row's histogram slot is allocated first.
+# row per k up to its largest birth size, at most N - 1, so long ring-like
+# graphs (about 7 * 10^5 vertices and more) pass it; each row's histogram
+# slot is allocated first.
 MAX_TAIL_ROWS = 1 << 20
 # 8-byte words a birth block holds per replicate: stream key, start uniform,
 # start vertex (then generation size) and mixing scratch.
@@ -193,43 +195,53 @@ def branching_generation_samples(
     contributes ``Binomial(D-1, p)`` offspring, drawn as the aggregate
     ``Binomial(X_n * (D-1), p)`` (same distribution, one draw per run).
     Non-integer arguments, and more than ``MAX_DOMINANCE_CELLS`` cells of
-    that matrix, are refused before it is allocated.
+    that matrix, are refused before it is allocated; a generation whose
+    offspring trials would pass 2^62 is refused before it is drawn.
     """
     degree, p, horizon, replicates = _check_branching_args(degree, p, horizon, replicates)
     out = np.zeros((replicates, horizon + 1), dtype=np.int64)
-    runs = np.arange(replicates)
-    for n, (live, sizes) in enumerate(_branching_generations(degree, p, horizon, replicates, rng)):
-        runs = runs[live]
-        out[runs, n] = sizes
+    out[:, 0] = 1
+    out[:, 1] = rng.binomial(degree, p, size=replicates)
+    limit = _SIZE_LIMIT // max(degree - 1, 1)  # compared before the product can wrap
+    for n in range(2, horizon + 1):
+        if out[:, n - 1].max() > limit:
+            raise BadParameterError("branching generation size exceeds 2^62")
+        out[:, n] = rng.binomial(out[:, n - 1] * (degree - 1), p)
     return out
 
 
-def _branching_generations(
-    degree: int, p: float, horizon: int, replicates: int, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray | slice, np.ndarray]]:
-    """``X_0 .. X_horizon`` of :func:`branching_generation_samples`, live runs only.
+def _branching_tails(degree: int, p: float, k_max: Sequence[int]) -> list[np.ndarray]:
+    """Exact ``P(X_n >= k)``, ``k = 1 .. k_max[n]``, of the branching process's generations.
 
-    A generation carries the runs alive at the one before (generations 0
-    and 1 carry all runs), in the order of the matrix's rows; the runs it
-    does not carry have size 0.  Yields ``(live, sizes)`` per generation:
-    ``live`` picks its runs out of the runs carried by the generation
-    before (``slice(None)`` at generations 0 and 1) and ``sizes`` are their
-    sizes, 0 where a run dies.  Only carried runs are handed to
-    ``rng.binomial``.  It returns 0 for zero trials without drawing, so
-    every run draws what it would draw among the dead ones.
+    Iterates the truncated pgf in float64: ``H <- (q + p H)^(D-1)`` from
+    ``H = s``, and generation ``n >= 1`` has the pmf ``(q + p H_(n-1))^D``.
+    Generation ``n`` is truncated at degree ``K``, the largest ``k_max`` of
+    it and every later generation; the maps are polynomials, so its
+    coefficients up to ``K`` are exact.  Each tail is ``1 - cumsum(pmf)``,
+    clipped to [0, 1] against rounding.  The sum over generations of
+    ``D * K^2`` coefficient updates is refused past ``MAX_DOMINANCE_CELLS``
+    before any convolution.
     """
-    live = slice(None)
-    yield live, np.ones(replicates, dtype=np.int64)
-    sizes = rng.binomial(degree, p, size=replicates)
-    for _ in range(2, horizon + 1):
-        yield live, sizes
-        live = sizes > 0
-        trials = sizes[live]
-        trials *= degree - 1
-        if trials.max(initial=0) > _SIZE_LIMIT:
-            raise BadParameterError("branching generation size exceeds 2^62")
-        sizes = rng.binomial(trials, p)
-    yield live, sizes
+    tops = list(accumulate(reversed(k_max), max))[::-1]
+    updates = sum(degree * top * top for top in tops[1:])
+    if updates > MAX_DOMINANCE_CELLS:
+        raise BadParameterError(
+            f"exact branching tails take {updates} coefficient updates, over the "
+            f"{MAX_DOMINANCE_CELLS} of a dominance run"
+        )
+    q = 1.0 - p
+    h = pmf = np.eye(1, tops[0] + 1, 1)[0]  # s: X_0 = 1
+    tails = []
+    for n, (k, top) in enumerate(zip(k_max, tops)):
+        if n:
+            base = p * h[: top + 1]
+            base[0] += q
+            h = np.eye(1, top + 1)[0]
+            for _ in range(degree - 1):
+                h = np.convolve(h, base)[: top + 1]
+            pmf = np.convolve(h, base)[: top + 1]
+        tails.append(np.clip(1.0 - np.cumsum(pmf[:k]), 0.0, 1.0))
+    return tails
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +251,7 @@ def _branching_generations(
 
 @dataclass(frozen=True)
 class TailRow:
-    """Empirical P(Y_n >= k) vs P(X_n >= k) with standard errors."""
+    """Sampled P(Y_n >= k) vs exact P(X_n >= k), with the standard errors of samples."""
 
     generation: int
     k: int
@@ -263,19 +275,16 @@ class DominanceReport:
         return tuple(r for r in self.rows if not r.within_tolerance)
 
 
-def _tails(hist: np.ndarray, k_max: int, replicates: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(v >= k) for k = 1 .. k_max and its standard error.
+def _tails(hist: np.ndarray, k_max: int, replicates: int) -> np.ndarray:
+    """P(v >= k) for k = 1 .. k_max over the replicates counted in ``hist``.
 
     ``hist[v]`` counts the replicates of size ``v``, none above
-    ``hist.size - 1 <= k_max``.  Its entry at 0 does not enter a tail, and
-    a branching histogram counts there only the runs dying at its generation.
+    ``hist.size - 1 <= k_max``.  Its entry at 0 does not enter a tail.
     """
     counts = np.zeros(k_max + 1, dtype=np.int64)
     counts[: hist.size] = hist
     above = np.cumsum(counts[::-1])[::-1]  # above[k] = #{v >= k}
-    tail = above[1:] / replicates
-    se = np.sqrt(tail * (1.0 - tail) / replicates)
-    return tail, se
+    return above[1:] / replicates
 
 
 def _birth_width(graph: Graph) -> int:
@@ -324,21 +333,22 @@ def _birth_counts(
 
 
 def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> DominanceReport:
-    """Compare birth-process and branching generation sizes tail by tail.
+    """Compare birth-process generation sizes with the exact branching law, tail by tail.
 
     Birth sample ``r`` is Monte Carlo replicate ``r`` of ``seed``: the same
     counter-based streams as :func:`~percmoments.estimate_moments`, so
     ``replicate_realization(graph, p, seed, r)`` reconstructs its start
     vertex and edge configuration, and :func:`run_birth_process` on them
-    reproduces its generation counts.  Branching samples are independent
-    runs with the same degree and probability, drawn from
-    ``numpy.random.default_rng(seed)`` and truncated at horizon ``N - 1``
-    (both ensembles then span generations ``0 .. N-1``).  A row is flagged
-    when the birth tail exceeds the branching tail by more than three
-    standard errors of the difference.  Runs of more than
+    reproduces its generation counts.  Generation ``n`` (``0 .. N-1``) has a
+    row per ``k`` up to its largest birth size, at least 1.  Branching
+    tails are exact, and ``branching_se`` is the standard error a tail
+    sampled from ``replicates`` runs would have at that value.  A row is
+    flagged when the birth tail exceeds the branching tail by more than
+    three standard errors of the difference.  Runs of more than
     ``MAX_DOMINANCE_CELLS`` vertex-replicate cells are refused before any
-    sampling, and tables of more than ``MAX_TAIL_ROWS`` rows as soon as a
-    generation's largest size shows it, before its histogram or any row.
+    sampling, tables of more than ``MAX_TAIL_ROWS`` rows as soon as a
+    generation's largest size shows it, before its histogram or any row,
+    and exact tails over their own budget before any is computed.
     """
     p = _check_probability(p)
     replicates = _check_integer("replicates", replicates)
@@ -359,13 +369,11 @@ def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> Domi
         )
 
     horizon = graph.n_vertices - 1
-    k_max = [1] * (horizon + 1)  # rows of each generation: its largest size, at least 1
+    k_max = [1] * (horizon + 1)  # rows of each generation: its largest birth size, at least 1
     n_rows = horizon + 1
-
-    def count(hists: dict[int, np.ndarray], gen: int, sizes: np.ndarray) -> None:
-        # histogram of one generation vector, once the table's rows allow its slots
-        nonlocal n_rows
-        top = int(sizes.max(initial=0))
+    birth: dict[int, np.ndarray] = {0: np.array([0, replicates])}
+    for gen, _, sizes in _birth_counts(graph, p, seed, replicates):
+        top = int(sizes.max())
         if top > k_max[gen]:
             n_rows += top - k_max[gen]
             k_max[gen] = top
@@ -374,34 +382,22 @@ def dominance_report(graph: Graph, p: float, replicates: int, seed: int) -> Domi
                     f"dominance table exceeds {MAX_TAIL_ROWS} rows: generation {gen} "
                     f"reaches size {top}"
                 )
-        if top == 0:
-            return
         new = np.bincount(sizes)
-        old = hists.get(gen)
+        old = birth.get(gen)
         if old is None:
-            hists[gen] = new
+            birth[gen] = new
         elif old.size >= new.size:
             old[: new.size] += new
         else:
             new[: old.size] += old
-            hists[gen] = new
-
-    birth: dict[int, np.ndarray] = {0: np.array([0, replicates])}
-    for gen, _, sizes in _birth_counts(graph, p, seed, replicates):
-        count(birth, gen, sizes)
-    branching: dict[int, np.ndarray] = {}
-    rng = np.random.default_rng(seed)
-    for gen, (_, sizes) in enumerate(
-        _branching_generations(graph.degree, p, horizon, replicates, rng)
-    ):
-        count(branching, gen, sizes)
+            birth[gen] = new
 
     rows: list[TailRow] = []
     no_sizes = np.zeros(1, dtype=np.int64)
-    for gen in range(horizon + 1):
-        k_top = k_max[gen]
-        y_tail, y_se = _tails(birth.get(gen, no_sizes), k_top, replicates)
-        x_tail, x_se = _tails(branching.get(gen, no_sizes), k_top, replicates)
+    branching = _branching_tails(graph.degree, p, k_max)
+    for gen, (k_top, x_tail) in enumerate(zip(k_max, branching)):
+        y_tail = _tails(birth.get(gen, no_sizes), k_top, replicates)
+        y_se, x_se = np.sqrt([t * (1.0 - t) / replicates for t in (y_tail, x_tail)])
         within = y_tail <= x_tail + 3.0 * np.hypot(y_se, x_se)
         columns = (y_tail, x_tail, y_se, x_se, within)
         rows.extend(

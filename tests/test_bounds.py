@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -246,3 +247,47 @@ def test_finite_first_moment_with_overflowing_square():
     first = branching_total_first_moment(5, 0.5, 665)
     assert math.isfinite(first) and first > 1e200
     assert branching_total_second_moment(5, 0.5, 665) == math.inf
+
+
+# float.hex of _variance_kernel(nu, R) for R = 10, 10^3, 10^5, 10^6, recorded
+# from the loop that ran every step to the horizon
+KERNEL_HORIZONS = (10, 1000, 10**5, 10**6)
+KERNEL_PINS = [
+    (0.0, ["0x1.0000000000000p+0"] * 4),
+    (0.1, ["0x1.5f2a7dac86534p+0", "0x1.5f2a7db7a8e94p+0", "0x1.5f2a7db7a8e94p+0",
+           "0x1.5f2a7db7a8e94p+0"]),
+    (0.6, ["0x1.da97de6b6edb8p+3", "0x1.f400000000002p+3", "0x1.f400000000002p+3",
+           "0x1.f400000000002p+3"]),
+    (0.9, ["0x1.3cb66b3474695p+7", "0x1.f3ffffffffffdp+9", "0x1.f3ffffffffffdp+9",
+           "0x1.f3ffffffffffdp+9"]),
+    (0.99, ["0x1.5fe56204b79a0p+8", "0x1.e7dc04871ed39p+19", "0x1.e847fffffff63p+19",
+            "0x1.e847fffffff63p+19"]),
+    (0.999, ["0x1.7d8d0722dd91ap+8", "0x1.ecc52663eaaddp+26", "0x1.dcd64fffffa1dp+29",
+             "0x1.dcd64fffffa1dp+29"]),
+    (1 - 1e-5, ["0x1.80f7214834bbap+8", "0x1.3b349080b9a37p+28", "0x1.d4f76f36ff53ap+46",
+                "0x1.c6559f3304439p+49"]),
+    (1 + 1e-5, ["0x1.8108deed46c40p+8", "0x1.4191041567558p+28", "0x1.b124b6d4467b1p+49",
+                "0x1.9a8a71a44058fp+78"]),
+    (1.5, ["0x1.11d66f5980000p+15", "inf", "inf", "inf"]),
+    (1.8, ["0x1.aa3ba85e8a748p+18", "inf", "inf", "inf"]),
+    (3.0, ["0x1.37ab3d7c00000p+30", "inf", "inf", "inf"]),
+]
+
+
+@pytest.mark.parametrize("nu, pins", KERNEL_PINS, ids=[repr(nu) for nu, _ in KERNEL_PINS])
+def test_variance_kernel_floats_are_pinned(nu, pins):
+    got = [_variance_kernel(nu, r).hex() for r in KERNEL_HORIZONS]
+    assert got == pins
+
+
+@pytest.mark.parametrize("p, first, second", [
+    (0.3, "0x1.a000000000000p+1", "0x1.4680000000000p+4"),
+    (0.9, "0x1.30dee00083127p+23", "0x1.6b12ec9eb8100p+46"),
+])
+def test_huge_horizon_bounds_stop_at_the_kernel_fixed_point(p, first, second):
+    # N = 10^7 ran ten million kernel steps (0.7-1.1 s); the loop now leaves
+    # at its fixed point (nu = 0.6) or once it is inf (nu = 1.8)
+    start = time.perf_counter()
+    pair = best_bounds(BoundParams(degree=3, n_vertices=10**7, p=p))
+    assert time.perf_counter() - start < 0.1
+    assert (pair.first.hex(), pair.second.hex()) == (first, second)

@@ -2,8 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import shlex
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -185,9 +187,9 @@ GOLDEN_STDOUT = [
     ("sweep --graph cube --p-grid 0.2:0.4:0.2 --reps 1500 --seed 7 --format json", 0,
      "bf61b46fa8c5fc3160f76e2aad5f6b46d85f4460ba706fb94a67619fb6ba351e"),
     ("dominance --graph complete(3) --p 0.5 --reps 2000", 0,
-     "3a3d2638e3705ab231bcef5ea773f0d3950f11b16bec609e182fba19b685554e"),
+     "bd2d269a9976f04fd9b2ae3acdc1c73d5f40eba57a977a01ae47b93ffd8c7885"),
     ("dominance --graph cube --p 0.3 --reps 1500 --seed 2 --format json", 0,
-     "ed4b2371a1d2a351533fd4e9511a96a8c584d627fa1164cde32fb4125402167d"),
+     "4bfa2719cb8dc0b4b2da4a338181f02255daf47e397f248aab871b729c2b7700"),
 ]
 
 
@@ -504,12 +506,14 @@ def test_oversized_dominance_is_refused_at_once(capsys):
 
 
 def test_oversized_dominance_table_exits_2(capsys, monkeypatch):
-    # supercritical branching on complete(9) would make millions of rows
+    # birth sizes stay below N, so a builtin graph small enough for a test
+    # cannot reach the real row cap; the cube at p = 0.9 passes a cap of 10
     def no_rows(**fields):
         raise AssertionError("a row was built for a table over the cap")
 
     monkeypatch.setattr("percmoments.coupling.TailRow", no_rows)
-    assert main(["dominance", "--graph", "complete(9)", "--p", "0.9", "--reps", "100"]) == 2
+    monkeypatch.setattr("percmoments.coupling.MAX_TAIL_ROWS", 10)
+    assert main(["dominance", "--graph", "cube", "--p", "0.9", "--reps", "100"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "rows" in captured.err
 
@@ -535,3 +539,26 @@ def test_oversized_reps_and_workers_are_refused_at_once(argv, reason, capsys, mo
     assert main(argv[:1] + ["--graph", "cube"] + argv[1:]) == 2
     assert time.perf_counter() - start < 5.0
     assert reason in capsys.readouterr().err
+
+
+def readme_examples():
+    """The argv of each ``percmoments`` line in the Examples block of README.md."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("percmoments ")]
+
+
+def test_readme_has_an_example_per_subcommand():
+    assert {argv[0] for argv in readme_examples()} == {
+        "bounds", "oracle", "simulate", "sweep", "dominance"}
+
+
+@pytest.mark.parametrize("argv", readme_examples(), ids=" ".join)
+def test_readme_examples_run(argv, tmp_path, capsys):
+    if "--output" in argv:
+        at = argv.index("--output") + 1
+        argv[at] = str(tmp_path / argv[at])
+    else:
+        argv += ["--output", str(tmp_path / "out")]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert Path(argv[argv.index("--output") + 1]).read_text(encoding="utf-8")

@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from percmoments import (
     run_birth_process,
 )
 from percmoments import coupling, montecarlo
+from percmoments.cli import main
 from percmoments.coupling import _birth_counts, branching_generation_samples
 from percmoments.montecarlo import _BLOCK
 
@@ -38,38 +41,30 @@ def full_array_branching(degree, p, horizon, replicates, rng):
 
 
 def matrix_tails(values, k_max, replicates):
-    hist = np.bincount(np.minimum(values, k_max), minlength=k_max + 1)
+    hist = np.bincount(values, minlength=k_max + 1)
     above = np.cumsum(hist[::-1])[::-1]
-    tail = above[1:] / replicates
-    return tail, np.sqrt(tail * (1.0 - tail) / replicates)
+    return above[1:] / replicates
 
 
 def matrix_dominance_rows(graph, p, replicates, seed):
-    """Dominance rows from both ensembles held whole, one generation column at a time."""
-    horizon = graph.n_vertices - 1
+    """Dominance rows from the birth counts held whole, one generation row at a time."""
     birth = birth_matrix(graph, p, seed, replicates)
-    branching = full_array_branching(
-        graph.degree, p, horizon, replicates, np.random.default_rng(seed))
+    k_max = [max(1, int(y.max())) for y in birth]
+    branching = coupling._branching_tails(graph.degree, p, k_max)
     rows = []
-    for gen in range(horizon + 1):
-        y, xg = birth[gen], branching[:, gen]
-        k_max = max(1, int(y.max()), int(xg.max()))
-        rows += rows_one_by_one(gen, matrix_tails(y, k_max, replicates),
-                                matrix_tails(xg, k_max, replicates))
+    for gen, (y, x_tail) in enumerate(zip(birth, branching)):
+        rows += rows_one_by_one(gen, matrix_tails(y, k_max[gen], replicates), x_tail, replicates)
     return tuple(rows)
 
 
-def rows_one_by_one(gen, birth, branching):
-    """The rows of one generation from its (tail, se) arrays, a row and five floats at a time."""
-    (y_tail, y_se), (x_tail, x_se) = birth, branching
+def rows_one_by_one(gen, y_tail, x_tail, replicates):
+    """The rows of one generation from its two tail arrays, a row and five floats at a time."""
     rows = []
-    for k in range(1, y_tail.size + 1):
-        se_diff = float(np.hypot(y_se[k - 1], x_se[k - 1]))
+    for k, (y, x) in enumerate(zip(y_tail.tolist(), x_tail.tolist()), start=1):
+        y_se, x_se = (math.sqrt(t * (1.0 - t) / replicates) for t in (y, x))
         rows.append(coupling.TailRow(
-            generation=gen, k=k, birth_tail=float(y_tail[k - 1]),
-            branching_tail=float(x_tail[k - 1]), birth_se=float(y_se[k - 1]),
-            branching_se=float(x_se[k - 1]),
-            within_tolerance=bool(y_tail[k - 1] <= x_tail[k - 1] + 3.0 * se_diff)))
+            generation=gen, k=k, birth_tail=y, branching_tail=x, birth_se=y_se,
+            branching_se=x_se, within_tolerance=y <= x + 3.0 * float(np.hypot(y_se, x_se))))
     return rows
 
 
@@ -268,21 +263,6 @@ def test_dominance_rows_do_not_depend_on_the_birth_block_width(name, p, monkeypa
         assert widths == blocks
 
 
-@pytest.mark.parametrize("degree,p", [(3, 0.35), (5, 0.2), (4, 0.5), (2, 1.0)])
-def test_live_branching_histograms_match_the_sample_columns(degree, p):
-    horizon, reps, seed = 12, 5000, 8
-    matrix = branching_generation_samples(degree, p, horizon, reps, np.random.default_rng(seed))
-    gens = coupling._branching_generations(degree, p, horizon, reps, np.random.default_rng(seed))
-    for n, (_, sizes) in enumerate(gens):
-        carried = reps if n < 2 else np.count_nonzero(matrix[:, n - 1])
-        assert sizes.size == carried  # the dead are not carried
-        live = np.bincount(sizes, minlength=2)
-        whole = np.bincount(matrix[:, n], minlength=live.size)
-        np.testing.assert_array_equal(live[1:], whole[1 : live.size])
-        assert whole.size == live.size
-    assert n == horizon
-
-
 def test_dominance_report_rejects_negative_seed(tetrahedron):
     with pytest.raises(BadParameterError):
         dominance_report(tetrahedron, 0.3, 100, seed=-1)
@@ -301,8 +281,8 @@ def test_dominance_report_rejects_non_integers(tetrahedron, monkeypatch, replica
 @pytest.mark.parametrize("degree", [2, 3, 4, 5])
 @pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0])
 def test_branching_samples_match_the_full_array_loop(degree, p):
-    # dead runs skip rng.binomial, which draws nothing for zero trials, so
-    # every run draws what it drew when all runs were handed over
+    # the loop the earlier live-run sampler was checked against, draw for
+    # draw: the sampler's outputs must not move
     for horizon, reps, seed in [(1, 50, 0), (2, 300, 1), (6, 1000, 2), (15, 4000, 3), (40, 700, 4)]:
         if p == 1.0 and degree > 3 and horizon > 15:
             continue  # 3^40 runs past 2^62
@@ -329,19 +309,24 @@ def test_streamed_report_matches_whole_matrices(name, p, narrow, monkeypatch):
 def test_rows_built_per_generation_match_the_per_row_loop(name, p, monkeypatch):
     # the rows of each generation come from whole columns; the same tails
     # turned into rows one at a time must give the same rows, bit for bit
-    tails = []
-    compute = coupling._tails
+    birth, branching = [], []
+    compute, exact = coupling._tails, coupling._branching_tails
 
     def spy(hist, k_max, replicates):
-        tails.append(compute(hist, k_max, replicates))
-        return tails[-1]
+        birth.append(compute(hist, k_max, replicates))
+        return birth[-1]
+
+    def exact_spy(degree, p, k_max):
+        branching.extend(exact(degree, p, k_max))
+        return branching
 
     monkeypatch.setattr(coupling, "_tails", spy)
+    monkeypatch.setattr(coupling, "_branching_tails", exact_spy)
     report = dominance_report(generate_builtin(name), p, 3000, 5)
     expected = []
-    for gen, (birth, branching) in enumerate(zip(tails[::2], tails[1::2])):
-        expected += rows_one_by_one(gen, birth, branching)
-    assert len(tails) == 2 * (report.horizon + 1)
+    for gen, (y_tail, x_tail) in enumerate(zip(birth, branching)):
+        expected += rows_one_by_one(gen, y_tail, x_tail, 3000)
+    assert len(birth) == len(branching) == report.horizon + 1
     assert report.rows == tuple(expected)
 
 
@@ -359,9 +344,10 @@ def test_dominance_report_holds_no_replicate_matrix(dodecahedron):
 
 @pytest.mark.parametrize("name,p,reps", [("complete(9)", 0.9, 100), ("complete(20)", 1.0, 10)])
 def test_oversized_tail_tables_are_refused_before_any_row(name, p, reps, monkeypatch):
-    # complete(20) at p = 1: generation n of every run is 19 * 18^(n-1), so
-    # a histogram of it would take that many slots; the generation that
-    # breaks the cap is refused from its largest size, and never binned
+    # birth sizes stay below N, so no builtin graph small enough for a test
+    # reaches the real cap; under a cap of N + 5 rows, complete(20) at p = 1
+    # breaks it at generation 1 (19 in every run), which is refused from its
+    # largest size and never binned
     def no_rows(*fields, **named):
         raise AssertionError("a row was built for a table over the cap")
 
@@ -373,13 +359,17 @@ def test_oversized_tail_tables_are_refused_before_any_row(name, p, reps, monkeyp
         slots.append(out.size)
         return out
 
+    g = generate_builtin(name)
+    plan = montecarlo._edge_plan(g)  # built first: its colour count is not a histogram
+    monkeypatch.setattr(coupling, "_edge_plan", lambda graph: plan)
+    monkeypatch.setattr(coupling, "MAX_TAIL_ROWS", g.n_vertices + 5)
     monkeypatch.setattr(coupling, "TailRow", no_rows)
     monkeypatch.setattr(coupling.np, "bincount", spy)
-    cap = f"exceeds {coupling.MAX_TAIL_ROWS} rows"
+    cap = f"exceeds {g.n_vertices + 5} rows"
     with pytest.raises(BadParameterError, match=cap) as refusal:
-        dominance_report(generate_builtin(name), p, reps, seed=0)
+        dominance_report(g, p, reps, seed=0)
     top = int(str(refusal.value).rsplit(" ", 1)[1])
-    assert max(slots) <= min(coupling.MAX_TAIL_ROWS + 1, top)
+    assert max(slots, default=0) <= min(g.n_vertices + 6, top)
 
 
 def test_tail_row_cap_counts_every_row(monkeypatch):
@@ -391,3 +381,98 @@ def test_tail_row_cap_counts_every_row(monkeypatch):
     monkeypatch.setattr(coupling, "MAX_TAIL_ROWS", rows - 1)
     with pytest.raises(BadParameterError):
         dominance_report(g, 0.9, 500, seed=3)
+
+
+@pytest.mark.parametrize("degree", [3, 5, 8])
+def test_branching_refuses_generations_past_the_size_limit(degree):
+    # at p = 1 generation n is D (D-1)^(n-1); 8 * 7^21 * 7 passes 2^63 and
+    # used to wrap negative before the size check saw it
+    with pytest.raises(BadParameterError, match="2\\^62"):
+        branching_generation_samples(degree, 1.0, 70, 1, np.random.default_rng(0))
+
+
+def fraction_tails(degree, p, k_max):
+    """P(X_n >= k) by exact recursion on the offspring law: X_(n+1) ~ Binomial(X_n (D-1), p)."""
+    p = Fraction(p)
+    q = 1 - p
+
+    def binomial(trials, j):
+        return math.comb(trials, j) * p**j * q ** (trials - j) if j <= trials else 0
+
+    pmf = {1: Fraction(1)}
+    tails = []
+    for n, k in enumerate(k_max):
+        if n:
+            fan = [degree] if n == 1 else [m * (degree - 1) for m in pmf]
+            weights = [1] if n == 1 else list(pmf.values())
+            pmf = {j: sum(w * binomial(t, j) for w, t in zip(weights, fan))
+                   for j in range(max(fan) + 1)}
+        tails.append([1 - sum(pmf.get(j, 0) for j in range(i)) for i in range(1, k + 1)])
+    return tails
+
+
+@pytest.mark.parametrize("degree, horizons", [(1, (1, 4)), (2, (1, 4, 12)), (3, (2, 5)),
+                                              (5, (1, 3))])
+@pytest.mark.parametrize("p", [0.0, 1 / 3, 0.5, 1.0])
+def test_exact_branching_tails_match_fraction_recursion(degree, horizons, p):
+    for horizon in horizons:
+        top = degree * max(degree - 1, 1) ** (horizon - 1)  # largest X_horizon
+        rows = ([1] + [top + 1] * horizon,  # every tail, to the first that is 0
+                [1] + [3, 1, 5, 2, 4, 1] * 2)  # a ragged table: truncation from later ones
+        for k_max in rows:
+            k_max = k_max[: horizon + 1]
+            got = coupling._branching_tails(degree, p, k_max)
+            want = fraction_tails(degree, p, k_max)
+            assert [t.size for t in got] == k_max
+            for g, w in zip(got, want):
+                np.testing.assert_allclose(g, [float(x) for x in w], rtol=0, atol=1e-14)
+
+
+def test_exact_branching_tails_match_the_sampled_runs():
+    # z = (sampled - exact) / se over every row with se > 0: mean z^2 is 1
+    # for an unbiased se, within three standard errors of the per-run means
+    block_means = []
+    for seed, (degree, p, horizon) in enumerate([(3, 0.35, 8), (3, 0.5, 10), (4, 0.3, 6),
+                                                 (5, 0.2, 6), (2, 0.9, 12), (3, 0.6, 5)] * 3):
+        reps = 4000
+        runs = branching_generation_samples(degree, p, horizon, reps, np.random.default_rng(seed))
+        k_max = [max(1, int(runs[:, n].max())) for n in range(horizon + 1)]
+        z2 = []
+        for n, exact in enumerate(coupling._branching_tails(degree, p, k_max)):
+            sampled = matrix_tails(runs[:, n], k_max[n], reps)
+            se = np.sqrt(exact * (1.0 - exact) / reps)
+            live = se > 0
+            z2 += list(((sampled[live] - exact[live]) / se[live]) ** 2)
+        block_means.append(np.mean(z2))
+    mean = np.mean(block_means)
+    spread = np.std(block_means, ddof=1) / math.sqrt(len(block_means))
+    assert abs(mean - 1.0) < 3 * spread
+
+
+def test_exact_tails_over_their_budget_are_refused_before_any_convolution(monkeypatch):
+    def no_convolution(*args):
+        raise AssertionError("a convolution ran for tails over the budget")
+
+    monkeypatch.setattr(coupling.np, "convolve", no_convolution)
+    with pytest.raises(BadParameterError, match="coefficient updates"):
+        coupling._branching_tails(3, 0.5, [1] + [5000] * 10)  # 7.5e8 updates
+    # the cube at p = 1: generations 1 .. 7 reach 3, 3, 1, 1, 1, 1, 1
+    updates = 3 * (3 * 3 + 3 * 3 + 5)
+    monkeypatch.setattr(coupling, "MAX_DOMINANCE_CELLS", updates - 1)
+    with pytest.raises(BadParameterError, match=f"{updates} coefficient updates"):
+        dominance_report(generate_builtin("cube"), 1.0, 8, seed=0)  # 64 cells pass
+
+
+def test_dominance_draws_only_from_the_counter_streams(monkeypatch, capsys):
+    # numpy's Generator type cannot be patched, so every public callable of
+    # numpy.random, the constructors included, is made to refuse instead
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.random was called")
+
+    for name in dir(np.random):
+        if not name.startswith("_") and callable(getattr(np.random, name)):
+            monkeypatch.setattr(np.random, name, refuse)
+    report = dominance_report(generate_builtin("cube"), 0.4, 2000, seed=3)
+    assert report.rows and report.violations() == ()
+    assert main(["dominance", "--graph", "cube", "--p", "0.4", "--reps", "2000"]) == 0
+    assert capsys.readouterr().out.startswith("graph,N,D,p,reps,seed,generation,k,")
