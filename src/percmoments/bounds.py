@@ -37,6 +37,9 @@ __all__ = [
 
 # Width of the removable-singularity window around nu = 1.
 NU_WINDOW = 1e-9
+# Most steps _variance_kernel sums, some 0.15 s on a 2 vCPU host, before
+# it takes the closed form: only nu near 1 sums this long.
+_KERNEL_STEPS = 10**6
 # Largest degree, vertex count or horizon the formulas take: every such
 # count is exact in a double, and no product of up to three of them leaves
 # the double range.
@@ -134,7 +137,9 @@ def _variance_kernel(nu: float, horizon: int) -> float:
     sum degenerates to there.  Supercritical terms that overflow a double
     become ``inf``, never an error.  The loop stops at the first step that
     changes neither ``partial`` nor ``acc``, or that makes ``acc`` inf:
-    ``power`` only falls, so every later step would repeat it.
+    ``power`` only falls, so every later step would repeat it.  A sum
+    still running after ``_KERNEL_STEPS`` steps (nu just outside the
+    window, R past 10^6) gives way to :func:`_collapsed_kernel`.
     """
     r = horizon
     if abs(1.0 - nu) < NU_WINDOW:
@@ -142,14 +147,34 @@ def _variance_kernel(nu: float, horizon: int) -> float:
     partial = 1.0  # G_m, starting at G_1
     power = 1.0  # nu^(m-1)
     acc = 1.0  # Horner form of sum nu^(R-m) G_m^2
-    for _ in range(r - 1):
+    for _ in range(min(r - 1, _KERNEL_STEPS)):
         power *= nu
         grown = partial + power
         step = acc * nu + grown * grown
         if step == math.inf or (grown == partial and step == acc):
             return step
         partial, acc = grown, step
+    if r - 1 > _KERNEL_STEPS:
+        return _collapsed_kernel(nu, r)
     return acc
+
+
+def _collapsed_kernel(nu: float, horizon: int) -> float:
+    """The variance kernel's collapsed bracket, for nu near 1 and R |1 - nu| > 10^-3.
+
+    ((nu^R - 1)/d (1 + nu^(R+1)) - 2R nu^R) / d^2 with d = nu - 1, exact
+    there, nu^R - 1 from ``expm1``.  The bracket cancels to (R d)^2 of its
+    terms: relative error about 2^-53 / (R d)^2, 10^-10 at R d = 1.5e-3
+    (the loop's: 10^-14).  ``inf`` once nu^R overflows, as the kernel does.
+    """
+    d = nu - 1.0
+    exponent = horizon * math.log1p(d)
+    try:
+        power = math.exp(exponent)
+    except OverflowError:
+        return math.inf
+    bracket = math.expm1(exponent) / d * (1.0 + power * nu) - 2.0 * horizon * power
+    return bracket / (d * d)
 
 
 def branching_total_first_moment(degree: int, p: float, horizon: int) -> float:

@@ -19,12 +19,12 @@ of seed ``s`` is replicate ``r`` of :func:`~percmoments.estimate_moments`
 (counter-based streams, see :mod:`percmoments.rng`), and blocks of
 replicates advance together in a level-synchronous breadth-first search
 over (vertices x replicates) matrices bit-packed eight replicates per byte,
-one relaxation step of the Monte Carlo cluster kernel per generation.  A
-block is as wide as the Monte Carlo span budget allows and its
-per-replicate words fit ``_BIRTH_BYTES``: 32768 replicates on a Platonic
-solid, fewer where the span budget binds first (a 3-regular graph of more
-than 384 vertices).  Each generation of a block is reduced to a histogram
-of its sizes as it is born, so no (generations x replicates) matrix is held.
+one pull step of the Monte Carlo cluster kernel per generation.  A block
+is as wide as the Monte Carlo span budget allows and its per-replicate
+words fit ``_BIRTH_BYTES``: 32768 replicates on a Platonic solid, fewer
+where the span budget binds first (a 3-regular graph of more than 240
+vertices).  Each generation of a block is reduced to a histogram of its
+sizes as it is born, so no (generations x replicates) matrix is held.
 The branching tails are exact: generation ``n`` has the pgf F_1(G^(n-1)(s)),
 F_1(s) = (q+ps)^D and G(s) = (q+ps)^(D-1) (Harris 1963; Athreya & Ney
 1972).  :func:`branching_generation_samples` samples that law from a
@@ -84,7 +84,7 @@ _BIRTH_WORDS = 4
 # phase took ~30% less time than in 8192-replicate blocks (23 against 32
 # ms) at no higher peak RSS (median 44.96 against 45.08 MB); one block of
 # 60 000 was no faster and raised it to 46.3-46.7 MB.  On a 3-regular
-# graph of more than 384 vertices the span budget binds first.
+# graph of more than 240 vertices the span budget binds first.
 _BIRTH_BYTES = 1 << 20
 
 
@@ -314,7 +314,7 @@ def _birth_counts(
         for lo in range(0, replicates, width):
             hi = min(lo + width, replicates)
             keys, starts = _span_starts(graph, seed, lo, hi, work)
-            open_edges = _span_flags(graph, plan.order, p, keys, work)
+            open_slots = _span_flags(graph, plan, p, keys, work)
             frontier = _packed_starts(n, starts, work)
             unreached = np.invert(frontier, out=work("unreached", frontier.shape, np.uint8))
             # padding bits set in unreached never reach born
@@ -322,7 +322,7 @@ def _birth_counts(
             sizes = starts  # packed into frontier, so their buffer takes the sizes
             for gen in range(1, n):
                 born.fill(0)
-                _relax_edges(plan, open_edges, frontier, born, work)
+                _relax_edges(plan, open_slots, frontier, born, work)
                 born &= unreached
                 if not born.any():
                     break

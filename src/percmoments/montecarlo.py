@@ -19,7 +19,7 @@ Statistics and work are grouped separately:
   one search, one draw of open flags (``_span_flags``, the bits
   :func:`percmoments.rng.edge_draws` gives) and one fixpoint find
   together.  Its width comes from one byte budget, ``_SPAN_BYTES``, counted
-  per replicate column as a byte for each of the |E| open flags and N
+  per replicate column as a byte for each of the 2 |E| slot flags and N
   membership flags (eight times their packed size) and ``_COLUMN_WORDS``
   8-byte per-replicate words.  A span takes as many whole merge blocks as
   fit, so on small graphs a call of tens of thousands of replicates is one
@@ -62,28 +62,26 @@ number of passes, nor the span a replicate shares can change a result.
   gives.  So does ``p`` of 0 or 1, whose flags are constants.
 
 The dense kernel grows a membership matrix (vertices x replicates) by passes
-over the edge list until a fixpoint, which reaches the full open cluster of
-each start vertex.
+until a fixpoint, which reaches the full open cluster of each start vertex.
 
-* **Matching classes.**  Once per call, the edge list is split by greedy
-  edge colouring into at most ``2D - 1`` matchings, in which no vertex
-  appears twice.  The span's open flags are drawn with their rows in class
-  order (see :func:`percmoments.rng.edge_draws`), and a pass relaxes a
-  class in pieces of about ``_PIECE_BYTES`` of gathered rows with a few
-  whole-array operations: ``u = (m[a] | m[b]) & open``, then ``m[a] |= u``
-  and ``m[b] |= u``.  A pass is some hundred numpy calls on large arrays
-  instead of several per edge, and numpy drops the GIL inside each, so
-  ``workers`` threads run spans side by side.
+* **Slot pulls.**  Each vertex's edges fill D degree slots (``_EdgePlan``),
+  each edge a slot at each end, and the open flags are drawn with a row
+  per slot.  A pass pulls ``m[v] |= m[neighbor_d(v)] & open_d(v)`` for
+  each slot ``d`` over pieces of about ``_PIECE_BYTES`` of rows: a
+  gather, an AND and an OR into contiguous rows, the bottom-up step of
+  direction-optimizing BFS to the sparse phase's top-down one.  A pass is
+  a few dozen numpy calls on large arrays, and numpy drops the GIL inside
+  each, so ``workers`` threads run spans side by side.
 * **Packed columns.**  The membership and open-flag matrices are
   bit-packed along the replicate axis, eight columns per byte, on every
   graph (the flags are drawn packed, so their boolean matrix never exists
   whole), and every operation moves an eighth of the bytes.  A pass that
   leaves the packed membership unchanged ends the fixpoint; the columns
   that converged early ride along at a bit each, which costs less than
-  finding and dropping them.  The one-hot start matrix is packed from
-  pieces, and the sizes are read through words, of at most
+  finding and dropping them.  The start bits are set straight into the
+  packed matrix, and the sizes are read through words of at most
   ``_SCRATCH_BYTES`` (1 MB), so no unpacked (vertices x replicates) matrix
-  exists; a Platonic solid's span is one piece.
+  exists.
 
 Every buffer a span fills, from its stream keys to its sizes, is a named
 buffer of a workspace (``_Workspace``) that later spans reuse: a span takes
@@ -129,11 +127,11 @@ __all__ = [
 # Replicates per merge block: the unit of the partial statistics.
 _BLOCK = 8192
 # Bytes one span may hold, counted per replicate column (see _span_width).
-# Above the 21 MB that count gives one merge block of a 1500-edge,
+# Above the 31.75 MiB that count gives one merge block of a 1500-edge,
 # 1000-vertex graph, so graphs of that size still draw one block per span.
 _SPAN_BYTES = 1 << 25
 # Bytes of idle workspaces the free list keeps for later spans and calls:
-# one span budget, eight times the 4 MB a 1000-vertex 8192-replicate span
+# one span budget, six times the 5.4 MB a 1000-vertex 8192-replicate span
 # holds.  A workspace given back past it is dropped.
 _KEEP_BYTES = _SPAN_BYTES
 # 8-byte words a span holds per replicate besides its flags, all in its
@@ -142,19 +140,20 @@ _KEEP_BYTES = _SPAN_BYTES
 # size and the span's joined sizes, and the mixing scratch of the keys and
 # start words.
 _COLUMN_WORDS = 8
-# Bytes of gathered membership rows per relaxation piece: 256 edge rows of
-# a packed 8192-replicate block, whole classes on narrow spans.
+# Bytes of pulled membership rows per relaxation piece: 256 vertex rows of
+# a packed 8192-replicate block, all of them on a Platonic solid's span.
 _PIECE_BYTES = 1 << 18
 # A span's breadth-first search goes dense before a generation whose
 # D x frontier words, times this, reach |E| x its columns (_goes_dense).
-# A sparse word costs some 10x a dense (edge, column) slot, draw and passes
+# A sparse word costs some 10x a dense (edge, column) pair, draw and pulls
 # together, so one sparse generation may cost a few percent of going
 # dense.  Fitted on random 3-regular graphs of 1000 and 5000 vertices and
-# hypercube(10) at p = 0.3 to 0.95: at 256, spans of the 5000-vertex graph
-# at p = 0.8 spent 7-15% of their time on sparse generations before going
-# dense anyway; at 384 and above, the 1000-vertex graph at p = 0.45
-# (D p = 1.35 words per replicate after generation 0) would go dense at
-# generation 1 although its frontier then shrinks.
+# hypercube(10) at p = 0.3 to 0.95, spans timed with the pull kernel: 192
+# and below spent up to a third more on sparse generations at p = 0.6;
+# from 384 the 1000-vertex graph at p = 0.45 (D p = 1.35 words per
+# replicate after generation 0) goes dense at generation 1 although its
+# frontier then shrinks, 39-46 ms a span against 18-24.  Otherwise 256 to
+# 512 came within host noise.
 _DENSE_SWITCH = 320
 # Bit k of a byte, by k.
 _BITS = (1 << np.arange(8)).astype(np.uint8)
@@ -165,10 +164,9 @@ _SPREAD = np.array(
     dtype="<u8",
 )
 # Bytes of a span's scratch, which its phases take in turn: the words of a
-# chunk of its draw and their mixing scratch, the one-hot pieces its start
-# matrix is packed from, the rows a relaxation piece gathers, and the words
-# its sizes are read through.  A start piece is whole bytes of columns, so
-# 1 MB keeps the 40 000 columns of a 20-vertex span one piece.
+# chunk of its draw and their mixing scratch, the rows its twin slots are
+# copied through, the rows a relaxation piece pulls, and the words its
+# sizes are read through.
 _SCRATCH_BYTES = 1 << 20
 # Largest replicate count one call may ask for (``sweep``: summed over the
 # grid), refused before any block bounds are built.
@@ -211,50 +209,32 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class _EdgePlan:
-    """The edge list in matching-class order.
+    """Each vertex's edges, a degree slot per edge end, (D x vertices) tables.
 
-    Row ``k`` is edge ``order[k]``, with endpoints ``heads[k]`` and
-    ``tails[k]``; ``classes`` holds the ``[start, stop)`` row range of each
-    matching.  No vertex occurs twice within one class.
+    Slot ``[d, v]`` holds edge ``incident[d, v]``, whose far end is
+    ``neighbors[d, v]``.  Edge ``e``'s slots are ``slots[0, e]`` at its
+    first end and ``slots[1, e]`` at its second, as flat indices ``d * N +
+    v``: its rows in a span's flags (``_span_flags``).
     """
 
-    order: np.ndarray
-    heads: np.ndarray
-    tails: np.ndarray
-    classes: tuple[tuple[int, int], ...]
-    # (vertices x D): row v holds the far ends of v's edges and their indices
     neighbors: np.ndarray
     incident: np.ndarray
+    slots: np.ndarray
 
 
 def _edge_plan(graph: Graph) -> _EdgePlan:
-    """Greedy edge colouring: each edge takes the lowest class free at both ends.
-
-    Also tabulates each vertex's edges for the sparse phase.
-    """
-    used = [0] * graph.n_vertices  # bit c set: the vertex has an edge in class c
-    colour = []
-    for a, b in graph.edges:
-        free = ~(used[a] | used[b])
-        c = (free & -free).bit_length() - 1
-        used[a] |= 1 << c
-        used[b] |= 1 << c
-        colour.append(c)
-    colour_arr = np.asarray(colour, dtype=np.intp)
-    order = np.argsort(colour_arr, kind="stable")
-    stops = np.cumsum(np.bincount(colour_arr)).tolist()
+    """The slot tables of ``graph``; a vertex's slots hold its edges in edge order."""
     edges = graph.edge_array()
-    ends = edges[order]
-    near = edges.T.reshape(-1)  # every edge from each end
-    by_vertex = np.argsort(near, kind="stable")
+    ends = 2 * graph.n_edges
+    # end i is edge i % |E| from its end i // |E|; sorted, D ends per vertex
+    by_vertex = np.argsort(edges.T.reshape(-1), kind="stable")
     shape = (graph.n_vertices, graph.degree)
+    slots = np.empty(ends, dtype=np.intp)
+    slots[by_vertex] = np.arange(ends).reshape(shape[::-1]).T.reshape(-1)
     return _EdgePlan(
-        order=order,
-        heads=np.ascontiguousarray(ends[:, 0]),
-        tails=np.ascontiguousarray(ends[:, 1]),
-        classes=tuple(zip([0] + stops[:-1], stops)),
-        neighbors=edges[:, ::-1].T.reshape(-1)[by_vertex].reshape(shape),
-        incident=(by_vertex % graph.n_edges).reshape(shape),
+        neighbors=np.ascontiguousarray(edges[:, ::-1].T.reshape(-1)[by_vertex].reshape(shape).T),
+        incident=np.ascontiguousarray((by_vertex % graph.n_edges).reshape(shape).T),
+        slots=slots.reshape(2, graph.n_edges),
     )
 
 
@@ -337,36 +317,44 @@ def _span_starts(
 
 
 def _span_flags(
-    graph: Graph, order: np.ndarray | None, p: float, keys: np.ndarray, work: _Workspace
+    graph: Graph, plan: _EdgePlan, p: float, keys: np.ndarray, work: _Workspace
 ) -> np.ndarray:
-    """Packed open flags of the streams ``keys``, in the workspace's ``flags``.
+    """Packed open flags of the streams ``keys``, (D, vertices, bytes), in the workspace.
 
-    Row ``k`` is edge ``order[k]``, or edge ``k`` without an order; the
-    ``r``-th key is bit ``r % 8`` of byte ``r // 8`` (see
-    :func:`~percmoments.rng.edge_draws`, which draws the same bits).
+    Row ``[d, v]`` holds edge ``plan.incident[d, v]``, the ``r``-th key in
+    bit ``r % 8`` of byte ``r // 8``: the bits of
+    :func:`~percmoments.rng.edge_draws`, drawn at each edge's first slot
+    and copied through the scratch to its second.
     """
-    return _edge_flags(
-        keys, graph.n_edges, p, order,
-        work("flags", (graph.n_edges, -(-keys.size // 8)), np.uint8),
-        # a chunk's words and their scratch, no more than a draw this small needs
-        work("scratch", min(_SCRATCH_BYTES // 8, 2 * graph.n_edges * keys.size), np.uint64),
-    )
+    nbytes = -(-keys.size // 8)
+    flags = work("flags", (2 * graph.n_edges, nbytes), np.uint8)
+    # a chunk's words and their scratch, no more than a draw this small needs
+    scratch = work("scratch", min(_SCRATCH_BYTES // 8, 2 * graph.n_edges * keys.size), np.uint64)
+    _edge_flags(keys, graph.n_edges, p, plan.slots[0], flags, scratch)
+    rows = scratch.nbytes // nbytes
+    for lo in range(0, graph.n_edges, rows):
+        first, second = plan.slots[:, lo : lo + rows]
+        twin = scratch.view(np.uint8)[: first.size * nbytes].reshape(first.size, nbytes)
+        flags[second] = np.take(flags, first, axis=0, out=twin, mode="clip")
+    return flags.reshape(graph.degree, graph.n_vertices, nbytes)
 
 
 def _packed_starts(n_vertices: int, starts: np.ndarray, work: _Workspace) -> np.ndarray:
     """Packed (vertices x replicates) membership holding each replicate's start vertex alone.
 
-    The workspace's ``member``, packed from one-hot pieces in its scratch:
-    whole bytes of columns, as many as fit in ``_SCRATCH_BYTES``, at least 8.
+    The workspace's ``member``.  ``starts`` is spent: its words become the
+    flat indices of the start bits, and bit ``k`` of the bytes is set by
+    one scatter over columns ``k, k + 8, ...``, whose bytes are distinct.
     """
-    member = work("member", (n_vertices, -(-starts.size // 8)), np.uint8)
-    step = max(8, _SCRATCH_BYTES // n_vertices // 8 * 8)
-    for c in range(0, starts.size, step):
-        piece = starts[c : c + step]
-        hot = work("scratch", (n_vertices, piece.size), bool)
-        hot.fill(False)
-        hot[piece, work.ramp(piece.size)] = True
-        member[:, c // 8 : (c + step) // 8] = np.packbits(hot, axis=1, bitorder="little")
+    nbytes = -(-starts.size // 8)
+    member = work("member", (n_vertices, nbytes), np.uint8)
+    member.fill(0)
+    bits = member.reshape(-1)
+    starts *= nbytes
+    for k in range(8):
+        at = starts[k::8]
+        at += work.ramp(at.size)
+        bits[at] |= _BITS[k]
     return member
 
 
@@ -400,42 +388,28 @@ def _column_counts(member: np.ndarray, out: np.ndarray, work: _Workspace) -> Non
 
 
 def _relax_edges(
-    plan: _EdgePlan, open_edges: np.ndarray, src: np.ndarray, dst: np.ndarray, work: _Workspace
+    plan: _EdgePlan, open_slots: np.ndarray, src: np.ndarray, dst: np.ndarray, work: _Workspace
 ) -> None:
-    """Spread ``src`` one open edge into ``dst``, per replicate column.
+    """Pull ``src`` across one open edge into ``dst``, per replicate column.
 
-    Rows of ``open_edges`` follow the plan.  With ``src is dst`` a pass can
-    cross one edge per class (the fixpoint's in-place pass); with distinct
-    arrays it is one exact BFS step.  Within a class the gathered rows are
-    distinct, so scattering them back never collides.  The matrices are
-    uint8 with eight replicate columns packed per byte; every operation
-    acts on each bit lane alone.  The rows are gathered in the workspace's
-    scratch.
+    ``dst[v] |= src[plan.neighbors[d, v]] & open_slots[d, v]`` for every
+    vertex and slot, the rows pulled into the workspace's scratch.  With
+    ``src is dst`` a pass may cross several edges (the fixpoint's in-place
+    pass); with distinct arrays it is one exact BFS step.  The matrices
+    are uint8 with eight replicate columns packed per byte; every
+    operation acts on each bit lane alone.
     """
-    width = src.shape[1]
-    rows = max(1, _PIECE_BYTES // width)
-    rows = min(rows, max(stop - start for start, stop in plan.classes))
-    scratch = work("scratch", (3, rows, width), np.uint8)
-    for start, stop in plan.classes:
-        for lo in range(start, stop, rows):
-            hi = min(lo + rows, stop)
-            a, b, is_open = plan.heads[lo:hi], plan.tails[lo:hi], open_edges[lo:hi]
-            at_a, at_b, u = scratch[:, : hi - lo]
+    n, width = dst.shape
+    rows = max(1, min(n, _PIECE_BYTES // width))
+    pulled = work("scratch", (rows, width), np.uint8)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        piece = pulled[: hi - lo]
+        for far, is_open in zip(plan.neighbors, open_slots):
             # indices are in range; mode="clip" spares take a buffered copy
-            np.take(src, a, axis=0, out=at_a, mode="clip")
-            np.take(src, b, axis=0, out=at_b, mode="clip")
-            if src is dst:
-                np.bitwise_or(at_a, at_b, out=u)
-                u &= is_open
-                at_a |= u
-                at_b |= u
-                dst[a] = at_a
-                dst[b] = at_b
-            else:
-                at_a &= is_open
-                at_b &= is_open
-                dst[a] |= at_b
-                dst[b] |= at_a
+            np.take(src, far[lo:hi], axis=0, out=piece, mode="clip")
+            piece &= is_open[lo:hi]
+            dst[lo:hi] |= piece
 
 
 def _bit_total(member: np.ndarray) -> int:
@@ -494,9 +468,9 @@ def _sparse_sizes(
             return sizes, column[np.diff(column, prepend=-1) != 0]
         base = column * n
         vertex = frontier - base
-        reach = base[:, None] + neighbors[vertex]
+        reach = base + neighbors[:, vertex]
         grows = (visited[reach >> 3] & _BITS[reach & 7]) == 0
-        grows &= _pair_flags(keys[column][:, None], incident[vertex], p)
+        grows &= _pair_flags(keys[column], incident[:, vertex], p)
         frontier = reach[grows]
         frontier.sort()
         frontier = frontier[np.diff(frontier, prepend=-1) != 0]
@@ -536,11 +510,11 @@ def _block_cluster_sizes(
         keys = np.take(keys, columns, out=work("dense keys", columns.size, np.uint64))
         # the start uniforms are spent, so their buffer takes the open columns' starts
         starts = np.take(starts, columns, out=work("uniforms", columns.size, np.int64))
-    open_edges = _span_flags(graph, plan.order, p, keys, work)
+    open_slots = _span_flags(graph, plan, p, keys, work)
     member = _packed_starts(graph.n_vertices, starts, work)
     total = _bit_total(member)
     while True:
-        _relax_edges(plan, open_edges, member, member, work)
+        _relax_edges(plan, open_slots, member, member, work)
         total, before = _bit_total(member), total
         if total == before:
             break
@@ -570,20 +544,20 @@ def replicate_realization(
         raise BadParameterError(f"replicate index must be in [0, 2^64 - 2], got {index}")
     work = _Workspace()
     keys, starts = _span_starts(graph, seed, index, index + 1, work)
-    open_edges = _span_flags(graph, None, p, keys, work)
     # one replicate is bit 0 of each row's only byte, the other bits padding
-    flags = open_edges[:, 0].astype(bool)
+    flags = _edge_flags(keys, graph.n_edges, p)[:, 0].astype(bool)
     return int(starts[0]), EdgeConfig(open_flags=tuple(flags.tolist()), p=p)
 
 
 def _span_width(graph: Graph) -> int:
     """Replicates one draw and fixpoint may take: ``_SPAN_BYTES`` over a column's bytes."""
-    # A byte per open flag and per vertex is eight times what a packed
-    # column of the flag and membership matrices (or of the visited bitset
-    # that shares the membership's buffer) holds, so the budget bounds them
-    # with room to spare.  Nothing unpacked grows with the span: the start
-    # matrix and the size readout pass through the fixed _SCRATCH_BYTES.
-    column = graph.n_edges + graph.n_vertices + 8 * _COLUMN_WORDS
+    # A byte per open flag, two per edge for its two slots, and per vertex
+    # is eight times what a packed column of the flag and membership
+    # matrices (or of the visited bitset that shares the membership's
+    # buffer) holds, so the budget bounds them with room to spare.  Nothing
+    # unpacked grows with the span: the size readout passes through the
+    # fixed _SCRATCH_BYTES.
+    column = 2 * graph.n_edges + graph.n_vertices + 8 * _COLUMN_WORDS
     return max(1, _SPAN_BYTES // column)
 
 

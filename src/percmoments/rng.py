@@ -46,9 +46,9 @@ float matrix, nor its transpose, nor a whole boolean matrix.  A chunk
 holds whole word rows while one row of the block fits in it, and a slice
 of whole bytes of one row's streams once a row is wider, so the working
 set stays the same however many streams one call draws.  Tied lanes are
-gathered over the chunks and decided by their tail words at the end.  The
-rows can come out in any edge order the caller needs: an edge's word,
-lane and tail depend only on the edge, never on where its row sits.
+gathered over the chunks and decided by their tail words at the end.  A
+row map puts each edge's row wherever the caller needs it: an edge's
+word, lane and tail depend only on the edge, never on where its row sits.
 
 Every realization of the package is drawn by :func:`edge_draws` or by
 its two private parts, which write the counter positions of an edge's
@@ -306,18 +306,19 @@ def _edge_flags(
     keys: np.ndarray,
     n_edges: int,
     p: float,
-    order: np.ndarray | None = None,
+    row_of: np.ndarray | None = None,
     out: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Edge-major, bit-packed open flags of the streams with the given keys.
+    """Bit-packed open flags of the streams with the given keys, a row per edge.
 
-    Bit ``i % 8`` of row ``k``, byte ``i // 8`` says whether edge
-    ``order[k]`` (edge ``k`` without an order) is open in stream
-    ``keys[i]``; the padding bits of the last byte are 0.  See
-    :func:`edge_draws`.  The flags go into the uint8 ``out`` if given.  A
-    chunk's words and their mixing scratch take halves of the 1-D uint64
-    ``scratch`` if given, so chunks shrink to fit it; new arrays otherwise.
+    Bit ``i % 8`` of row ``row_of[e]`` (row ``e`` without a row map), byte
+    ``i // 8`` says whether edge ``e`` is open in stream ``keys[i]``; the
+    padding bits of the last byte are 0.  See :func:`edge_draws`.  The
+    flags go into the uint8 ``out`` if given; rows the map does not name
+    keep their bytes, but at ``p`` of 0 or 1.  A chunk's words and their
+    mixing scratch take halves of the 1-D uint64 ``scratch`` if given, so
+    chunks shrink to fit it; new arrays otherwise.
 
     Each chunk of words is compared as uint16 lanes, packed (bit ``4 s +
     l`` of a packed word: stream ``s``, lane ``l``) and unzipped into
@@ -336,10 +337,8 @@ def _edge_flags(
         return open_edges
     lane, tail = _threshold(p)
     n_words = -(-n_edges // _LANES)
-    rows_of = np.arange(n_edges)  # the row of each edge
-    if order is not None:
-        rows_of = np.empty_like(rows_of)
-        rows_of[order] = np.arange(n_edges)
+    if row_of is None:
+        row_of = np.arange(n_edges)
     chunk = _CHUNK_BYTES if scratch is None else min(_CHUNK_BYTES, scratch.nbytes // 2)
     # a chunk is whole word rows of all streams while one row fits, else
     # one word row of a slice of whole bytes of the streams
@@ -384,7 +383,7 @@ def _edge_flags(
             _unzip(x, tmp[: x.size].reshape(x.shape))
             by_lane = tmp[: x.size].view(np.uint16).reshape(shape[0], _LANES, n16)
             np.copyto(by_lane, x.view(np.uint16).reshape(shape[0], n16, _LANES).transpose(0, 2, 1))
-            dest = rows_of[_LANES * lo : _LANES * hi]
+            dest = row_of[_LANES * lo : _LANES * hi]
             dest = dest[: n_edges - _LANES * lo]  # the last word may have lanes past the edges
             open_edges[dest, c0 // 8 : c0 // 8 + nbytes] = (
                 by_lane.view(np.uint8).reshape(-1, 2 * n16)[: dest.size, :nbytes]
@@ -394,7 +393,7 @@ def _edge_flags(
         opened = _tail_flags(keys[stream], edge, tail)
         edge, stream = edge[opened], stream[opened]
         bits = np.left_shift(1, stream & 7).astype(np.uint8)
-        np.bitwise_or.at(open_edges, (rows_of[edge], stream >> 3), bits)
+        np.bitwise_or.at(open_edges, (row_of[edge], stream >> 3), bits)
     return open_edges
 
 
@@ -447,5 +446,6 @@ def edge_draws(
             or not np.array_equal(np.sort(order), np.arange(n_edges))
         ):
             raise BadParameterError(f"order must be a permutation of range({n_edges})")
+    row_of = None if order is None else np.argsort(order)  # the row of each edge
     keys = _stream_keys(seed, first_stream, n_streams)
-    return _start_uniforms(keys), _edge_flags(keys, n_edges, p, order)
+    return _start_uniforms(keys), _edge_flags(keys, n_edges, p, row_of)

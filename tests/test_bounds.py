@@ -14,7 +14,7 @@ from percmoments import (
     branching_total_second_moment,
     isolation_bounds,
 )
-from percmoments.bounds import NU_WINDOW, _variance_kernel
+from percmoments.bounds import _KERNEL_STEPS, NU_WINDOW, _collapsed_kernel, _variance_kernel
 
 
 def variance_term_expanded(degree, p, horizon):
@@ -278,6 +278,35 @@ KERNEL_PINS = [
 def test_variance_kernel_floats_are_pinned(nu, pins):
     got = [_variance_kernel(nu, r).hex() for r in KERNEL_HORIZONS]
     assert got == pins
+
+
+@pytest.mark.parametrize("step", [1e-5, -1e-5, 2e-9, -2e-9])
+def test_kernel_just_outside_the_window_answers_fast_at_the_largest_size(step):
+    # one loop step per horizon step would be some 10^15 steps at N = 2^53
+    params = BoundParams(degree=3, n_vertices=2**53, p=(1 + step) / 2)
+    start = time.perf_counter()
+    pair = branching_bounds(params)
+    kernel = _variance_kernel(params.nu, params.horizon)
+    assert time.perf_counter() - start < 1.0
+    if step > 0:
+        assert kernel == pair.second == math.inf
+    else:  # the infinite-horizon limit
+        assert kernel == pytest.approx((1 - params.nu) ** -3, rel=1e-12)
+        assert math.isfinite(pair.second)
+
+
+def test_collapsed_kernel_matches_the_loop_near_one():
+    # the loop's floats are pinned to 10^6 steps; past them the closed form
+    # takes over, within 10^-12 of the loop at R |1 - nu| of 10 and more and
+    # within 10^-9 at 1.5 * 10^-3
+    pins = dict(KERNEL_PINS)
+    for nu in (0.999, 1 - 1e-5, 1 + 1e-5):
+        loop = float.fromhex(pins[nu][-1])
+        assert _collapsed_kernel(nu, 10**6) == pytest.approx(loop, rel=1e-12)
+    r = _KERNEL_STEPS + 1
+    for nu in (1 - 1.5e-9, 1 + 1.5e-9):
+        assert _collapsed_kernel(nu, r) == pytest.approx(_variance_kernel(nu, r), rel=1e-9)
+        assert _variance_kernel(nu, r + 1) == _collapsed_kernel(nu, r + 1)
 
 
 @pytest.mark.parametrize("p, first, second", [

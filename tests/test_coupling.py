@@ -229,7 +229,7 @@ def test_birth_blocks_follow_the_span_budget(name, p, monkeypatch):
     reference = birth_matrix(g, p, seed, reps)
     assert widths == [reps]  # the default budgets take the whole run in one block here
     widths.clear()
-    column = g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
+    column = 2 * g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
     monkeypatch.setattr(montecarlo, "_SPAN_BYTES", 203 * column)
     np.testing.assert_array_equal(birth_matrix(g, p, seed, reps), reference)
     assert max(widths) == 203 and sum(widths) == reps
@@ -299,7 +299,7 @@ def test_streamed_report_matches_whole_matrices(name, p, narrow, monkeypatch):
     reps, seed = _BLOCK + 50, 17
     expected = matrix_dominance_rows(g, p, reps, seed)
     if narrow:  # blocks end in padding bits of a packed byte
-        column = g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
+        column = 2 * g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
         monkeypatch.setattr(montecarlo, "_SPAN_BYTES", 203 * column)
     assert dominance_report(g, p, reps, seed).rows == expected
 
@@ -360,8 +360,6 @@ def test_oversized_tail_tables_are_refused_before_any_row(name, p, reps, monkeyp
         return out
 
     g = generate_builtin(name)
-    plan = montecarlo._edge_plan(g)  # built first: its colour count is not a histogram
-    monkeypatch.setattr(coupling, "_edge_plan", lambda graph: plan)
     monkeypatch.setattr(coupling, "MAX_TAIL_ROWS", g.n_vertices + 5)
     monkeypatch.setattr(coupling, "TailRow", no_rows)
     monkeypatch.setattr(coupling.np, "bincount", spy)

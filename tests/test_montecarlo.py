@@ -19,9 +19,10 @@ from percmoments import (
     replicate_realization,
     sweep,
 )
-from percmoments import montecarlo
+from percmoments import montecarlo, rng
+from percmoments.coupling import run_birth_process
 from percmoments.montecarlo import _BLOCK, _block_cluster_sizes
-from percmoments.rng import derive_key, stream_uniforms
+from percmoments.rng import derive_key, edge_draws, stream_uniforms
 
 
 @functools.lru_cache(maxsize=None)
@@ -250,20 +251,99 @@ def test_sweep_matches_pinned_values():
 
 @pytest.mark.parametrize("name", ["tetrahedron", "icosahedron", "hypercube(5)", "random(200,3,1)",
                                   "random(60,6,2)"])
-def test_edge_plan_classes_are_matchings(name):
+def test_edge_plan_slots_hold_each_edge_once_at_each_end(name):
     g = _graph(name)
     plan = montecarlo._edge_plan(g)
-    assert sorted(plan.order.tolist()) == list(range(g.n_edges))
-    edges = g.edge_array()
-    np.testing.assert_array_equal(plan.heads, edges[plan.order, 0])
-    np.testing.assert_array_equal(plan.tails, edges[plan.order, 1])
-    assert len(plan.classes) <= 2 * g.degree - 1
-    assert plan.classes[0][0] == 0 and plan.classes[-1][1] == g.n_edges
-    for (_, stop), (start, _) in zip(plan.classes, plan.classes[1:]):
-        assert stop == start
-    for start, stop in plan.classes:
-        ends = np.concatenate([plan.heads[start:stop], plan.tails[start:stop]])
-        assert len(set(ends.tolist())) == 2 * (stop - start)
+    n, edges = g.n_vertices, g.edge_array()
+    assert plan.neighbors.shape == plan.incident.shape == (g.degree, n)
+    ends = edges[plan.incident]  # (D, N, 2): the two ends of each slot's edge
+    near_is_head = ends[..., 0] == np.arange(n)
+    assert np.all(near_is_head | (ends[..., 1] == np.arange(n)))
+    np.testing.assert_array_equal(plan.neighbors,
+                                  np.where(near_is_head, ends[..., 1], ends[..., 0]))
+    # slots[0, e] sits at the head of edge e, slots[1, e] at its tail, and no
+    # other slot holds e
+    assert plan.slots.shape == (2, g.n_edges)
+    np.testing.assert_array_equal(np.sort(plan.slots.reshape(-1)), np.arange(2 * g.n_edges))
+    np.testing.assert_array_equal(plan.incident.reshape(-1)[plan.slots],
+                                  np.tile(np.arange(g.n_edges), (2, 1)))
+    np.testing.assert_array_equal(plan.slots % n, edges.T)
+
+
+def _tied_p(key, edge, opens):
+    """A p whose threshold ties with edge ``edge``'s lane in stream ``key``, opening it or not."""
+    word = rng._mix64_scalar(key + rng._GOLDEN * (edge // 4 + 2))
+    tail = rng._mix64_scalar(key + rng._GOLDEN * (2**64 - 1 - edge)) >> 27
+    return ((word >> 16 * (edge % 4) & 0xFFFF) << 37 | tail) * 2.0**-53 + opens * 2.0**-53
+
+
+@pytest.mark.parametrize("name,width", [("icosahedron", 21), ("random(60,6,2)", 8),
+                                        ("random(1000,3,1)", _BLOCK + 3)])
+def test_slot_draw_twin_rows_equal_their_first_rows(name, width):
+    # the twin rows are copied through the scratch, in pieces on the widest
+    # span here; a tied lane, decided after the draw, reaches both rows
+    g = _graph(name)
+    plan = montecarlo._edge_plan(g)
+    seed, lo, edge, stream = 6, 40, g.n_edges - 2, width - 1
+    keys = rng._stream_keys(seed, lo, width)
+    for p in (0.0, 0.4, _tied_p(int(keys[stream]), edge, True),
+              _tied_p(int(keys[stream]), edge, False), 1.0):
+        work = montecarlo._Workspace()
+        slots = montecarlo._span_flags(g, plan, p, keys, work)
+        assert slots.shape == (g.degree, g.n_vertices, -(-width // 8))
+        rows = slots.reshape(2 * g.n_edges, -1)
+        _, by_edge = edge_draws(seed, lo, width, g.n_edges, p)
+        np.testing.assert_array_equal(rows[plan.slots[0]], by_edge)
+        np.testing.assert_array_equal(rows[plan.slots[1]], by_edge)
+    for opens in (True, False):
+        p = _tied_p(int(keys[stream]), edge, opens)
+        rows = montecarlo._span_flags(g, plan, p, keys, montecarlo._Workspace())
+        for slot in plan.slots[:, edge]:
+            row = rows.reshape(2 * g.n_edges, -1)[slot]
+            assert bool(row[stream // 8] >> stream % 8 & 1) == opens
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "cube", "octahedron", "dodecahedron",
+                                  "icosahedron", "random(60,3,2)", "random(50,4,1)"])
+@pytest.mark.parametrize("p", [0.35, 0.7])
+def test_one_pull_step_is_one_birth_generation(name, p):
+    # with src and dst apart, a pull step reaches the open neighbours of
+    # src: less what is already reached, the next layer of the birth process
+    g = _graph(name)
+    seed, lo, width = 5, 300, 21
+    plan = montecarlo._edge_plan(g)
+    work = montecarlo._Workspace()
+    keys, _ = montecarlo._span_starts(g, seed, lo, lo + width, work)
+    open_slots = montecarlo._span_flags(g, plan, p, keys, work)
+    traces = [run_birth_process(g, cfg, x)
+              for x, cfg in (replicate_realization(g, p, seed, r) for r in range(lo, lo + width))]
+
+    def layer(gen):
+        hot = np.zeros((g.n_vertices, width), dtype=bool)
+        for r, trace in enumerate(traces):
+            hot[list(trace.layers[gen]), r] = True
+        return np.packbits(hot, axis=1, bitorder="little")
+
+    reached = layer(0)
+    for gen in range(g.n_vertices - 1):
+        src, dst = layer(gen), np.zeros_like(reached)
+        montecarlo._relax_edges(plan, open_slots, src, dst, work)
+        np.testing.assert_array_equal(dst & ~reached, layer(gen + 1))
+        reached |= dst
+        if not src.any():
+            break
+
+
+@pytest.mark.parametrize("n,width", [(1, 1), (3, 13), (5, 7), (20, 8), (20, 40_003),
+                                     (1000, _BLOCK), (1000, 4099)])
+def test_packed_starts_match_the_one_hot_reference(n, width):
+    starts = np.random.default_rng(n * width).integers(0, n, size=width)
+    work = montecarlo._Workspace()
+    work("member", n * -(-width // 8), np.uint8).fill(0xFF)  # as an earlier span left it
+    hot = np.zeros((n, width), dtype=bool)
+    hot[starts, np.arange(width)] = True
+    np.testing.assert_array_equal(montecarlo._packed_starts(n, starts, work),
+                                  np.packbits(hot, axis=1, bitorder="little"))
 
 
 @settings(max_examples=40, deadline=None)
@@ -295,8 +375,9 @@ def test_block_sizes_match_per_replicate_clusters(
 
 def test_a_block_holds_no_unpacked_vertex_matrix(monkeypatch):
     # built whole, the one-hot start matrix and the size readout of one
-    # 8192-replicate block on N = 1000 took 8 MB each (a 10 MB peak); a new
-    # workspace, counted whole here, holds the span's buffers in about 4 MB.
+    # 8192-replicate block on N = 1000 took 8 MB each (a 10 MB peak); the
+    # span's buffers, grown here from a 64-replicate workspace, come to
+    # about 5.3 MB, 1.4 MB of them the flags' second slot rows.
     # At p = 0.6 most replicates go dense (at 0.5 all end sparse).
     monkeypatch.setattr(montecarlo, "_FREE", [])
     g = _random_graph(1000, 3, 1)
@@ -336,7 +417,7 @@ def test_packed_full_blocks_match_per_replicate_clusters(name, p, lo, hi):
     sizes = _block_cluster_sizes(g, p, 11, lo, hi)
     work = montecarlo._Workspace()
     keys, starts = montecarlo._span_starts(g, 11, lo, hi, work)
-    packed = montecarlo._span_flags(g, None, p, keys, work)
+    packed = rng._edge_flags(keys, g.n_edges, p)
     open_edges = np.unpackbits(packed, axis=1, count=hi - lo, bitorder="little").astype(bool)
     expected = [
         cluster_of(g, EdgeConfig(tuple(open_edges[:, r].tolist()), p), int(x)).size
@@ -465,7 +546,7 @@ def test_span_budget_and_workers_never_change_results(name, reps, monkeypatch):
     monkeypatch.setattr(montecarlo, "_span_flags", spy)
     reference = repr(estimate_moments(g, 0.45, reps, seed=9))
     blocks = -(-reps // _BLOCK)
-    column = g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
+    column = 2 * g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
     tiny = 200 * column  # 200-replicate sub-spans: no |E| x 8192 matrix
     for budget in (tiny, montecarlo._SPAN_BYTES, 1 << 40):
         monkeypatch.setattr(montecarlo, "_SPAN_BYTES", budget)
