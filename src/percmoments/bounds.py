@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import BadParameterError
-from .graphs import _check_integer
-from .percolation import _check_probability
+from .errors import BadParameterError, _check_integer, _check_probability
 
 __all__ = [
     "BoundParams",

@@ -45,11 +45,10 @@ from typing import TextIO
 
 from .bounds import BoundParams, MomentPair, best_bounds, branching_bounds, isolation_bounds
 from .coupling import dominance_report
-from .errors import BadParameterError, PercmomentsError, RetryLimitError
+from .errors import BadParameterError, PercmomentsError, RetryLimitError, _check_probability
 from .graphs import Graph, generate_builtin, load_edge_file
 from .montecarlo import MAX_REPLICATES, MAX_WORKERS, MomentEstimate, estimate_moments, sweep
 from .oracle import moment_polynomial
-from .percolation import _check_probability
 
 __all__ = [
     "MOMENT_COLUMNS",

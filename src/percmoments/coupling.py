@@ -39,8 +39,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import BadParameterError
-from .graphs import Graph, _check_integer, _check_vertex
+from .errors import BadParameterError, _check_integer, _check_probability
+from .graphs import Graph, _check_vertex
 from .montecarlo import (
     _borrowed_workspace,
     _column_counts,
@@ -51,7 +51,7 @@ from .montecarlo import (
     _span_starts,
     _span_width,
 )
-from .percolation import EdgeConfig, _check_config, _check_probability
+from .percolation import EdgeConfig, _check_config
 
 __all__ = [
     "GenerationTrace",

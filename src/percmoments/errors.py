@@ -1,10 +1,14 @@
 """Exception hierarchy shared by all percmoments modules.
 
 Each class also carries a short machine-readable ``name`` used by the CLI
-when emitting errors in JSON mode.
+when emitting errors in JSON mode.  The argument checks every module shares,
+:func:`_check_integer` and :func:`_check_probability`, live here too, so
+that no module imports another only for them.
 """
 
 from __future__ import annotations
+
+import operator
 
 __all__ = [
     "PercmomentsError",
@@ -68,3 +72,23 @@ class RetryLimitError(PercmomentsError, RuntimeError):
 
 class TooManyEdgesError(PercmomentsError, ValueError):
     """Graph exceeds the exact layer's edge cap or the DP's frontier-width or work cap."""
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; a bool, float, string or None is refused."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise BadParameterError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_probability(p: float) -> float:
+    try:
+        value = float(p)
+    except (TypeError, ValueError):
+        raise BadProbabilityError(f"p must be a number in [0, 1], got {p!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise BadProbabilityError(f"p must be in [0, 1], got {value}")
+    return value

@@ -28,7 +28,6 @@ hypercube(d)  vertices are d-bit words, edges join words at Hamming
 
 from __future__ import annotations
 
-import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +44,9 @@ from .errors import (
     NotRegularError,
     NotSimpleError,
     RetryLimitError,
+    _check_integer,
 )
+from .rng import derive_key, stream_uniforms
 
 __all__ = [
     "Graph",
@@ -58,9 +59,17 @@ __all__ = [
 ]
 
 BUILTIN_NAMES = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
-# Most edges a ring(N), complete(N) or hypercube(d) may have; building one
-# costs ~0.5 KB of Python objects per edge, so this is ~0.5 GB.
+# Most edges a ring(N), complete(N), hypercube(d) or random regular graph
+# may have; building one costs ~0.5 KB of Python objects per edge, so this
+# is ~0.5 GB.
 MAX_FAMILY_EDGES = 1 << 20
+# Pairings generate_random_regular draws before it gives up.  A pairing is
+# simple with probability about exp(-(D^2 - 1) / 4) (Bollobas 1980), so D = 6
+# needs some 6300 attempts on average; about 50 us each at N = 60.
+_MAX_ATTEMPTS = 100_000
+# The stream index whose child key seeds the pairings: replicate streams stop
+# at 2^64 - 2 (see rng.edge_draws), so no replicate of a seed draws from it.
+_GRAPH_STREAM = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -83,16 +92,6 @@ class Graph:
     def edge_array(self) -> np.ndarray:
         """Edges as an (|E|, 2) int array, in edge-index order."""
         return np.asarray(self.edges, dtype=np.int64)
-
-
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int; a bool, float, string or None is refused."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise BadParameterError(f"{name} must be an integer, got {value!r}")
 
 
 def _vertex_id(x) -> int:
@@ -294,60 +293,61 @@ def generate_builtin(name: str) -> Graph:
     raise BadParameterError(f"unknown graph name {name!r}")
 
 
-def generate_random_regular(
-    n_vertices: int, degree: int, seed: int, max_attempts: int = 10_000
-) -> Graph:
+def generate_random_regular(n_vertices: int, degree: int, seed: int) -> Graph:
     """Random simple connected regular graph via the pairing model.
 
-    Stubs are shuffled and paired; attempts producing a loop, a duplicate
-    edge, or a disconnected graph are discarded and retried.  Deterministic
-    given ``seed``, a non-negative integer.  Arguments that are not
-    integers, a negative seed and ``max_attempts < 1`` are refused before
-    any draw.
+    Stub ``i`` is an end of vertex ``i // degree``.  Attempt ``a`` orders
+    the N*D stubs by a stable argsort of the first N*D uniforms of the
+    counter stream with key ``derive_key(derive_key(seed, 2^64 - 1), a)``
+    and pairs them in that order; an attempt producing a loop, a duplicate
+    edge, or a disconnected graph is discarded, and after
+    ``_MAX_ATTEMPTS`` a ``RetryLimitError`` is raised.  Replicates of
+    ``seed`` draw from streams 0 .. 2^64 - 2, so the graph's keys, children
+    of stream 2^64 - 1, are apart from theirs: a graph and its replicates
+    may share a seed.  The graph is a pure function of the arguments.
+    Arguments that are not integers, a negative seed and more than
+    ``MAX_FAMILY_EDGES`` edges (N*D/2) are refused before any draw.
     """
     n_vertices = _check_integer("n_vertices", n_vertices)
     degree = _check_integer("degree", degree)
     seed = _check_integer("seed", seed)
-    max_attempts = _check_integer("max_attempts", max_attempts)
     if seed < 0:
         raise BadParameterError(f"seed must be >= 0, got {seed}")
-    if max_attempts < 1:
-        raise BadParameterError(f"max_attempts must be >= 1, got {max_attempts}")
     if n_vertices * degree % 2 != 0:
         raise InfeasibleError(f"N*D must be even, got N={n_vertices}, D={degree}")
     if not 1 <= degree < n_vertices:
         raise InfeasibleError(f"need 1 <= D < N, got N={n_vertices}, D={degree}")
     if degree == 1 and n_vertices != 2:
         raise InfeasibleError("a connected 1-regular graph must have exactly 2 vertices")
+    n_stubs = n_vertices * degree
+    if n_stubs // 2 > MAX_FAMILY_EDGES:
+        raise BadParameterError(
+            f"random({n_vertices},{degree}) has more than {MAX_FAMILY_EDGES} edges, "
+            "the cap for generated graphs"
+        )
 
-    rng = np.random.default_rng(seed)
-    stubs = np.repeat(np.arange(n_vertices), degree)
-    for _ in range(max_attempts):
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
-        edges = set()
-        ok = True
-        for u, v in pairs:
-            u, v = int(u), int(v)
-            if u == v:
-                ok = False
-                break
-            e = (u, v) if u < v else (v, u)
-            if e in edges:
-                ok = False
-                break
-            edges.add(e)
-        if not ok:
+    graph_key = derive_key(seed, _GRAPH_STREAM)
+    for attempt in range(_MAX_ATTEMPTS):
+        order = np.argsort(stream_uniforms(derive_key(graph_key, attempt), 0, n_stubs),
+                           kind="stable")
+        ends = (order // degree).reshape(-1, 2)
+        lo, hi = ends.min(axis=1), ends.max(axis=1)
+        if (lo == hi).any():
+            continue
+        pair_ids = np.sort(lo * n_vertices + hi)
+        if (pair_ids[1:] == pair_ids[:-1]).any():
             continue
         try:
             return build_from_edge_list(
-                n_vertices, edges, label=f"random({n_vertices},{degree},{seed})"
+                n_vertices,
+                zip(lo.tolist(), hi.tolist()),
+                label=f"random({n_vertices},{degree},{seed})",
             )
         except NotConnectedError:
             continue
     raise RetryLimitError(
         f"no simple connected {degree}-regular graph on {n_vertices} vertices "
-        f"found in {max_attempts} attempts"
+        f"found in {_MAX_ATTEMPTS} attempts"
     )
 
 

@@ -106,10 +106,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import BoundParams, MomentPair, best_bounds, branching_bounds, isolation_bounds
-from .errors import BadParameterError
-from .graphs import Graph, _check_integer
+from .errors import BadParameterError, _check_integer, _check_probability
+from .graphs import Graph
 from .oracle import moment_polynomial
-from .percolation import EdgeConfig, _check_probability
+from .percolation import EdgeConfig
 from .rng import _edge_flags, _pair_flags, _start_uniforms, _stream_keys, derive_key
 from .stats import RunningMoments
 

@@ -14,10 +14,12 @@ on it from |E| alone refuses the longest ones before their edges are
 ordered.
 
 The other three functions walk the full set of 2^|E| open/closed
-configurations, so graphs are capped at :data:`DEFAULT_EDGE_CAP` edges
-unless the caller raises the cap explicitly.  Enumeration is done in
-vectorized blocks of ``_BLOCK`` configurations by binary doubling (Newman &
-Ziff, PRL 85, 4104, 2000): configuration c with bit k set is configuration
+configurations, so graphs are capped at :data:`DEFAULT_EDGE_CAP` edges, a
+cap no caller can raise: at it a call takes seconds (pair_connectivity on
+ring(24) 10-17 s on a 2-vCPU host) and holds at most 1.41 MB of
+enumeration state.  Enumeration is done in vectorized blocks of
+``_BLOCK`` configurations by binary doubling (Newman & Ziff, PRL 85,
+4104, 2000): configuration c with bit k set is configuration
 c - 2^k with edge k opened, so each configuration's clusters come from an
 earlier one by a single merge of two clusters, with no relaxation and no
 fixpoint.  Consecutive blocks are doubled together in groups of about
@@ -49,9 +51,8 @@ from typing import Iterator
 import numpy as np
 
 from .bounds import MomentPair
-from .errors import TooManyEdgesError
-from .graphs import Graph, _check_integer
-from .percolation import _check_probability
+from .errors import TooManyEdgesError, _check_probability
+from .graphs import Graph
 
 __all__ = [
     "DEFAULT_EDGE_CAP",
@@ -95,32 +96,16 @@ _BLOCK = 4096
 # 3.9 MB of allocations, 2.6 MB at 1 MB.
 _GROUP_BYTES = 1 << 20
 # Labels and sizes are at most N, and int8 holds every N that can be
-# enumerated: a D-regular graph has N = 2 |E| / D <= 2 |E|, and
-# _MAX_STATE_BYTES refuses every graph of more than 35 edges.
+# enumerated: a D-regular graph has N = 2 |E| / D <= 2 |E| <= 48.
 _STATE_DTYPE = np.dtype(np.int8)
-# Most bytes of enumeration state one call may hold: the block starts of
-# _config_blocks, 2^(|E| - 12) columns of 2N + 24 bytes from 24 edges on,
-# and the group doubled from them.  hypercube(4), 32 edges on 16 vertices,
-# holds 57 MB (and takes minutes); 34 edges on 20 vertices would hold
-# 257 MB, and 36 edges on 24 vertices 1.1 GB.
-_MAX_STATE_BYTES = 1 << 28
 
 
-def _check_cap(graph: Graph, max_edges: int | None) -> None:
-    """Refuse an enumeration past the edge cap, or whose state passes ``_MAX_STATE_BYTES``."""
-    cap = DEFAULT_EDGE_CAP if max_edges is None else _check_integer("max_edges", max_edges)
-    if graph.n_edges > cap:
+def _check_cap(graph: Graph) -> None:
+    """Refuse an enumeration past ``DEFAULT_EDGE_CAP`` edges."""
+    if graph.n_edges > DEFAULT_EDGE_CAP:
         raise TooManyEdgesError(
-            f"{graph.n_edges} edges exceeds enumeration cap {cap}; "
+            f"{graph.n_edges} edges exceeds enumeration cap {DEFAULT_EDGE_CAP}; "
             f"2^{graph.n_edges} configurations is too many"
-        )
-    low, n_blocks, shared, n_group = _layout(graph.n_vertices, graph.n_edges)
-    state = ((n_blocks << shared) + (n_group << low)) * _column_bytes(graph.n_vertices)
-    if state > _MAX_STATE_BYTES:
-        raise TooManyEdgesError(
-            f"{graph.n_edges} edges on {graph.n_vertices} vertices need "
-            f"{state / 2**20:.3g} MB of enumeration state, above its cap of "
-            f"{_MAX_STATE_BYTES >> 20} MB"
         )
 
 
@@ -186,9 +171,7 @@ def _double(
         _open_edge(state, 1 << i, u, v)
 
 
-def _config_blocks(
-    graph: Graph, max_edges: int | None
-) -> Iterator[tuple[np.ndarray, ...]]:
+def _config_blocks(graph: Graph) -> Iterator[tuple[np.ndarray, ...]]:
     """Yield ``(n_open, labels, sizes, first, second)`` blocks of all configurations.
 
     Configuration c opens edge e iff bit e of c is set, and blocks hold
@@ -211,7 +194,7 @@ def _config_blocks(
     So the many narrow merges at the start of a block run once per call, on
     wide columns, and every later merge is one numpy call per group.
     """
-    _check_cap(graph, max_edges)
+    _check_cap(graph)
     n = graph.n_vertices
     low, n_blocks, shared, n_group = _layout(n, graph.n_edges)
     starts = _state(n, (n_blocks << shared,))
@@ -242,13 +225,13 @@ def _config_weights(n_edges: int, p: float) -> np.ndarray:
     return p**m * (1.0 - p) ** (n_edges - m)
 
 
-def exact_moments(graph: Graph, p: float, max_edges: int | None = None) -> MomentPair:
+def exact_moments(graph: Graph, p: float) -> MomentPair:
     """E(S) and E(S^2) by direct probability-weighted enumeration."""
     p = _check_probability(p)
     first_acc = 0.0
     second_acc = 0.0
     weights = _config_weights(graph.n_edges, p)
-    for n_open, _, _, first, second in _config_blocks(graph, max_edges):
+    for n_open, _, _, first, second in _config_blocks(graph):
         w = weights[n_open]
         first_acc += float(w @ first)
         second_acc += float(w @ second)
@@ -644,22 +627,18 @@ class ConnectivityTable:
     pair_probs: np.ndarray = field(repr=False)
 
 
-def pair_connectivity(
-    graph: Graph, p: float, max_edges: int | None = None
-) -> ConnectivityTable:
+def pair_connectivity(graph: Graph, p: float) -> ConnectivityTable:
     """P(x <-> y) for all pairs of vertices."""
     p = _check_probability(p)
     n = graph.n_vertices
     pair = np.zeros((n, n))
     weights = _config_weights(graph.n_edges, p)
-    for n_open, labels, _, _, _ in _config_blocks(graph, max_edges):
+    for n_open, labels, _, _, _ in _config_blocks(graph):
         pair += np.tensordot(_same_cluster(labels), weights[n_open], axes=([2], [0]))
     return ConnectivityTable(p=p, pair_probs=pair)
 
 
-def connectivity_moments(
-    graph: Graph, p: float, max_edges: int | None = None
-) -> MomentPair:
+def connectivity_moments(graph: Graph, p: float) -> MomentPair:
     """Moments per start vertex rather than per configuration.
 
     E(S_x) = sum_y P(x <-> y) is the weighted sum of the cluster size S_x
@@ -674,7 +653,7 @@ def connectivity_moments(
     second_per_x = np.zeros(n)
     weights = _config_weights(graph.n_edges, p)
     s = None  # one float64 buffer for every block's sizes, then their squares
-    for n_open, _, sizes, _, _ in _config_blocks(graph, max_edges):
+    for n_open, _, sizes, _, _ in _config_blocks(graph):
         w = weights[n_open]
         if s is None:
             s = np.empty(sizes.shape)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BadParameterError, BadProbabilityError
+from .errors import BadParameterError
 from .graphs import Graph, _check_vertex
 
 __all__ = [
@@ -38,16 +38,6 @@ class ClusterResult:
     start_vertex: int
     members: frozenset[int]
     size: int
-
-
-def _check_probability(p: float) -> float:
-    try:
-        value = float(p)
-    except (TypeError, ValueError):
-        raise BadProbabilityError(f"p must be a number in [0, 1], got {p!r}") from None
-    if not 0.0 <= value <= 1.0:
-        raise BadProbabilityError(f"p must be in [0, 1], got {value}")
-    return value
 
 
 def _check_config(graph: Graph, config: EdgeConfig) -> None:

@@ -66,9 +66,13 @@ dominance birth counts draw whole blocks through the same
 Carlo kernel draws into buffers it reuses; the only new array of a
 span's size is the counter column that :func:`_stream_keys` multiplies
 (each chunk of a draw packs into a new array a sixteenth of its size).
-:func:`stream_uniforms` and :func:`uniform_matrix` compute draws as plain
-uniforms, one stream or a matrix of streams at a time; they are not
-exported, and serve as the reference for the start draws.
+
+:func:`stream_uniforms` computes plain uniforms of one stream:
+:func:`percmoments.graphs.generate_random_regular` orders the stubs of
+each pairing by them, on keys no replicate uses, so every random draw of
+the package, graphs included, comes from these streams.  With
+:func:`uniform_matrix`, a matrix of streams at a time and not exported, it
+is also the reference for the start draws.
 """
 
 from __future__ import annotations
@@ -77,11 +81,9 @@ import math
 
 import numpy as np
 
-from .errors import BadParameterError
-from .graphs import _check_integer
-from .percolation import _check_probability
+from .errors import BadParameterError, _check_integer, _check_probability
 
-__all__ = ["derive_key", "edge_draws"]
+__all__ = ["derive_key", "edge_draws", "stream_uniforms"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -398,12 +400,7 @@ def _edge_flags(
 
 
 def edge_draws(
-    seed: int,
-    first_stream: int,
-    n_streams: int,
-    n_edges: int,
-    p: float,
-    order: np.ndarray | None = None,
+    seed: int, first_stream: int, n_streams: int, n_edges: int, p: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Start uniforms and edge-major, bit-packed open flags of a block of streams.
 
@@ -414,15 +411,10 @@ def edge_draws(
     its tail word below it, is below ``p`` (``0 <= p <= 1``); the padding
     bits of the last byte are 0.  See the module docstring.
 
-    ``order``, a permutation of ``range(n_edges)``, sets the row order: row
-    ``k`` then holds edge ``order[k]``, so
-    ``edge_draws(..., order=order)[1][k]`` equals ``edge_draws(...)[1][order[k]]``
-    bit for bit, without a permuted copy.
-
     Every argument is checked before any draw: a non-integer count, seed or
     stream, a negative count, a stream outside ``[0, 2^64 - 2]`` (stream
-    ``r`` mixes counter ``r + 1``), ``p`` outside ``[0, 1]`` and an
-    ``order`` that is not such a permutation raise a ``BadParameterError``.
+    ``r`` mixes counter ``r + 1``) and ``p`` outside ``[0, 1]`` raise a
+    ``BadParameterError``.
     """
     seed = _check_integer("seed", seed)
     first_stream = _check_integer("first_stream", first_stream)
@@ -438,14 +430,5 @@ def edge_draws(
             f"streams {first_stream} .. {first_stream + n_streams - 1} are not "
             "all in [0, 2^64 - 2]"
         )
-    if order is not None:
-        order = np.asarray(order)
-        if (
-            order.shape != (n_edges,)
-            or order.dtype.kind not in "iu"
-            or not np.array_equal(np.sort(order), np.arange(n_edges))
-        ):
-            raise BadParameterError(f"order must be a permutation of range({n_edges})")
-    row_of = None if order is None else np.argsort(order)  # the row of each edge
     keys = _stream_keys(seed, first_stream, n_streams)
-    return _start_uniforms(keys), _edge_flags(keys, n_edges, p, row_of)
+    return _start_uniforms(keys), _edge_flags(keys, n_edges, p)

@@ -1,5 +1,10 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +17,14 @@ from percmoments import (
     NotConnectedError,
     NotRegularError,
     NotSimpleError,
+    RetryLimitError,
     build_from_edge_list,
     format_edge_file,
     generate_builtin,
     generate_random_regular,
     load_edge_file,
 )
+from percmoments import graphs
 from percmoments.graphs import MAX_FAMILY_EDGES
 
 
@@ -266,19 +273,76 @@ def test_random_regular_complete_case():
         ((10, 3, None), "seed must be an integer"),
         (("10", 3, 1), "n_vertices must be an integer"),
         ((10, 3.0, 1), "degree must be an integer"),
-        ((10, 3, 1, 0), "max_attempts must be >= 1"),
-        ((10, 3, 1, 2.5), "max_attempts must be an integer"),
+        # numpy once raised a bare MemoryError for 7.28 TiB of stubs here
+        ((10**12, 3, 0), f"more than {MAX_FAMILY_EDGES} edges"),
+        ((MAX_FAMILY_EDGES + 1, 2, 0), f"more than {MAX_FAMILY_EDGES} edges"),
     ],
     ids=["negative seed", "float seed", "str seed", "None seed", "str N", "float D",
-         "no attempts", "float attempts"],
+         "too many edges", "one edge past the cap"],
 )
 def test_random_regular_refuses_bad_arguments_before_any_draw(args, match, monkeypatch):
     def no_draw(*args):
         raise AssertionError("a draw started before the arguments were refused")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    monkeypatch.setattr(graphs, "stream_uniforms", no_draw)
     with pytest.raises(BadParameterError, match=match):
         generate_random_regular(*args)
+
+
+# sha256 of format_edge_file: random(1000,3,1) is the benchmark's seed-1 graph
+GOLDEN_RANDOM_GRAPHS = [
+    ((12, 3, 5), "53bbecbbae0add1ed2bd8a8605a519d5755e70c338d388e8190e15fb3af8d990"),
+    ((1000, 3, 1), "e1c71b71f8101ef1f1a89d99bde584ab55982ece403ca65de9278354b45ba85c"),
+]
+
+
+@pytest.mark.parametrize("args, digest", GOLDEN_RANDOM_GRAPHS,
+                         ids=["random(12,3,5)", "random(1000,3,1)"])
+def test_random_regular_edges_are_pinned(args, digest):
+    # the pairings come from counter streams, so the graph is the same on
+    # every numpy version
+    g = generate_random_regular(*args)
+    assert hashlib.sha256(format_edge_file(g).encode()).hexdigest() == digest
+
+
+def test_random_regular_gives_up_after_the_attempt_cap(monkeypatch):
+    # random(10,3,1) is the eighth pairing drawn for its seed
+    monkeypatch.setattr(graphs, "_MAX_ATTEMPTS", 7)
+    with pytest.raises(RetryLimitError, match="in 7 attempts"):
+        generate_random_regular(10, 3, 1)
+    monkeypatch.setattr(graphs, "_MAX_ATTEMPTS", 8)
+    assert generate_random_regular(10, 3, 1).edges[:4] == ((0, 6), (0, 7), (0, 8), (1, 2))
+
+
+_NO_NUMPY_RANDOM = """
+import sys
+import numpy
+if "numpy.random" in sys.modules:
+    print("numpy imports numpy.random itself")
+    sys.exit(0)
+import percmoments as pm
+g = pm.generate_random_regular(1000, 3, 1)
+pm.estimate_moments(g, 0.5, 500, seed=1)
+pm.sweep(g, [0.3, 0.6], 500, seed=2)
+pm.dominance_report(pm.generate_builtin("cube"), 0.4, 500, seed=3)
+print(sorted(m for m in sys.modules if m.startswith("numpy.random")))
+"""
+
+
+def test_package_never_imports_numpy_random():
+    # one random-number scheme: graphs, replicates and the dominance report
+    # all draw from the counter streams of percmoments.rng
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run([sys.executable, "-c", _NO_NUMPY_RANDOM], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    if done.stdout.startswith("numpy imports"):
+        pytest.skip("this numpy imports numpy.random with numpy itself")
+    assert done.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("n,d", [(5, 3), (4, 4), (4, 0), (4, 1)])

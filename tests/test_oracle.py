@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from percmoments import (
-    BadParameterError,
     BoundParams,
     EdgeConfig,
     MomentPolynomial,
@@ -148,30 +147,12 @@ def test_exact_moments_memory_stays_small():
     assert peak < 4 * 2**20
 
 
-def test_edge_cap_enforced(dodecahedron, k3, tetrahedron):
+def test_edge_cap_enforced(dodecahedron):
     with pytest.raises(TooManyEdgesError):
         exact_moments(dodecahedron, 0.5)
     with pytest.raises(TooManyEdgesError, match="frontier width"):
         moment_polynomial(generate_builtin("complete(12)"))
     assert DEFAULT_EDGE_CAP == 24
-    # explicit override tightens or loosens the cap
-    assert exact_moments(k3, 0.5, max_edges=4).first == pytest.approx(2.25, abs=1e-12)
-    with pytest.raises(TooManyEdgesError):
-        exact_moments(tetrahedron, 0.5, max_edges=4)
-
-
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda g: exact_moments(g, 0.3, "5"),
-        lambda g: connectivity_moments(g, 0.3, 5.0),
-        lambda g: pair_connectivity(g, 0.3, True),
-    ],
-    ids=["exact str", "connectivity float", "pairs bool"],
-)
-def test_non_integer_edge_cap_is_refused(k3, call):
-    with pytest.raises(BadParameterError, match="max_edges"):
-        call(k3)
 
 
 def test_polynomial_json_round_trip(cube):
@@ -292,7 +273,7 @@ def test_group_layout_never_changes_a_block(per_group, monkeypatch):
     monkeypatch.setattr(oracle, "_GROUP_BYTES", per_group * oracle._BLOCK * (2 * 16 + 3 * 8))
     assert oracle._group_blocks(16, oracle._BLOCK) == per_group
     blocks = 0
-    for j, block in enumerate(oracle._config_blocks(ring, None)):
+    for j, block in enumerate(oracle._config_blocks(ring)):
         assert block[1].dtype == block[2].dtype == np.int8
         for got, want in zip(block, reference_block(ring, j, oracle._BLOCK)):
             np.testing.assert_array_equal(got, want)
@@ -302,40 +283,47 @@ def test_group_layout_never_changes_a_block(per_group, monkeypatch):
 
 
 def test_int8_state_holds_every_enumerable_graph(monkeypatch):
-    # labels and sizes are at most N <= 2 |E|; 128 vertices need 64 edges
-    # or more, whose state the byte cap refuses before any of it exists
+    # labels and sizes are at most N <= 2 |E| <= 48 under the edge cap; a
+    # graph past it is refused before any state exists, whatever its size
     # (numpy once refused ring(128)'s block starts with a ValueError)
     assert oracle._STATE_DTYPE == np.int8
+    assert 2 * DEFAULT_EDGE_CAP <= np.iinfo(oracle._STATE_DTYPE).max
     monkeypatch.setattr(oracle, "_state", _no_state)
-    for name in ("ring(128)", "ring(100)", "ring(36)"):
-        with pytest.raises(TooManyEdgesError, match="MB of enumeration state"):
-            next(oracle._config_blocks(generate_builtin(name), 200))
+    for name in ("ring(128)", "ring(100)", f"ring({DEFAULT_EDGE_CAP + 1})"):
+        graph = generate_builtin(name)
+        with pytest.raises(TooManyEdgesError, match="enumeration cap"):
+            next(oracle._config_blocks(graph))
+        for route in (exact_moments, connectivity_moments, pair_connectivity):
+            with pytest.raises(TooManyEdgesError, match="enumeration cap"):
+                route(graph, 0.3)
 
 
 def _no_state(*args):
     raise AssertionError("enumeration state allocated before the refusal")
 
 
-@pytest.mark.parametrize("name", ["ring(128)", "ring(100)"])
-def test_raised_cap_refuses_oversized_enumeration_state(name, monkeypatch):
-    # past the edge cap, the enumeration's block starts would need more
-    # memory than exists (numpy once raised a ValueError from _state)
-    def no_state(*args):
-        raise AssertionError("enumeration state was allocated before the refusal")
-
-    monkeypatch.setattr(oracle, "_state", no_state)
-    graph = generate_builtin(name)
-    for route in (exact_moments, connectivity_moments, pair_connectivity):
-        with pytest.raises(TooManyEdgesError, match="MB of enumeration state"):
-            route(graph, 0.3, max_edges=200)
+def _state_bytes(n, m):
+    """Bytes of the block starts and of one group of _config_blocks, for m edges on n vertices."""
+    low, n_blocks, shared, n_group = oracle._layout(n, m)
+    return ((n_blocks << shared) + (n_group << low)) * oracle._column_bytes(n)
 
 
-def test_state_cap_admits_the_raised_edge_caps_that_fit():
-    # 57 MB of block starts for hypercube(4), 16 MB for the dodecahedron
-    oracle._check_cap(generate_builtin("hypercube(4)"), 32)
-    oracle._check_cap(generate_builtin("dodecahedron"), 30)
-    with pytest.raises(TooManyEdgesError, match="1.54e\\+03 MB"):
-        oracle._check_cap(generate_builtin("ring(36)"), 36)
+def test_enumeration_state_at_the_edge_cap_is_small():
+    # every graph the edge cap admits, N <= 2 |E| <= 48, holds at most
+    # 1.41 MB of enumeration state, so no byte cap of its own is needed
+    worst = max(_state_bytes(n, m) for m in range(1, DEFAULT_EDGE_CAP + 1)
+                for n in range(2, 2 * m + 1))
+    assert worst == _state_bytes(48, 24) == 1_474_560
+    # an enumeration at the cap allocates that state, and the temporaries
+    # of one merge over a group on top
+    ring = generate_builtin(f"ring({DEFAULT_EDGE_CAP})")
+    tracemalloc.start()
+    try:
+        next(oracle._config_blocks(ring))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _state_bytes(24, 24) <= peak < 2 * _state_bytes(24, 24)
 
 
 def test_evaluate_past_float_range_is_exact():
@@ -368,7 +356,7 @@ def enumeration_counts(graph):
     """Per-m counts from the binary-doubling enumeration that the other routes use."""
     first = np.zeros(graph.n_edges + 1, dtype=np.int64)
     second = np.zeros(graph.n_edges + 1, dtype=np.int64)
-    for n_open, _, _, s1, s2 in oracle._config_blocks(graph, graph.n_edges):
+    for n_open, _, _, s1, s2 in oracle._config_blocks(graph):
         np.add.at(first, n_open, s1)
         np.add.at(second, n_open, s2)
     return tuple(int(c) for c in first), tuple(int(c) for c in second)
