@@ -18,18 +18,20 @@ Statistics and work are grouped separately:
   vertices are mixed together, once (``_span_starts``), and whose clusters
   one search, one draw of open flags (``_span_flags``, the bits
   :func:`percmoments.rng.edge_draws` gives) and one fixpoint find
-  together.  Its width comes from one byte budget, ``_SPAN_BYTES``, counted
-  per replicate column as a byte for each of the 2 |E| slot flags and N
-  membership flags (eight times their packed size) and ``_COLUMN_WORDS``
-  8-byte per-replicate words.  A span takes as many whole merge blocks as
-  fit, so on small graphs a call of tens of thousands of replicates is one
-  draw and one fixpoint; with ``workers > 1`` spans are narrowed, on block
-  boundaries, until there are at least ``workers`` of them.  Where one
-  merge block does not fit, it is drawn and relaxed as several sub-spans
-  whose sizes are joined before its partials, so no matrix grows past the
-  budget however many edges the graph has.  Spans come from a generator
-  and their partials are merged as they arrive, so a call holds a few
-  spans' partials, never one per block of the run.
+  together, at each grid point.  Its width comes from one byte budget,
+  ``_SPAN_BYTES``, counted per replicate column as a byte for each of the
+  2 |E| slot flags and N membership flags (eight times their packed size,
+  and as much as a sweep's lane store, below, takes with them up to D =
+  7) and ``_COLUMN_WORDS`` 8-byte per-replicate words.  A span takes as
+  many whole merge blocks as fit, so on small graphs a call of tens of
+  thousands of replicates is one draw and one fixpoint; with ``workers >
+  1`` spans are narrowed, on block boundaries, until there are at least
+  ``workers`` of them.  Where one merge block does not fit, it is drawn
+  and relaxed as several sub-spans whose sizes are joined before its
+  partials, so no matrix grows past the budget however many edges the
+  graph has.  Spans come from a generator and their partials are merged
+  as they arrive, so a call holds a few spans' partials, never one per
+  block of the run.
 
 Cluster sizes are computed for a whole span at once, in two phases.  Sizes
 are integers fixed by connectivity, and each edge flag is a pure function
@@ -83,6 +85,28 @@ until a fixpoint, which reaches the full open cluster of each start vertex.
   ``_SCRATCH_BYTES`` (1 MB), so no unpacked (vertices x replicates) matrix
   exists.
 
+A sweep (:func:`sweep`) draws every grid point from the streams of its
+seed, so its row at ``p`` is :func:`estimate_moments` at ``p``, bit for
+bit.  Spans are the outer loop and the sorted grid the inner one
+(``_block_stats`` takes the grid; :func:`estimate_moments` is a grid of
+one), so each span's keys and starts are mixed once for the whole grid,
+and each point's merge-block partials are merged in block order.
+
+* **Lane store.**  On a span whose generation 0 is dense, a grid of more
+  than one point mixes the flag words once, into 16-bit lanes kept
+  edge-major, (|E| x replicates) uint16
+  (:func:`percmoments.rng._edge_lanes`), 2 bytes per edge and replicate.
+  Each point compares them with its lane limit and packs them into the
+  slot rows (:func:`percmoments.rng._lane_flags`, ties decided by their
+  tail words there).  A span that starts sparse runs the two phases above
+  at each point, on its once-mixed keys and starts; a merge block wider
+  than a span is relaxed point by point, in sub-spans.
+* **Warm start.**  Each edge is monotone in ``p`` on fixed streams, so a
+  cluster at ``p`` lies within the cluster at any larger ``p``, and a
+  fixpoint started from any membership between the start vertex and that
+  cluster ends at it.  So on a lane span each point relaxes the previous
+  point's final membership in place, and the start bits are packed once.
+
 Every buffer a span fills, from its stream keys to its sizes, is a named
 buffer of a workspace (``_Workspace``) that later spans reuse: a span takes
 an idle workspace from a module-wide free list and gives it back when done,
@@ -110,7 +134,14 @@ from .errors import BadParameterError, _check_integer, _check_probability
 from .graphs import Graph
 from .oracle import moment_polynomial
 from .percolation import EdgeConfig
-from .rng import _edge_flags, _pair_flags, _start_uniforms, _stream_keys, derive_key
+from .rng import (
+    _edge_flags,
+    _edge_lanes,
+    _lane_flags,
+    _pair_flags,
+    _start_uniforms,
+    _stream_keys,
+)
 from .stats import RunningMoments
 
 __all__ = [
@@ -136,9 +167,9 @@ _SPAN_BYTES = 1 << 25
 _KEEP_BYTES = _SPAN_BYTES
 # 8-byte words a span holds per replicate besides its flags, all in its
 # workspace: stream key, start uniform (later the start of a column left
-# dense) and vertex, the keys and sizes of the columns left dense, cluster
-# size and the span's joined sizes, and the mixing scratch of the keys and
-# start words.
+# dense, then the flat index of its start bit) and vertex, the keys and
+# sizes of the columns left dense, cluster size and the span's joined
+# sizes, and the mixing scratch of the keys and start words.
 _COLUMN_WORDS = 8
 # Bytes of pulled membership rows per relaxation piece: 256 vertex rows of
 # a packed 8192-replicate block, all of them on a Platonic solid's span.
@@ -342,17 +373,19 @@ def _span_flags(
 def _packed_starts(n_vertices: int, starts: np.ndarray, work: _Workspace) -> np.ndarray:
     """Packed (vertices x replicates) membership holding each replicate's start vertex alone.
 
-    The workspace's ``member``.  ``starts`` is spent: its words become the
-    flat indices of the start bits, and bit ``k`` of the bytes is set by
-    one scatter over columns ``k, k + 8, ...``, whose bytes are distinct.
+    The workspace's ``member``.  The flat indices of the start bits are
+    written over the spent start uniforms (in place where ``starts`` are
+    the compacted ones that buffer holds), so ``starts`` of a span survive
+    for its next point.  Bit ``k`` of the bytes is set by one scatter over
+    columns ``k, k + 8, ...``, whose bytes are distinct.
     """
     nbytes = -(-starts.size // 8)
     member = work("member", (n_vertices, nbytes), np.uint8)
     member.fill(0)
     bits = member.reshape(-1)
-    starts *= nbytes
+    flat = np.multiply(starts, nbytes, out=work("uniforms", starts.size, np.int64))
     for k in range(8):
-        at = starts[k::8]
+        at = flat[k::8]
         at += work.ramp(at.size)
         bits[at] |= _BITS[k]
     return member
@@ -426,6 +459,24 @@ def _bit_total(member: np.ndarray) -> int:
     return int(flat[:cut].view(np.uint32).sum(dtype=np.uint64)) + int(flat[cut:].sum())
 
 
+def _fixpoint(
+    plan: _EdgePlan, open_slots: np.ndarray, member: np.ndarray, work: _Workspace
+) -> None:
+    """Relax the packed ``member`` in place, by passes, until a pass sets no bit.
+
+    Started from any membership between each column's start vertex and its
+    open cluster, it ends at that cluster: a cold start is the start
+    vertices alone (``_packed_starts``), a warm one the clusters of a
+    smaller ``p`` on the same streams.
+    """
+    total = _bit_total(member)
+    while True:
+        _relax_edges(plan, open_slots, member, member, work)
+        total, before = _bit_total(member), total
+        if total == before:
+            return
+
+
 def _goes_dense(graph: Graph, frontier: int, columns: int) -> bool:
     """Whether a span of ``columns`` replicates whose next generation starts from
     ``frontier`` (replicate, vertex) pairs should leave it to the dense kernel."""
@@ -480,30 +531,19 @@ def _sparse_sizes(
     return sizes, column
 
 
-def _block_cluster_sizes(
-    graph: Graph,
-    p: float,
-    seed: int,
-    lo: int,
-    hi: int,
-    plan: _EdgePlan | None = None,
-    work: _Workspace | None = None,
+def _point_sizes(
+    graph: Graph, plan: _EdgePlan, p: float, keys: np.ndarray, starts: np.ndarray, work: _Workspace
 ) -> np.ndarray:
-    """Cluster sizes of replicates [lo, hi) as an int64 array.
+    """Cluster sizes at ``p`` of the span whose streams are ``keys``, from ``starts``, cold.
 
-    The span's streams are mixed once.  A sparse breadth-first phase comes
+    ``keys`` and ``starts`` are the span's from :func:`_span_starts`, and
+    survive for the span's next point.  A sparse breadth-first phase comes
     first, where generation 0 is not already dense, then one draw and
     fixpoint for the replicates it leaves open, from their compacted keys
-    and starts.  Every buffer, the sizes too, is ``work``'s, or a new
-    workspace's.
+    and starts.  The sizes are the workspace's.
     """
-    if plan is None:
-        plan = _edge_plan(graph)
-    if work is None:
-        work = _Workspace()
-    keys, starts = _span_starts(graph, seed, lo, hi, work)
     columns = None
-    if 0.0 < p < 1.0 and not _goes_dense(graph, hi - lo, hi - lo):
+    if 0.0 < p < 1.0 and not _goes_dense(graph, keys.size, keys.size):
         sizes, columns = _sparse_sizes(graph, plan, p, keys, starts, work)
         if not columns.size:
             return sizes
@@ -512,12 +552,7 @@ def _block_cluster_sizes(
         starts = np.take(starts, columns, out=work("uniforms", columns.size, np.int64))
     open_slots = _span_flags(graph, plan, p, keys, work)
     member = _packed_starts(graph.n_vertices, starts, work)
-    total = _bit_total(member)
-    while True:
-        _relax_edges(plan, open_slots, member, member, work)
-        total, before = _bit_total(member), total
-        if total == before:
-            break
+    _fixpoint(plan, open_slots, member, work)
     if columns is None:
         sizes = work("sizes", starts.size, np.int64)
         _column_counts(member, sizes, work)
@@ -526,6 +561,52 @@ def _block_cluster_sizes(
     _column_counts(member, dense, work)
     sizes[columns] = dense
     return sizes
+
+
+def _block_cluster_sizes(graph: Graph, p: float, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Cluster sizes of replicates [lo, hi) at ``p`` as an int64 array, cold.
+
+    The span's streams are mixed once, then :func:`_point_sizes` runs, in
+    a new workspace.
+    """
+    work = _Workspace()
+    keys, starts = _span_starts(graph, seed, lo, hi, work)
+    return _point_sizes(graph, _edge_plan(graph), p, keys, starts, work)
+
+
+def _lane_sizes(
+    graph: Graph,
+    plan: _EdgePlan,
+    grid: list[float],
+    keys: np.ndarray,
+    starts: np.ndarray,
+    work: _Workspace,
+) -> Iterator[np.ndarray]:
+    """Cluster sizes of the span whose streams are ``keys`` at each point of the sorted ``grid``.
+
+    For spans whose generation 0 is dense.  The flag words are mixed once,
+    into the workspace's lane store (:func:`percmoments.rng._edge_lanes`),
+    and each point's flags come from the store
+    (:func:`percmoments.rng._lane_flags`), written at both slots of each
+    edge.  Each edge is monotone in ``p``, so a point's clusters hold the
+    previous point's, and its fixpoint starts from their membership: the
+    start vertices are packed once.  Each point's sizes are the workspace's,
+    valid until the next is yielded.
+    """
+    n_edges, width = graph.n_edges, keys.size
+    nbytes = -(-width // 8)
+    scratch_words = min(_SCRATCH_BYTES // 8, 2 * n_edges * width)
+    lanes = _edge_lanes(keys, n_edges, work("lanes", (n_edges, width), np.uint16),
+                        work("scratch", scratch_words, np.uint64))
+    member = _packed_starts(graph.n_vertices, starts, work)
+    flags = work("flags", (2 * n_edges, nbytes), np.uint8)
+    open_slots = flags.reshape(graph.degree, graph.n_vertices, nbytes)
+    for p in grid:
+        _lane_flags(lanes, keys, p, plan.slots, flags, work("scratch", scratch_words, np.uint64))
+        _fixpoint(plan, open_slots, member, work)
+        sizes = work("sizes", width, np.int64)
+        _column_counts(member, sizes, work)
+        yield sizes
 
 
 def replicate_realization(
@@ -554,9 +635,10 @@ def _span_width(graph: Graph) -> int:
     # A byte per open flag, two per edge for its two slots, and per vertex
     # is eight times what a packed column of the flag and membership
     # matrices (or of the visited bitset that shares the membership's
-    # buffer) holds, so the budget bounds them with room to spare.  Nothing
-    # unpacked grows with the span: the size readout passes through the
-    # fixed _SCRATCH_BYTES.
+    # buffer) holds, so the budget bounds them with room to spare: room
+    # that a sweep's lane store, 2 bytes per edge, takes up to D = 7.
+    # Nothing unpacked grows with the span: the size readout passes through
+    # the fixed _SCRATCH_BYTES.
     column = 2 * graph.n_edges + graph.n_vertices + 8 * _COLUMN_WORDS
     return max(1, _SPAN_BYTES // column)
 
@@ -574,38 +656,67 @@ def _spans(graph: Graph, replicates: int, workers: int) -> Iterator[tuple[int, i
     return ((lo, min(lo + step, replicates)) for lo in range(0, replicates, step))
 
 
-def _block_stats(
-    graph: Graph, plan: _EdgePlan, p: float, seed: int, lo: int, hi: int
-) -> list[tuple[RunningMoments, RunningMoments]]:
-    """Partials of S and S^2 for each merge block of the span [lo, hi), in order.
-
-    The pool's worker body.  ``lo`` is a merge-block boundary.  The span is
-    one draw and one fixpoint when it is at most ``_span_width`` wide;
-    wider, it is a single merge block, relaxed in sub-spans of that width
-    whose sizes are joined before the block's partials.  Its buffers come
-    from an idle workspace, given back at the end.
-    """
-    width = _span_width(graph)
-    with _borrowed_workspace() as work:
-        sizes = work("span sizes", hi - lo, np.int64)
-        for start in range(lo, hi, width):
-            stop = min(start + width, hi)
-            sizes[start - lo : stop - lo] = _block_cluster_sizes(
-                graph, p, seed, start, stop, plan, work
-            )
-        partials = []
-        for start in range(0, hi - lo, _BLOCK):
-            block = sizes[start : start + _BLOCK].astype(np.float64)
-            acc_s, acc_s2 = RunningMoments(), RunningMoments()
-            acc_s.add_batch(block)
-            acc_s2.add_batch(block * block)
-            partials.append((acc_s, acc_s2))
+def _partials(sizes: np.ndarray) -> list[tuple[RunningMoments, RunningMoments]]:
+    """Partials of S and S^2 for each merge block of a span's ``sizes``, in block order."""
+    partials = []
+    for start in range(0, sizes.size, _BLOCK):
+        block = sizes[start : start + _BLOCK].astype(np.float64)
+        acc_s, acc_s2 = RunningMoments(), RunningMoments()
+        acc_s.add_batch(block)
+        acc_s2.add_batch(block * block)
+        partials.append((acc_s, acc_s2))
     return partials
 
 
+def _block_stats(
+    graph: Graph, plan: _EdgePlan, grid: list[float], seed: int, lo: int, hi: int
+) -> list[list[tuple[RunningMoments, RunningMoments]]]:
+    """Partials of S and S^2 for each merge block of the span [lo, hi), at each point of ``grid``.
+
+    The pool's worker body.  ``grid`` is sorted and ``lo`` is a merge-block
+    boundary.  Returns, per point in grid order, the blocks' partials in
+    block order.  The span's keys and starts are mixed once, for every
+    point.  At most ``_span_width`` wide, the span is one draw and one
+    fixpoint per point: from its lane store, warm, when generation 0 is
+    dense and the grid has more than one point (:func:`_lane_sizes`), and
+    cold otherwise (:func:`_point_sizes`; one point, as
+    :func:`estimate_moments` has, would mix and read its lanes once).
+    Wider, it is a single merge block, relaxed point by point in sub-spans
+    of that width whose sizes are joined before the block's partials.  Its
+    buffers come from an idle workspace, given back at the end.
+    """
+    width = _span_width(graph)
+    with _borrowed_workspace() as work:
+        keys, starts = _span_starts(graph, seed, lo, hi, work)
+        if hi - lo > width:
+            point_sizes = (_joined_sizes(graph, plan, p, keys, starts, width, work) for p in grid)
+        elif len(grid) > 1 and _goes_dense(graph, hi - lo, hi - lo):
+            point_sizes = _lane_sizes(graph, plan, grid, keys, starts, work)
+        else:
+            point_sizes = (_point_sizes(graph, plan, p, keys, starts, work) for p in grid)
+        return [_partials(sizes) for sizes in point_sizes]
+
+
+def _joined_sizes(
+    graph: Graph,
+    plan: _EdgePlan,
+    p: float,
+    keys: np.ndarray,
+    starts: np.ndarray,
+    width: int,
+    work: _Workspace,
+) -> np.ndarray:
+    """Cluster sizes at ``p`` of a merge block too wide for one draw, by sub-spans of ``width``."""
+    sizes = work("span sizes", keys.size, np.int64)
+    for lo in range(0, keys.size, width):
+        cut = slice(lo, lo + width)
+        sizes[cut] = _point_sizes(graph, plan, p, keys[cut], starts[cut], work)
+    return sizes
+
+
 def _span_partials(
-    graph: Graph, plan: _EdgePlan, p: float, seed: int, replicates: int, workers: int
-) -> Iterator[list[tuple[RunningMoments, RunningMoments]]]:
+    graph: Graph, plan: _EdgePlan, grid: list[float], seed: int, replicates: int, workers: int
+) -> Iterator[list[list[tuple[RunningMoments, RunningMoments]]]]:
     """``_block_stats`` of every span, in span order.
 
     With a pool, spans are submitted as results are taken, so at most
@@ -614,12 +725,12 @@ def _span_partials(
     spans = _spans(graph, replicates, workers)
     if workers == 1:
         for lo, hi in spans:
-            yield _block_stats(graph, plan, p, seed, lo, hi)
+            yield _block_stats(graph, plan, grid, seed, lo, hi)
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for lo, hi in spans:
-            pending.append(pool.submit(_block_stats, graph, plan, p, seed, lo, hi))
+            pending.append(pool.submit(_block_stats, graph, plan, grid, seed, lo, hi))
             if len(pending) > 2 * workers:
                 yield pending.popleft().result()
         while pending:
@@ -663,28 +774,34 @@ def estimate_moments(
     replicates = _check_replicates(replicates)
     seed = _check_integer("seed", seed)
     _check_workers(workers)
-    return _estimate(graph, _edge_plan(graph), p, replicates, seed, workers)
+    return _estimates(graph, _edge_plan(graph), [p], replicates, seed, workers)[0]
 
 
-def _estimate(
-    graph: Graph, plan: _EdgePlan, p: float, replicates: int, seed: int, workers: int
-) -> MomentEstimate:
-    """:func:`estimate_moments` of checked arguments, on the graph's edge plan."""
-    acc_s = RunningMoments()
-    acc_s2 = RunningMoments()
-    for partials in _span_partials(graph, plan, p, seed, replicates, workers):
-        for part_s, part_s2 in partials:
-            acc_s.merge(part_s)
-            acc_s2.merge(part_s2)
+def _estimates(
+    graph: Graph, plan: _EdgePlan, grid: list[float], replicates: int, seed: int, workers: int
+) -> list[MomentEstimate]:
+    """:func:`estimate_moments` at each point of the sorted ``grid``, from one stream set.
 
-    return MomentEstimate(
-        mean_s=acc_s.mean,
-        se_s=acc_s.standard_error,
-        mean_s2=acc_s2.mean,
-        se_s2=acc_s2.standard_error,
-        replicates=replicates,
-        seed=seed,
-    )
+    Checked arguments, on the graph's edge plan.  Each point's block
+    partials are merged in block order, span after span.
+    """
+    accs = [(RunningMoments(), RunningMoments()) for _ in grid]
+    for span in _span_partials(graph, plan, grid, seed, replicates, workers):
+        for (acc_s, acc_s2), partials in zip(accs, span):
+            for part_s, part_s2 in partials:
+                acc_s.merge(part_s)
+                acc_s2.merge(part_s2)
+    return [
+        MomentEstimate(
+            mean_s=acc_s.mean,
+            se_s=acc_s.standard_error,
+            mean_s2=acc_s2.mean,
+            se_s2=acc_s2.standard_error,
+            replicates=replicates,
+            seed=seed,
+        )
+        for acc_s, acc_s2 in accs
+    ]
 
 
 def sweep(
@@ -697,9 +814,13 @@ def sweep(
 ) -> SweepResult:
     """Bounds, estimates, and optionally exact values over a grid of p.
 
-    Rows come out sorted by p.  Each grid point gets its own derived seed
-    from (seed, sorted position), so points are independent and the whole
-    sweep is reproducible.  With ``include_oracle`` the frontier DP of
+    Rows come out sorted by p.  Every point draws from the streams of
+    ``seed`` itself, so the row at ``p`` is bit for bit
+    ``estimate_moments(graph, p, replicates, seed, workers)``, and the rows
+    share their realizations (common random numbers): each row's standard
+    errors are its own, but rows are not independent, and each replicate's
+    cluster only grows along the grid.  Each span's streams are mixed once
+    for the whole grid (see the module docstring).  With ``include_oracle`` the frontier DP of
     :func:`~percmoments.oracle.moment_polynomial` runs once, and its
     polynomial in p is evaluated per point.  The edge plan is built once
     and serves every point.  The caps of :func:`estimate_moments` apply,
@@ -718,11 +839,9 @@ def sweep(
     _check_workers(workers)
 
     poly = moment_polynomial(graph) if include_oracle else None
-
-    plan = _edge_plan(graph)
+    estimates = _estimates(graph, _edge_plan(graph), grid, replicates, seed, workers)
     rows = []
-    for i, p in enumerate(grid):
-        point_seed = derive_key(seed, i)
+    for p, estimate in zip(grid, estimates):
         params = BoundParams(degree=graph.degree, n_vertices=graph.n_vertices, p=p)
         rows.append(
             SweepRow(
@@ -730,7 +849,7 @@ def sweep(
                 branching=branching_bounds(params),
                 isolation=isolation_bounds(params),
                 combined=best_bounds(params),
-                estimate=_estimate(graph, plan, p, replicates, point_seed, workers),
+                estimate=estimate,
                 exact=poly.evaluate(p) if poly is not None else None,
             )
         )

@@ -51,15 +51,20 @@ row map puts each edge's row wherever the caller needs it: an edge's
 word, lane and tail depend only on the edge, never on where its row sits.
 
 Every realization of the package is drawn by :func:`edge_draws` or by
-its two private parts, which write the counter positions of an edge's
-words (:func:`_word_offsets`, :func:`_tail_flags`) and the thresholds
+its private parts, which write the counter positions of an edge's words
+(:func:`_word_offsets`, :func:`_tail_flags`) and the thresholds
 (:func:`_threshold`) in one place: :func:`_edge_flags` draws the packed
-flags of any set of stream keys, and :func:`_pair_flags` draws single
-(stream, edge) words and lanes, the bits ``_edge_flags`` would give them.
-The Monte Carlo kernel mixes each span's keys and start draws once
-(:func:`_stream_keys`, :func:`_start_uniforms`), reads the edges its
-sparse phase reaches through ``_pair_flags``, and hands ``_edge_flags``
-the keys of the replicates that phase left open and no others; the
+flags of any set of stream keys, :func:`_pair_flags` draws single
+(stream, edge) words and lanes, the bits ``_edge_flags`` would give them,
+and :func:`_edge_lanes` keeps the lanes of a set of keys, edge-major, from
+which :func:`_lane_flags` gives ``_edge_flags``' bits at any ``p``
+without mixing a flag word again.  The Monte Carlo kernel mixes each
+span's keys and start draws once (:func:`_stream_keys`,
+:func:`_start_uniforms`), reads the edges its sparse phase reaches
+through ``_pair_flags``, and hands ``_edge_flags`` the keys of the
+replicates that phase left open and no others; a sweep of several
+points keeps a lane store for each span whose generation 0 is dense (a
+Platonic solid's, say) and draws every point's flags from it; the
 dominance birth counts draw whole blocks through the same
 ``_edge_flags``.  :func:`_stream_keys`, :func:`_start_uniforms` and
 :func:`_edge_flags` take optional output and scratch arrays, so the Monte
@@ -78,6 +83,7 @@ is also the reference for the start draws.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -160,8 +166,8 @@ def _stream_keys(
 def derive_key(seed: int, index: int) -> int:
     """Fold a stream index into a 64-bit key.
 
-    Used for per-replicate streams, per-grid-point seeds, and any other
-    place that needs an independent child stream of a master seed.
+    Used for per-replicate streams, the random graphs' stub orders, and any
+    other place that needs an independent child stream of a master seed.
     """
     base = _mix64_scalar(seed & _MASK)
     return _mix64_scalar(base + _GOLDEN * (index + 1))
@@ -304,6 +310,71 @@ def _unzip(x: np.ndarray, t: np.ndarray) -> None:
         x ^= t
 
 
+def _mixed_chunks(
+    keys: np.ndarray, n_words: int, scratch: np.ndarray | None
+) -> Iterator[tuple[int, int, int, int, np.ndarray, np.ndarray]]:
+    """Flag words ``0 .. n_words - 1`` of the streams ``keys``, mixed a chunk at a time.
+
+    Yields ``(lo, hi, c0, c1, z, tmp)``: words ``[lo, hi)`` of streams
+    ``[c0, c1)`` are mixed at the front of ``z`` as a ``(hi - lo, c1 -
+    c0)`` matrix, and ``tmp``, their mixing scratch, is spent.  ``z`` and
+    ``tmp`` are the halves of the 1-D uint64 ``scratch`` if given, so
+    chunks shrink to fit it, and of a new array otherwise.  A chunk holds
+    whole word rows of all streams while one row fits in it, and one word
+    row of a slice of whole bytes of the streams once a row is wider.
+    """
+    n_streams = keys.size
+    chunk = _CHUNK_BYTES if scratch is None else min(_CHUNK_BYTES, scratch.nbytes // 2)
+    cols = max(1, min(n_streams, chunk // 8))
+    if cols < n_streams:
+        cols = max(8, cols - cols % 8)
+    rows = max(1, min(n_words, chunk // (8 * cols)))
+    size = rows * cols
+    if scratch is None or scratch.size < 2 * size:
+        scratch = np.empty(2 * size, dtype=np.uint64)
+    z, tmp = scratch[:size], scratch[size : 2 * size]
+    offsets = _word_offsets(np.arange(n_words))
+    for c0 in range(0, n_streams, cols):
+        c1 = min(c0 + cols, n_streams)
+        for lo in range(0, n_words, rows):
+            hi = min(lo + rows, n_words)
+            shape = (hi - lo, c1 - c0)
+            size = shape[0] * shape[1]
+            zc = z[:size].reshape(shape)
+            np.add(offsets[lo:hi, None], keys[None, c0:c1], out=zc)
+            _mix64_inplace(zc, tmp[:size].reshape(shape))
+            yield lo, hi, c0, c1, z, tmp
+
+
+def _constant_flags(out: np.ndarray, n_streams: int, p: float) -> np.ndarray:
+    """Fill the packed flags ``out`` of ``n_streams`` streams for ``p`` of 0 or 1."""
+    out.fill(0xFF if p == 1.0 else 0)
+    if n_streams % 8:  # padding bits stay 0, as packbits leaves them
+        out[:, -1] &= np.uint8((1 << n_streams % 8) - 1)
+    return out
+
+
+def _open_tied(
+    out: np.ndarray,
+    row_of: np.ndarray,
+    keys: np.ndarray,
+    edges: list[np.ndarray],
+    streams: list[np.ndarray],
+    tail: np.uint64,
+) -> None:
+    """Set the bits of the tied lanes ``(edges[k][i], streams[k][i])`` whose tail words open them.
+
+    Edge ``e``'s bits go to rows ``row_of[..., e]`` of the packed ``out``.
+    """
+    if not edges:
+        return
+    edge, stream = np.concatenate(edges), np.concatenate(streams)
+    opened = _tail_flags(keys[stream], edge, tail)
+    edge, stream = edge[opened], stream[opened]
+    bits = np.left_shift(1, stream & 7).astype(np.uint8)
+    np.bitwise_or.at(out, (row_of[..., edge], stream >> 3), bits)
+
+
 def _edge_flags(
     keys: np.ndarray,
     n_edges: int,
@@ -322,81 +393,122 @@ def _edge_flags(
     mixing scratch take halves of the 1-D uint64 ``scratch`` if given, so
     chunks shrink to fit it; new arrays otherwise.
 
-    Each chunk of words is compared as uint16 lanes, packed (bit ``4 s +
-    l`` of a packed word: stream ``s``, lane ``l``) and unzipped into
-    lane-major words (:func:`_unzip`) in the chunk's spent halves; lane
-    ``l`` of word row ``w`` is then the packed row of edge ``4 w + l``,
-    written to that edge's row.  Tied lanes are gathered over the chunks
-    and decided by their tail words at the end.
+    Each chunk of words (:func:`_mixed_chunks`) is compared as uint16
+    lanes, packed (bit ``4 s + l`` of a packed word: stream ``s``, lane
+    ``l``) and unzipped into lane-major words (:func:`_unzip`) in the
+    chunk's spent halves; lane ``l`` of word row ``w`` is then the packed
+    row of edge ``4 w + l``, written to that edge's row.  Tied lanes are
+    gathered over the chunks and decided by their tail words at the end.
     """
     n_streams = keys.size
     width = -(-n_streams // 8)
     open_edges = np.empty((n_edges, width), dtype=np.uint8) if out is None else out
     if p == 0.0 or p == 1.0:
-        open_edges.fill(0xFF if p == 1.0 else 0)
-        if n_streams % 8:  # padding bits stay 0, as packbits leaves them
-            open_edges[:, -1] &= np.uint8((1 << n_streams % 8) - 1)
-        return open_edges
+        return _constant_flags(open_edges, n_streams, p)
     lane, tail = _threshold(p)
-    n_words = -(-n_edges // _LANES)
     if row_of is None:
         row_of = np.arange(n_edges)
-    chunk = _CHUNK_BYTES if scratch is None else min(_CHUNK_BYTES, scratch.nbytes // 2)
-    # a chunk is whole word rows of all streams while one row fits, else
-    # one word row of a slice of whole bytes of the streams
-    cols = max(1, min(n_streams, chunk // 8))
-    if cols < n_streams:
-        cols = max(8, cols - cols % 8)
-    rows = max(1, min(n_words, chunk // (8 * cols)))
-    size = rows * cols
-    if scratch is None or scratch.size < 2 * size:
-        scratch = np.empty(2 * size, dtype=np.uint64)
-    z, tmp = scratch[:size], scratch[size : 2 * size]
-    offsets = _word_offsets(np.arange(n_words))
     tied_edges, tied_streams = [], []
-    for c0 in range(0, n_streams, cols):
-        c1 = min(c0 + cols, n_streams)
+    for lo, hi, c0, c1, z, tmp in _mixed_chunks(keys, -(-n_edges // _LANES), scratch):
         nbytes, n16 = -(-(c1 - c0) // 8), -(-(c1 - c0) // 16)
-        for lo in range(0, n_words, rows):
-            hi = min(lo + rows, n_words)
-            shape = (hi - lo, c1 - c0)
-            size = shape[0] * shape[1]
-            zc, tc = z[:size].reshape(shape), tmp[:size].reshape(shape)
-            np.add(offsets[lo:hi, None], keys[None, c0:c1], out=zc)
-            _mix64_inplace(zc, tc)
-            lanes = zc.view(np.uint16)  # lane l of word [w, s] at [w, 4 s + l]
-            flags = tmp.view(bool)[: 4 * size].reshape(lanes.shape)
-            np.less(lanes, lane, out=flags)
-            packed = np.packbits(flags, axis=1, bitorder="little")
-            np.equal(lanes, lane, out=flags)
-            ties = _true_indices(flags.reshape(-1))
-            if ties.size:
-                w, rest = np.divmod(ties, 4 * shape[1])
-                edge = _LANES * (lo + w) + (rest & (_LANES - 1))
-                keep = edge < n_edges
-                tied_edges.append(edge[keep])
-                tied_streams.append(c0 + (rest[keep] >> 2))
-            # the chunk's words and flags are spent: their halves take the
-            # unzip, then the lane-major rows, [w, l] for edge 4 w + l
-            x = z[: shape[0] * n16].reshape(shape[0], n16)
-            x_bytes = x.view(np.uint8)
-            x_bytes[:, : packed.shape[1]] = packed
-            x_bytes[:, packed.shape[1] :] = 0
-            _unzip(x, tmp[: x.size].reshape(x.shape))
-            by_lane = tmp[: x.size].view(np.uint16).reshape(shape[0], _LANES, n16)
-            np.copyto(by_lane, x.view(np.uint16).reshape(shape[0], n16, _LANES).transpose(0, 2, 1))
-            dest = row_of[_LANES * lo : _LANES * hi]
-            dest = dest[: n_edges - _LANES * lo]  # the last word may have lanes past the edges
-            open_edges[dest, c0 // 8 : c0 // 8 + nbytes] = (
-                by_lane.view(np.uint8).reshape(-1, 2 * n16)[: dest.size, :nbytes]
-            )
-    if tied_edges:
-        edge, stream = np.concatenate(tied_edges), np.concatenate(tied_streams)
-        opened = _tail_flags(keys[stream], edge, tail)
-        edge, stream = edge[opened], stream[opened]
-        bits = np.left_shift(1, stream & 7).astype(np.uint8)
-        np.bitwise_or.at(open_edges, (row_of[edge], stream >> 3), bits)
+        shape = (hi - lo, c1 - c0)
+        size = shape[0] * shape[1]
+        # lane l of word [w, s] at [w, 4 s + l]
+        lanes = z[:size].reshape(shape).view(np.uint16)
+        flags = tmp.view(bool)[: 4 * size].reshape(lanes.shape)
+        np.less(lanes, lane, out=flags)
+        packed = np.packbits(flags, axis=1, bitorder="little")
+        np.equal(lanes, lane, out=flags)
+        ties = _true_indices(flags.reshape(-1))
+        if ties.size:
+            w, rest = np.divmod(ties, 4 * shape[1])
+            edge = _LANES * (lo + w) + (rest & (_LANES - 1))
+            keep = edge < n_edges
+            tied_edges.append(edge[keep])
+            tied_streams.append(c0 + (rest[keep] >> 2))
+        # the chunk's words and flags are spent: their halves take the
+        # unzip, then the lane-major rows, [w, l] for edge 4 w + l
+        x = z[: shape[0] * n16].reshape(shape[0], n16)
+        x_bytes = x.view(np.uint8)
+        x_bytes[:, : packed.shape[1]] = packed
+        x_bytes[:, packed.shape[1] :] = 0
+        _unzip(x, tmp[: x.size].reshape(x.shape))
+        by_lane = tmp[: x.size].view(np.uint16).reshape(shape[0], _LANES, n16)
+        np.copyto(by_lane, x.view(np.uint16).reshape(shape[0], n16, _LANES).transpose(0, 2, 1))
+        dest = row_of[_LANES * lo : _LANES * hi]
+        dest = dest[: n_edges - _LANES * lo]  # the last word may have lanes past the edges
+        open_edges[dest, c0 // 8 : c0 // 8 + nbytes] = (
+            by_lane.view(np.uint8).reshape(-1, 2 * n16)[: dest.size, :nbytes]
+        )
+    _open_tied(open_edges, row_of, keys, tied_edges, tied_streams, tail)
     return open_edges
+
+
+def _edge_lanes(
+    keys: np.ndarray,
+    n_edges: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+) -> np.ndarray:
+    """The 16-bit lanes of the streams ``keys``, edge-major: an (edges x streams) uint16 store.
+
+    ``[e, i]`` is edge ``e``'s lane in stream ``keys[i]``, the top 16 bits
+    of its uniform, into ``out`` if given.  The words are mixed in chunks
+    through ``scratch`` (:func:`_mixed_chunks`), and each lane goes to its
+    edge's row.  :func:`_lane_flags` turns the store into the flags of any
+    ``p``, so a caller that draws the same streams at many ``p`` mixes
+    their words once.
+    """
+    lanes = np.empty((n_edges, keys.size), dtype=np.uint16) if out is None else out
+    for lo, hi, c0, c1, z, _ in _mixed_chunks(keys, -(-n_edges // _LANES), scratch):
+        words = z[: (hi - lo) * (c1 - c0)].view(np.uint16).reshape(hi - lo, -1)
+        for lane in range(_LANES):
+            dest = lanes[_LANES * lo + lane : _LANES * hi : _LANES, c0:c1]
+            dest[...] = words[: dest.shape[0], lane::_LANES]  # rows past the edges are cut
+    return lanes
+
+
+def _lane_flags(
+    lanes: np.ndarray,
+    keys: np.ndarray,
+    p: float,
+    row_of: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """Bit-packed open flags at ``p`` from the lane store of the streams ``keys``.
+
+    ``lanes`` is :func:`_edge_lanes`' store of ``keys``; edge ``e``'s
+    flags go to rows ``row_of[..., e]`` of the uint8 ``out``, the bits
+    :func:`_edge_flags` gives.  Rows of lanes are compared with the lane
+    limit in chunks of the 1-D ``scratch``, seen as bools (a new row if it
+    holds less), and packed along the streams: edge-major already, so
+    nothing is unzipped.  A tied lane
+    is found by :func:`_true_indices` and decided by its tail word, as in
+    :func:`_edge_flags`.
+    """
+    n_edges, n_streams = lanes.shape
+    if p == 0.0 or p == 1.0:
+        return _constant_flags(out, n_streams, p)
+    lane, tail = _threshold(p)
+    flags = scratch.view(bool)
+    if flags.size < n_streams:
+        flags = np.empty(n_streams, dtype=bool)
+    rows = min(n_edges, flags.size // n_streams)
+    tied_edges, tied_streams = [], []
+    for lo in range(0, n_edges, rows):
+        chunk = lanes[lo : lo + rows]
+        below = flags[: chunk.size].reshape(chunk.shape)
+        np.less(chunk, lane, out=below)
+        out[row_of[..., lo : lo + rows]] = np.packbits(below, axis=1, bitorder="little")
+        np.equal(chunk, lane, out=below)
+        ties = _true_indices(below.reshape(-1))
+        if ties.size:
+            edge, stream = np.divmod(ties, n_streams)
+            tied_edges.append(lo + edge)
+            tied_streams.append(stream)
+    _open_tied(out, row_of, keys, tied_edges, tied_streams, tail)
+    return out
 
 
 def edge_draws(

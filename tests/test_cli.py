@@ -183,9 +183,9 @@ GOLDEN_STDOUT = [
     ("simulate --graph cube --p 0.6 --reps 2000 --workers 2 --format json", 0,
      "91455111e35f8d514a0721ab51c5d8d88c5bfa9a8759eb7c39e6239caf19068f"),
     ("sweep --graph tetrahedron --p-grid 0:1:0.25 --reps 2000 --oracle", 0,
-     "1ae9ba97f87f3c354cb62b60c067b5da88c3598bdedb87d9ce6af53c4079d576"),
+     "057b03e1de1b1bf30bf47225b31663070fdee685098c61f70dcfb54670d29335"),
     ("sweep --graph cube --p-grid 0.2:0.4:0.2 --reps 1500 --seed 7 --format json", 0,
-     "bf61b46fa8c5fc3160f76e2aad5f6b46d85f4460ba706fb94a67619fb6ba351e"),
+     "fd95d875dff837e7cb0c0599c0292091204b3222f3485fdfcef5501e8be6be87"),
     ("dominance --graph complete(3) --p 0.5 --reps 2000", 0,
      "bd2d269a9976f04fd9b2ae3acdc1c73d5f40eba57a977a01ae47b93ffd8c7885"),
     ("dominance --graph cube --p 0.3 --reps 1500 --seed 2 --format json", 0,
@@ -220,6 +220,21 @@ def test_sweep_rows_and_oracle_flag():
     )
     _, rows = read_csv(out)
     assert all(dict(zip(MOMENT_COLUMNS, r))["exact_first"] == "" for r in rows)
+
+
+def test_sweep_rows_are_simulate_rows():
+    # one stream set for the grid: each row is `simulate` at its p and the sweep's seed
+    base = ["--graph", "octahedron", "--reps", "3000", "--seed", "4"]
+    code, out = run_cli(["sweep", "--p-grid", "0.2:0.6:0.2"] + base)
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 3
+    for cells in rows:
+        row = dict(zip(MOMENT_COLUMNS, cells))
+        _, (point,) = read_csv(run_cli(["simulate", "--p", row["p"]] + base)[1])
+        point = dict(zip(MOMENT_COLUMNS, point))
+        for column in ("seed", "mean_s", "se_s", "mean_s2", "se_s2"):
+            assert row[column] == point[column], (row["p"], column)
 
 
 def test_sweep_json_round_trip(tetrahedron):

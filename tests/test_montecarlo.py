@@ -124,8 +124,8 @@ def test_argument_validation(k3):
 def test_sweep_rows_are_sorted_and_seeded(tetrahedron):
     result = sweep(tetrahedron, [0.6, 0.2, 0.4], 2000, seed=11)
     assert [row.p for row in result.rows] == [0.2, 0.4, 0.6]
-    seeds = {row.estimate.seed for row in result.rows}
-    assert len(seeds) == 3
+    # one stream set for the whole grid: every row carries the sweep's seed
+    assert {row.estimate.seed for row in result.rows} == {11}
     assert result.graph_label == "tetrahedron"
     assert result.replicates == 2000 and result.seed == 11
     # grid order must not affect anything
@@ -222,11 +222,13 @@ GOLDEN_ESTIMATES = [
     ("random(1000,3,1)", 0.6, 2 * _BLOCK + 100, 3,
      (484.85397961659794, 2.5181122617860847, 339600.2609196797, 1851.6334092300929)),
 ]
+# Every point of a sweep draws from the streams of its seed, so each row is
+# the seed's estimate_moments (recorded when sweeps moved from one derived
+# seed per point to one stream set).
 GOLDEN_SWEEP = [  # icosahedron, 10000 replicates, seed 7
-    (0.1, 9672475392221035855, (1.795, 0.012511321006006182, 4.7872, 0.08272336992406172)),
-    (0.3, 5573481420429128725, (6.2346, 0.03814658307345519, 53.4204, 0.4888230571302035)),
-    (0.5, 17358316652931856208,
-     (10.8791, 0.024836867878228933, 124.52289999999999, 0.36580624513517807)),
+    (0.1, 7, (1.7791, 0.012472605004070271, 4.7207, 0.08371230450771618)),
+    (0.3, 7, (6.2663, 0.03805657973762399, 53.7481, 0.48611901403728375)),
+    (0.5, 7, (10.8923, 0.024909277753717013, 124.8463, 0.3643742643099937)),
 ]
 
 
@@ -524,6 +526,119 @@ def test_solids_never_enter_the_sparse_phase(name, monkeypatch):
         estimate_moments(g, p, _BLOCK + 3, seed=1)
     sweep(g, [0.2, 0.7], 1000, seed=2)
     assert calls == []
+
+
+# ---------------------------------------------------------------- one stream set
+# A sweep draws every point from the streams of its seed: each span's keys
+# and starts are mixed once for the grid, spans whose generation 0 is dense
+# keep their flag words as 16-bit lanes, and there each point's fixpoint
+# starts from the previous point's clusters.  So row p is estimate_moments
+# at p, bit for bit.
+
+
+def _assert_rows_are_point_estimates(g, grid, reps, seed, workers):
+    result = sweep(g, grid, reps, seed, workers=workers)
+    assert [row.p for row in result.rows] == sorted(grid)
+    for row in result.rows:
+        # all four floats, the replicate count and the seed
+        assert row.estimate == estimate_moments(g, row.p, reps, seed, workers), row.p
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", ["octahedron", "dodecahedron", "icosahedron"])
+def test_sweep_rows_are_point_estimates_on_lane_spans(name, workers, monkeypatch):
+    g = generate_builtin(name)
+    stores = []
+    lanes = montecarlo._edge_lanes
+    monkeypatch.setattr(montecarlo, "_edge_lanes",
+                        lambda keys, *args: stores.append(keys.size) or lanes(keys, *args))
+    # unsorted, both ends, a repeated point; three merge blocks, so three
+    # spans with three workers
+    grid = [0.7, 0.0, 0.35, 1.0, 0.35, 0.1, 0.55]
+    _assert_rows_are_point_estimates(g, grid, 2 * _BLOCK + 100, 11, workers)
+    assert sum(stores) == 2 * _BLOCK + 100 and len(stores) == (1 if workers == 1 else 3)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sweep_rows_are_point_estimates_on_two_phase_spans(workers, monkeypatch):
+    # 1500 edges: a sparse phase first.  At 0.3 and 0.45 every replicate
+    # ends sparse; at 0.6 most go dense, and some still end sparse.
+    g = _graph("random(1000,3,1)")
+    assert not montecarlo._goes_dense(g, 1, 1)
+    phases = []
+    sparse = montecarlo._sparse_sizes
+
+    def spy(graph, plan, p, keys, starts, work):
+        sizes, dense = sparse(graph, plan, p, keys, starts, work)
+        phases.append((p, keys.size, dense.size))
+        return sizes, dense
+
+    monkeypatch.setattr(montecarlo, "_sparse_sizes", spy)
+    reps = 2 * _BLOCK + 100
+    result = sweep(g, [0.6, 0.3, 0.45], reps, 5, workers=workers)
+    by_p = {p: [(width, dense) for q, width, dense in phases if q == p] for p in (0.3, 0.45, 0.6)}
+    assert all(dense == 0 for _, dense in by_p[0.3] + by_p[0.45])
+    assert all(0 < dense < width for width, dense in by_p[0.6])  # both kinds of column
+    assert sum(dense for _, dense in by_p[0.6]) > reps // 2
+    for row in result.rows:
+        assert row.estimate == estimate_moments(g, row.p, reps, 5, workers), row.p
+
+
+_BUILTINS = ["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron", "ring(9)",
+             "complete(6)", "hypercube(4)"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    name=st.sampled_from(_BUILTINS),
+    grid=st.lists(st.one_of(st.sampled_from(_EDGE_P), st.floats(0.0, 1.0)),
+                  min_size=2, max_size=6).map(sorted),
+    seed=st.integers(0, 2**32),
+    lo=st.integers(0, 2**20),
+    width=st.integers(1, 70),
+)
+def test_warm_started_sizes_equal_cold_ones(name, grid, seed, lo, width):
+    g = generate_builtin(name)
+    assert montecarlo._goes_dense(g, 1, 1)
+    work = montecarlo._Workspace()
+    keys, starts = montecarlo._span_starts(g, seed, lo, lo + width, work)
+    warm = montecarlo._lane_sizes(g, montecarlo._edge_plan(g), grid, keys, starts, work)
+    for p, sizes in zip(grid, warm, strict=True):
+        np.testing.assert_array_equal(sizes, _block_cluster_sizes(g, p, seed, lo, lo + width))
+
+
+def test_sweep_moments_never_decrease_along_the_grid(cube):
+    # one realization per replicate for the whole grid, each edge monotone
+    # in p: every cluster, so every sum of sizes, only grows
+    result = sweep(cube, [i / 100 for i in range(101)], 64, seed=3)
+    moments = [(row.estimate.mean_s, row.estimate.mean_s2) for row in result.rows]
+    for before, after in zip(moments, moments[1:]):
+        assert after[0] >= before[0] and after[1] >= before[1]
+
+
+def test_a_sweep_mixes_each_span_once(monkeypatch):
+    g = generate_builtin("dodecahedron")
+    grid = [i / 40 for i in range(41)]
+    reps = 3000  # one span
+    keyed, laned, drawn, mixed = [], [], [], []
+
+    def spy(name, into, size):
+        original = getattr(montecarlo, name)
+        monkeypatch.setattr(montecarlo, name,
+                            lambda *args: into.append(size(*args)) or original(*args))
+
+    spy("_stream_keys", keyed, lambda seed, first, n, *rest: n)
+    spy("_edge_lanes", laned, lambda keys, *rest: keys.size)
+    spy("_edge_flags", drawn, lambda keys, *rest: keys.size)
+    mix = rng._mix64_inplace
+    monkeypatch.setattr(rng, "_mix64_inplace", lambda z, tmp: mixed.append(z.size) or mix(z, tmp))
+    result = sweep(g, grid, reps, seed=5)
+    assert keyed == [reps] and laned == [reps] and drawn == []
+    # keys, start words and flag words, each once; besides them only the
+    # tail words of tied lanes, about 2^-16 of the lanes per point
+    words = (2 + -(-g.n_edges // 4)) * reps
+    assert words <= sum(mixed) < words + 100
+    assert len(result.rows) == 41
 
 
 # ---------------------------------------------------------------- span schedule
