@@ -229,12 +229,11 @@ def isolation_bounds(params: BoundParams) -> MomentPair:
     return MomentPair(first=first, second=second, kind="isolation")
 
 
+def _combined(a: MomentPair, b: MomentPair) -> MomentPair:
+    """Componentwise minimum of two bound pairs, of kind "combined"."""
+    return MomentPair(first=min(a.first, b.first), second=min(a.second, b.second), kind="combined")
+
+
 def best_bounds(params: BoundParams) -> MomentPair:
     """Componentwise minimum of the two bound families."""
-    a = branching_bounds(params)
-    b = isolation_bounds(params)
-    return MomentPair(
-        first=min(a.first, b.first),
-        second=min(a.second, b.second),
-        kind="combined",
-    )
+    return _combined(branching_bounds(params), isolation_bounds(params))

@@ -20,7 +20,8 @@ Floats are written with ``repr`` so they round-trip exactly.
 
 Every exact value, the ``oracle`` row, ``--polynomial`` and ``sweep
 --oracle`` alike, comes from the frontier DP of
-:func:`~percmoments.oracle.moment_polynomial`.
+:func:`~percmoments.oracle.moment_polynomial`; the ``oracle`` row is
+:func:`~percmoments.oracle.exact_moments`, the library's own call.
 
 Exit codes: 0 on success, 1 on runtime failures, 2 on usage errors or
 refused preconditions (bad parameters, invalid graphs, exact work over the
@@ -43,12 +44,12 @@ import sys
 from dataclasses import dataclass
 from typing import TextIO
 
-from .bounds import BoundParams, MomentPair, best_bounds, branching_bounds, isolation_bounds
+from .bounds import BoundParams, MomentPair, _combined, branching_bounds, isolation_bounds
 from .coupling import dominance_report
-from .errors import BadParameterError, PercmomentsError, RetryLimitError, _check_probability
+from .errors import BadParameterError, PercmomentsError, RetryLimitError
 from .graphs import Graph, generate_builtin, load_edge_file
 from .montecarlo import MAX_REPLICATES, MAX_WORKERS, MomentEstimate, estimate_moments, sweep
-from .oracle import moment_polynomial
+from .oracle import exact_moments, moment_polynomial
 
 __all__ = [
     "MOMENT_COLUMNS",
@@ -249,7 +250,8 @@ def _resolve_graph(request: CommandRequest) -> Graph:
 def _bounds(graph: Graph, p: float) -> tuple[MomentPair, MomentPair, MomentPair]:
     """The (branching, isolation, combined) bounds of ``graph`` at ``p``, in row order."""
     params = BoundParams(degree=graph.degree, n_vertices=graph.n_vertices, p=p)
-    return branching_bounds(params), isolation_bounds(params), best_bounds(params)
+    branching, isolation = branching_bounds(params), isolation_bounds(params)
+    return branching, isolation, _combined(branching, isolation)
 
 
 def _moment_row(
@@ -279,8 +281,7 @@ def _moment_rows(request: CommandRequest, graph: Graph) -> list[dict]:
     if request.subcommand == "bounds":
         return [_moment_row(graph, p, _bounds(graph, p))]
     if request.subcommand == "oracle":
-        p = _check_probability(p)  # before the DP, which may take seconds
-        return [_moment_row(graph, p, exact=moment_polynomial(graph).evaluate(p))]
+        return [_moment_row(graph, p, exact=exact_moments(graph, p))]
     if request.subcommand == "simulate":
         est = estimate_moments(graph, p, request.replicates, request.seed, request.workers)
         return [_moment_row(graph, p, _bounds(graph, p), est)]

@@ -129,7 +129,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import BoundParams, MomentPair, best_bounds, branching_bounds, isolation_bounds
+from .bounds import BoundParams, MomentPair, _combined, branching_bounds, isolation_bounds
 from .errors import BadParameterError, _check_integer, _check_probability
 from .graphs import Graph
 from .oracle import moment_polynomial
@@ -843,12 +843,13 @@ def sweep(
     rows = []
     for p, estimate in zip(grid, estimates):
         params = BoundParams(degree=graph.degree, n_vertices=graph.n_vertices, p=p)
+        branching, isolation = branching_bounds(params), isolation_bounds(params)
         rows.append(
             SweepRow(
                 p=p,
-                branching=branching_bounds(params),
-                isolation=isolation_bounds(params),
-                combined=best_bounds(params),
+                branching=branching,
+                isolation=isolation,
+                combined=_combined(branching, isolation),
                 estimate=estimate,
                 exact=poly.evaluate(p) if poly is not None else None,
             )

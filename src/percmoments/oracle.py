@@ -13,7 +13,11 @@ work from the frontier widths of the edge order, capped at
 on it from |E| alone refuses the longest ones before their edges are
 ordered.
 
-The other three functions walk the full set of 2^|E| open/closed
+:func:`exact_moments` is that polynomial evaluated at p: one call runs one
+DP, with the DP's refusals, and the CLI's ``oracle`` row is that call.
+
+The two enumeration routes, :func:`connectivity_moments` and
+:func:`pair_connectivity`, walk the full set of 2^|E| open/closed
 configurations, so graphs are capped at :data:`DEFAULT_EDGE_CAP` edges, a
 cap no caller can raise: at it a call takes seconds (pair_connectivity on
 ring(24) 10-17 s on a 2-vCPU host) and holds at most 1.41 MB of
@@ -26,17 +30,13 @@ fixpoint.  Consecutive blocks are doubled together in groups of about
 ``_GROUP_BYTES`` of state, so each merge is one numpy call per group, not
 per block, and labels and sizes are int8 (``_STATE_DTYPE``).  Blocks are
 handed out as views into their group, valid until the next group starts.
-They share no code with the DP and serve as its reference.
+They share no code with the DP and serve as its reference:
 
-Three independent routes to the moments are exposed:
-
-* :func:`exact_moments` weights per-configuration size sums directly;
-* :func:`moment_polynomial` collects exact integer counts per number of open
-  edges and evaluates the resulting polynomial in p (exact rationals via
-  :mod:`fractions` are available on the result);
 * :func:`connectivity_moments` goes through the start vertex x: E(S_x) =
   sum_y P(x <-> y) is taken as the weighted sum of the cluster size S_x at
-  x, E(S_x^2) likewise of S_x^2, and both are averaged over x.
+  x, E(S_x^2) likewise of S_x^2, and both are averaged over x;
+* :func:`pair_connectivity` gives the table of P(x <-> y), which the DP
+  does not.
 """
 
 from __future__ import annotations
@@ -88,12 +88,12 @@ _BELL = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
 _BLOCK = 4096
 # State bytes of a group of blocks that are doubled together.  Each merge
 # is one numpy call over the whole group, so a wider group spreads the
-# per-call overhead over more columns.  exact_moments / connectivity_moments
-# on ring(20), int8 state, 2-vCPU host, medians of 7: one block at a time
-# 100-117 / 134-157 ms, 512 KB 72-84 / 92-117, 1 MB 52-58 / 84-87, 2 MB
-# 42-44 / 68-71, 4 MB no faster.  Past 1 MB the group's memory grows
-# faster than the gain: at 2 MB connectivity_moments on ring(20) peaks at
-# 3.9 MB of allocations, 2.6 MB at 1 MB.
+# per-call overhead over more columns.  Enumerated E(S) and E(S^2) /
+# connectivity_moments on ring(20), int8 state, 2-vCPU host, medians of 7:
+# one block at a time 100-117 / 134-157 ms, 512 KB 72-84 / 92-117, 1 MB
+# 52-58 / 84-87, 2 MB 42-44 / 68-71, 4 MB no faster.  Past 1 MB the group's
+# memory grows faster than the gain: at 2 MB connectivity_moments on
+# ring(20) peaks at 3.9 MB of allocations, 2.6 MB at 1 MB.
 _GROUP_BYTES = 1 << 20
 # Labels and sizes are at most N, and int8 holds every N that can be
 # enumerated: a D-regular graph has N = 2 |E| / D <= 2 |E| <= 48.
@@ -223,20 +223,6 @@ def _config_weights(n_edges: int, p: float) -> np.ndarray:
     """p^m (1-p)^(|E|-m) for m = 0..|E|: index it with ``n_open``."""
     m = np.arange(n_edges + 1)
     return p**m * (1.0 - p) ** (n_edges - m)
-
-
-def exact_moments(graph: Graph, p: float) -> MomentPair:
-    """E(S) and E(S^2) by direct probability-weighted enumeration."""
-    p = _check_probability(p)
-    first_acc = 0.0
-    second_acc = 0.0
-    weights = _config_weights(graph.n_edges, p)
-    for n_open, _, _, first, second in _config_blocks(graph):
-        w = weights[n_open]
-        first_acc += float(w @ first)
-        second_acc += float(w @ second)
-    n = graph.n_vertices
-    return MomentPair(first=first_acc / n, second=second_acc / n, kind="exact")
 
 
 def _bracket(counts: tuple[int, ...], a: int, d: int, bits: int) -> tuple[int, int]:
@@ -619,6 +605,15 @@ def moment_polynomial(graph: Graph) -> MomentPolynomial:
     )
 
 
+def exact_moments(graph: Graph, p: float) -> MomentPair:
+    """E(S) and E(S^2) at ``p``: :func:`moment_polynomial` evaluated at ``p``.
+
+    ``p`` is checked first, and the DP's refusals apply before any DP step.
+    """
+    p = _check_probability(p)
+    return moment_polynomial(graph).evaluate(p)
+
+
 @dataclass(frozen=True)
 class ConnectivityTable:
     """Pairwise connection probabilities."""
@@ -644,8 +639,8 @@ def connectivity_moments(graph: Graph, p: float) -> MomentPair:
     E(S_x) = sum_y P(x <-> y) is the weighted sum of the cluster size S_x
     at x over all configurations, since sum_y [x <-> y] = S_x; E(S_x^2) =
     sum_{y,z} P(x <-> y, x <-> z) likewise of S_x^2.  Both are averaged
-    over x.  Same answers as :func:`exact_moments` through a different
-    reduction.
+    over x.  Same answers as :func:`exact_moments` by enumeration, with no
+    code shared with its DP.
     """
     p = _check_probability(p)
     n = graph.n_vertices

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from percmoments import (
+    cli,
     estimate_moments,
     exact_moments,
     format_edge_file,
@@ -139,6 +140,22 @@ def test_oracle_row_is_the_dp_evaluated_at_p(name, p, capsys):
     assert capsys.readouterr().err == ""
     (row,) = json.loads(out)
     exact = moment_polynomial(generate_builtin(name)).evaluate(p)
+    assert (row["exact_first"], row["exact_second"]) == (exact.first, exact.second)
+
+
+def test_oracle_row_is_one_exact_moments_call(monkeypatch):
+    # the library and the CLI give exact values through one call
+    calls = []
+
+    def counted(graph, p):
+        calls.append((graph.label, p))
+        return exact_moments(graph, p)
+
+    monkeypatch.setattr(cli, "exact_moments", counted)
+    code, out = run_cli(["oracle", "--graph", "dodecahedron", "--p", "0.3", "--format", "json"])
+    assert code == 0 and calls == [("dodecahedron", 0.3)]
+    (row,) = json.loads(out)
+    exact = exact_moments(generate_builtin("dodecahedron"), 0.3)
     assert (row["exact_first"], row["exact_second"]) == (exact.first, exact.second)
 
 

@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import edge_uniforms
 from percmoments import (
     BadParameterError,
+    BoundParams,
     EdgeConfig,
     TooManyEdgesError,
+    best_bounds,
     cluster_of,
     estimate_moments,
     exact_moments,
@@ -19,7 +21,7 @@ from percmoments import (
     replicate_realization,
     sweep,
 )
-from percmoments import montecarlo, rng
+from percmoments import bounds, montecarlo, rng
 from percmoments.coupling import run_birth_process
 from percmoments.montecarlo import _BLOCK, _block_cluster_sizes
 from percmoments.rng import derive_key, edge_draws, stream_uniforms
@@ -160,6 +162,30 @@ def test_sweep_oracle_columns(tetrahedron):
         assert row.combined.first <= min(row.branching.first, row.isolation.first)
     without = sweep(tetrahedron, [0.3], 2000, seed=0)
     assert without.rows[0].exact is None
+
+
+def test_sweep_evaluates_each_bound_family_once_per_point(k3, monkeypatch):
+    # the combined row is the minimum of the two families already in the
+    # row, not a second evaluation of both through best_bounds
+    calls = {"branching_bounds": 0, "isolation_bounds": 0}
+
+    def spy(name, original):
+        def counted(params):
+            calls[name] += 1
+            return original(params)
+        return counted
+
+    for name in calls:
+        wrapped = spy(name, getattr(bounds, name))
+        for module in (bounds, montecarlo):
+            monkeypatch.setattr(module, name, wrapped)
+    grid = [k / 40 for k in range(41)]
+    result = sweep(k3, grid, 2, seed=0)
+    assert calls == {"branching_bounds": 41, "isolation_bounds": 41}
+    monkeypatch.undo()
+    for row in result.rows:
+        assert row.combined == best_bounds(
+            BoundParams(degree=k3.degree, n_vertices=k3.n_vertices, p=row.p))
 
 
 def test_sweep_respects_edge_cap(dodecahedron):

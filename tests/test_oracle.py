@@ -134,8 +134,8 @@ def test_connectivity_moments_memory_stays_small():
 
 
 def test_exact_moments_memory_stays_small():
-    # one group of blocks is about oracle._GROUP_BYTES (1 MB) of state: a
-    # group budget past ~2 MB takes ring(20) past this bound
+    # exact_moments is the frontier DP: ring(20)'s frontier holds at most
+    # three vertices, and a call peaks at about 23 KB of allocations
     ring = generate_builtin("ring(20)")
     exact_moments(ring, 0.4)
     tracemalloc.start()
@@ -148,8 +148,12 @@ def test_exact_moments_memory_stays_small():
 
 
 def test_edge_cap_enforced(dodecahedron):
-    with pytest.raises(TooManyEdgesError):
-        exact_moments(dodecahedron, 0.5)
+    # the 24-edge cap binds the two enumeration routes only; exact_moments
+    # is the DP and answers the 30-edge dodecahedron
+    for route in (connectivity_moments, pair_connectivity):
+        with pytest.raises(TooManyEdgesError, match="enumeration cap"):
+            route(dodecahedron, 0.5)
+    assert exact_moments(dodecahedron, 0.5) == moment_polynomial(dodecahedron).evaluate(0.5)
     with pytest.raises(TooManyEdgesError, match="frontier width"):
         moment_polynomial(generate_builtin("complete(12)"))
     assert DEFAULT_EDGE_CAP == 24
@@ -199,15 +203,33 @@ def test_polynomial_counts_match_union_find_reference(graph):
     assert (poly.first_counts, poly.second_counts) == reference_counts(graph)
 
 
+def rational_moments(poly, p):
+    """E(S) and E(S^2) at the float ``p`` from the integer counts, in exact arithmetic."""
+    p, m = Fraction(p), poly.n_edges
+    weights = [p**k * (1 - p) ** (m - k) for k in range(m + 1)]
+    return tuple(sum(w * c for w, c in zip(weights, counts)) / poly.n_vertices
+                 for counts in (poly.first_counts, poly.second_counts))
+
+
+def ulps_off(value, exact):
+    """How many units in the last place ``value`` lies from the exact rational."""
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
 def test_ring16_golden_values():
     # recorded before the enumeration kernel was rewritten; every output
     # must stay bit-identical.  conn.first was re-pinned when
     # connectivity_moments began summing S_x instead of pair probabilities,
-    # which changes the order of its sum
+    # which changes the order of its sum.  exact was re-pinned when
+    # exact_moments became the DP's integer counts summed once in float64:
+    # it is now correctly rounded, where the enumeration's block sums were
+    # 1 and 3 ulps off
     ring = generate_builtin("ring(16)")
     exact = exact_moments(ring, 0.4)
     assert (exact.first.hex(), exact.second.hex()) == (
-        "0x1.2aaa689d26b95p+1", "0x1.eaa638c1d54a7p+2")
+        "0x1.2aaa689d26b96p+1", "0x1.eaa638c1d54aap+2")
+    first, second = rational_moments(moment_polynomial(ring), 0.4)
+    assert (exact.first, exact.second) == (float(first), float(second))
     conn = connectivity_moments(ring, 0.4)
     assert (conn.first.hex(), conn.second.hex()) == (
         "0x1.2aaa689d26ba8p+1", "0x1.eaa638c1d54bbp+2")
@@ -221,11 +243,15 @@ def test_ring16_golden_values():
 
 
 def test_ring20_and_pair_table_golden_values():
-    # recorded before blocks were enumerated in groups with int8 state
+    # recorded before blocks were enumerated in groups with int8 state;
+    # exact re-pinned when exact_moments became the DP: 1 and 2 ulps from
+    # the exact rational, where the enumeration was 4 and 6 off
     ring = generate_builtin("ring(20)")
     exact = exact_moments(ring, 0.4)
     assert (exact.first.hex(), exact.second.hex()) == (
-        "0x1.2aaaa89b55f30p+1", "0x1.eaaa7ef697ea0p+2")
+        "0x1.2aaaa89b55f33p+1", "0x1.eaaa7ef697e98p+2")
+    first, second = rational_moments(moment_polynomial(ring), 0.4)
+    assert ulps_off(exact.first, first) < 1.5 and ulps_off(exact.second, second) < 2.5
     conn = connectivity_moments(ring, 0.4)
     assert (conn.first.hex(), conn.second.hex()) == (
         "0x1.2aaaa89b55f2cp+1", "0x1.eaaa7ef697e98p+2")
@@ -285,7 +311,8 @@ def test_group_layout_never_changes_a_block(per_group, monkeypatch):
 def test_int8_state_holds_every_enumerable_graph(monkeypatch):
     # labels and sizes are at most N <= 2 |E| <= 48 under the edge cap; a
     # graph past it is refused before any state exists, whatever its size
-    # (numpy once refused ring(128)'s block starts with a ValueError)
+    # (numpy once refused ring(128)'s block starts with a ValueError).  The
+    # cap binds the two enumeration routes only; exact_moments is the DP
     assert oracle._STATE_DTYPE == np.int8
     assert 2 * DEFAULT_EDGE_CAP <= np.iinfo(oracle._STATE_DTYPE).max
     monkeypatch.setattr(oracle, "_state", _no_state)
@@ -293,7 +320,7 @@ def test_int8_state_holds_every_enumerable_graph(monkeypatch):
         graph = generate_builtin(name)
         with pytest.raises(TooManyEdgesError, match="enumeration cap"):
             next(oracle._config_blocks(graph))
-        for route in (exact_moments, connectivity_moments, pair_connectivity):
+        for route in (connectivity_moments, pair_connectivity):
             with pytest.raises(TooManyEdgesError, match="enumeration cap"):
                 route(graph, 0.3)
 
@@ -505,13 +532,70 @@ def test_work_cap_admits_the_longest_ring_and_the_widest_solids():
         assert oracle._dp_work(graph, oracle._edge_order(graph)[0]) < oracle.MAX_DP_WORK / 10
 
 
-@pytest.mark.parametrize("n, d", [(16, 3), (12, 4)])
+def fits_the_dp(graph):
+    """Whether the DP takes ``graph``: greedy width and estimated work within the caps."""
+    order, width = oracle._edge_order(graph)
+    return width <= MAX_FRONTIER and oracle._dp_work(graph, order) <= oracle.MAX_DP_WORK
+
+
+@pytest.mark.parametrize(
+    "n, d", [(16, 3), (12, 4), (10, 3), (12, 3), (14, 3), (9, 4), (10, 4), (11, 4)])
 def test_greedy_order_fits_the_frontier_cap_on_small_random_graphs(n, d):
-    # every 3- and 4-regular graph the 24-edge enumeration cap admitted is
-    # answered by the DP in these samples: the oracle row lost no graph
-    widths = [oracle._edge_order(generate_random_regular(n, d, seed))[1]
-              for seed in range(1, 201)]
-    assert max(widths) <= MAX_FRONTIER
+    # exact_moments once enumerated every graph of at most 24 edges and now
+    # runs the DP, so the DP must take them all: every 3- and 4-regular
+    # shape with N > 8 in these samples.  A graph with N <= 8 fits
+    # MAX_FRONTIER = 8 whatever the order, as the frontier holds at most N
+    assert n * d // 2 <= DEFAULT_EDGE_CAP
+    assert all(fits_the_dp(generate_random_regular(n, d, seed)) for seed in range(1, 201))
+
+
+def test_the_dp_takes_every_builtin_shape_the_enumeration_took():
+    names = ([f"ring({n})" for n in range(3, DEFAULT_EDGE_CAP + 1)]
+             + [f"complete({n})" for n in range(3, 8)] + ["hypercube(3)"])
+    for name in names:
+        graph = generate_builtin(name)
+        assert graph.n_edges <= DEFAULT_EDGE_CAP and fits_the_dp(graph), name
+
+
+@pytest.mark.parametrize(
+    "name", ["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron", "ring(24)",
+             "complete(7)"])
+def test_exact_moments_is_the_dp_evaluated_at_p(name):
+    # bit for bit, on the 30-edge solids that the enumeration refused too
+    graph = generate_builtin(name)
+    poly = moment_polynomial(graph)
+    for p in (0.0, 0.1, 0.35, 0.9, 1.0):
+        assert exact_moments(graph, p) == poly.evaluate(p)
+
+
+@pytest.mark.parametrize("n, d", [(12, 3), (16, 3), (10, 4)])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_exact_moments_agrees_with_the_enumeration_on_random_graphs(n, d, seed):
+    # connectivity_moments shares no code with the DP: the one independent
+    # check of exact_moments.  One p, as 24 edges take a second to enumerate
+    graph = generate_random_regular(n, d, seed)
+    exact, conn = exact_moments(graph, 0.35), connectivity_moments(graph, 0.35)
+    assert exact.first == pytest.approx(conn.first, rel=1e-12)
+    assert exact.second == pytest.approx(conn.second, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, match", [("complete(12)", "frontier width"), ("ring(1172)", "would take an estimated")])
+def test_exact_moments_refuses_before_any_dp_step(name, match, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the DP started on a graph over its caps")
+
+    monkeypatch.setattr(oracle, "_frontier_counts", no_work)
+    with pytest.raises(TooManyEdgesError, match=match):
+        exact_moments(generate_builtin(name), 0.5)
+
+
+def test_exact_moments_on_ring24_is_fast():
+    # the enumeration of 2^24 configurations took 1.3 s; the DP takes ms
+    ring = generate_builtin("ring(24)")
+    start = time.perf_counter()
+    exact_moments(ring, 0.4)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize("p", [5e-324, 1e-300])
