@@ -25,7 +25,7 @@ def main() -> None:
               f"{row.combined.first:9.4f} {est.mean_s2:10.4f} {est.se_s2:8.5f} "
               f"{row.exact.second:9.4f} {row.combined.second:9.4f}")
 
-    # bit-identical under parallelism: partials merge in block order
+    # bit-identical under parallelism: the moment sums are exact integers
     serial = estimate_moments(g, 0.35, 50_000, seed=7, workers=1)
     threaded = estimate_moments(g, 0.35, 50_000, seed=7, workers=8)
     print(f"\nworkers=1 and workers=8 agree exactly: {serial == threaded}")

@@ -8,30 +8,26 @@ edge's own tail word).  Any single replicate can therefore be reconstructed
 in isolation for auditing, and replicates can be grouped in any way without
 changing what they draw.
 
-Statistics and work are grouped separately:
+Each replicate's size is an integer, so the statistics are exact integer
+sums, n, ΣS, ΣS² and ΣS⁴ (:class:`percmoments.stats.RunningMoments`),
+rounded only when the estimate is formed.  An estimate depends only on the
+multiset of sizes, so results are bit-identical for any worker count and
+any grouping of the work.
 
-* **Merge blocks.**  Replicates ``[8192 k, 8192 (k + 1))`` form merge block
-  ``k``.  Each block's sizes give one partial of S and one of S^2, and the
-  partials are merged in block order, so results are bit-identical for any
-  worker count and any grouping of the work.
-* **Spans.**  A span is the replicates whose stream keys and start
-  vertices are mixed together, once (``_span_starts``), and whose clusters
-  one search, one draw of open flags (``_span_flags``, the bits
-  :func:`percmoments.rng.edge_draws` gives) and one fixpoint find
-  together, at each grid point.  Its width comes from one byte budget,
-  ``_SPAN_BYTES``, counted per replicate column as a byte for each of the
-  2 |E| slot flags and N membership flags (eight times their packed size,
-  and as much as a sweep's lane store, below, takes with them up to D =
-  7) and ``_COLUMN_WORDS`` 8-byte per-replicate words.  A span takes as
-  many whole merge blocks as fit, so on small graphs a call of tens of
-  thousands of replicates is one draw and one fixpoint; with ``workers >
-  1`` spans are narrowed, on block boundaries, until there are at least
-  ``workers`` of them.  Where one merge block does not fit, it is drawn
-  and relaxed as several sub-spans whose sizes are joined before its
-  partials, so no matrix grows past the budget however many edges the
-  graph has.  Spans come from a generator and their partials are merged
-  as they arrive, so a call holds a few spans' partials, never one per
-  block of the run.
+A span is the replicates whose stream keys and start vertices are mixed
+together, once (``_span_starts``), and whose clusters one search, one draw
+of open flags (``_span_flags``, the bits :func:`percmoments.rng.edge_draws`
+gives) and one fixpoint find together, at each grid point.  Its width is
+at most ``_span_width``, from one byte budget, ``_SPAN_BYTES``, counted per
+replicate column as a byte for each of the 2 |E| slot flags and N
+membership flags (eight times their packed size, and as much as a sweep's
+lane store, below, takes with them up to D = 7) and ``_COLUMN_WORDS``
+8-byte per-replicate words, so no matrix grows past the budget however many
+edges the graph has.  On small graphs a call of tens of thousands of
+replicates is one draw and one fixpoint; with ``workers > 1`` spans are
+narrowed until there are at least ``workers`` of them.  Spans come from a
+generator and their sums are added as they arrive, so a call holds a few
+spans' sums, never one per span of the run.
 
 Cluster sizes are computed for a whole span at once, in two phases.  Sizes
 are integers fixed by connectivity, and each edge flag is a pure function
@@ -90,7 +86,7 @@ seed, so its row at ``p`` is :func:`estimate_moments` at ``p``, bit for
 bit.  Spans are the outer loop and the sorted grid the inner one
 (``_block_stats`` takes the grid; :func:`estimate_moments` is a grid of
 one), so each span's keys and starts are mixed once for the whole grid,
-and each point's merge-block partials are merged in block order.
+and each point's span sums are added up.
 
 * **Lane store.**  On a span whose generation 0 is dense, a grid of more
   than one point mixes the flag words once, into 16-bit lanes kept
@@ -99,8 +95,7 @@ and each point's merge-block partials are merged in block order.
   Each point compares them with its lane limit and packs them into the
   slot rows (:func:`percmoments.rng._lane_flags`, ties decided by their
   tail words there).  A span that starts sparse runs the two phases above
-  at each point, on its once-mixed keys and starts; a merge block wider
-  than a span is relaxed point by point, in sub-spans.
+  at each point, on its once-mixed keys and starts.
 * **Warm start.**  Each edge is monotone in ``p`` on fixed streams, so a
   cluster at ``p`` lies within the cluster at any larger ``p``, and a
   fixpoint started from any membership between the start vertex and that
@@ -155,11 +150,9 @@ __all__ = [
     "sweep",
 ]
 
-# Replicates per merge block: the unit of the partial statistics.
-_BLOCK = 8192
 # Bytes one span may hold, counted per replicate column (see _span_width).
-# Above the 31.75 MiB that count gives one merge block of a 1500-edge,
-# 1000-vertex graph, so graphs of that size still draw one block per span.
+# Above the 31.75 MiB that count gives 8192 replicates of a 1500-edge,
+# 1000-vertex graph, so graphs of that size still draw 8192 or more per span.
 _SPAN_BYTES = 1 << 25
 # Bytes of idle workspaces the free list keeps for later spans and calls:
 # one span budget, six times the 5.4 MB a 1000-vertex 8192-replicate span
@@ -168,11 +161,11 @@ _KEEP_BYTES = _SPAN_BYTES
 # 8-byte words a span holds per replicate besides its flags, all in its
 # workspace: stream key, start uniform (later the start of a column left
 # dense, then the flat index of its start bit) and vertex, the keys and
-# sizes of the columns left dense, cluster size and the span's joined
-# sizes, and the mixing scratch of the keys and start words.
+# sizes of the columns left dense, cluster size, and the mixing scratch of
+# the keys and start words: seven, and one to spare.
 _COLUMN_WORDS = 8
 # Bytes of pulled membership rows per relaxation piece: 256 vertex rows of
-# a packed 8192-replicate block, all of them on a Platonic solid's span.
+# a packed 8192-replicate span, all of them on a Platonic solid's span.
 _PIECE_BYTES = 1 << 18
 # A span's breadth-first search goes dense before a generation whose
 # D x frontier words, times this, reach |E| x its columns (_goes_dense).
@@ -200,7 +193,7 @@ _SPREAD = np.array(
 # sizes are read through.
 _SCRATCH_BYTES = 1 << 20
 # Largest replicate count one call may ask for (``sweep``: summed over the
-# grid), refused before any block bounds are built.
+# grid), refused before any span bounds are built.
 MAX_REPLICATES = 1 << 30
 # Largest thread pool; more threads than cores only adds scheduling.
 MAX_WORKERS = 64
@@ -644,79 +637,43 @@ def _span_width(graph: Graph) -> int:
 
 
 def _spans(graph: Graph, replicates: int, workers: int) -> Iterator[tuple[int, int]]:
-    """``[lo, hi)`` of each span of a run, in order, starting on merge-block bounds.
+    """``[lo, hi)`` of each span of a run, in order.
 
-    A span is as many whole merge blocks as ``_span_width`` allows, at least
-    one, and few enough that there are at least ``workers`` spans when the
-    run has that many blocks.
+    A span is at most ``_span_width`` wide, and narrow enough that there
+    are at least ``workers`` spans when the run has that many replicates.
     """
-    blocks = -(-replicates // _BLOCK)
-    per_span = max(1, min(_span_width(graph) // _BLOCK, blocks // workers))
-    step = per_span * _BLOCK
+    step = min(_span_width(graph), -(-replicates // workers))
     return ((lo, min(lo + step, replicates)) for lo in range(0, replicates, step))
-
-
-def _partials(sizes: np.ndarray) -> list[tuple[RunningMoments, RunningMoments]]:
-    """Partials of S and S^2 for each merge block of a span's ``sizes``, in block order."""
-    partials = []
-    for start in range(0, sizes.size, _BLOCK):
-        block = sizes[start : start + _BLOCK].astype(np.float64)
-        acc_s, acc_s2 = RunningMoments(), RunningMoments()
-        acc_s.add_batch(block)
-        acc_s2.add_batch(block * block)
-        partials.append((acc_s, acc_s2))
-    return partials
 
 
 def _block_stats(
     graph: Graph, plan: _EdgePlan, grid: list[float], seed: int, lo: int, hi: int
-) -> list[list[tuple[RunningMoments, RunningMoments]]]:
-    """Partials of S and S^2 for each merge block of the span [lo, hi), at each point of ``grid``.
+) -> list[RunningMoments]:
+    """Moment sums of the span [lo, hi) at each point of ``grid``, in grid order.
 
-    The pool's worker body.  ``grid`` is sorted and ``lo`` is a merge-block
-    boundary.  Returns, per point in grid order, the blocks' partials in
-    block order.  The span's keys and starts are mixed once, for every
-    point.  At most ``_span_width`` wide, the span is one draw and one
-    fixpoint per point: from its lane store, warm, when generation 0 is
-    dense and the grid has more than one point (:func:`_lane_sizes`), and
-    cold otherwise (:func:`_point_sizes`; one point, as
-    :func:`estimate_moments` has, would mix and read its lanes once).
-    Wider, it is a single merge block, relaxed point by point in sub-spans
-    of that width whose sizes are joined before the block's partials.  Its
-    buffers come from an idle workspace, given back at the end.
+    The pool's worker body.  ``grid`` is sorted.  The span's keys and
+    starts are mixed once, for every point, and each point is one draw and
+    one fixpoint: from its lane store, warm, when generation 0 is dense and
+    the grid has more than one point (:func:`_lane_sizes`), and cold
+    otherwise (:func:`_point_sizes`; one point, as :func:`estimate_moments`
+    has, would mix and read its lanes once).  Its buffers come from an idle
+    workspace, given back at the end.
     """
-    width = _span_width(graph)
     with _borrowed_workspace() as work:
         keys, starts = _span_starts(graph, seed, lo, hi, work)
-        if hi - lo > width:
-            point_sizes = (_joined_sizes(graph, plan, p, keys, starts, width, work) for p in grid)
-        elif len(grid) > 1 and _goes_dense(graph, hi - lo, hi - lo):
+        if len(grid) > 1 and _goes_dense(graph, hi - lo, hi - lo):
             point_sizes = _lane_sizes(graph, plan, grid, keys, starts, work)
         else:
             point_sizes = (_point_sizes(graph, plan, p, keys, starts, work) for p in grid)
-        return [_partials(sizes) for sizes in point_sizes]
+        stats = [RunningMoments() for _ in grid]
+        for acc, sizes in zip(stats, point_sizes):
+            acc.add_batch(sizes)
+        return stats
 
 
-def _joined_sizes(
-    graph: Graph,
-    plan: _EdgePlan,
-    p: float,
-    keys: np.ndarray,
-    starts: np.ndarray,
-    width: int,
-    work: _Workspace,
-) -> np.ndarray:
-    """Cluster sizes at ``p`` of a merge block too wide for one draw, by sub-spans of ``width``."""
-    sizes = work("span sizes", keys.size, np.int64)
-    for lo in range(0, keys.size, width):
-        cut = slice(lo, lo + width)
-        sizes[cut] = _point_sizes(graph, plan, p, keys[cut], starts[cut], work)
-    return sizes
-
-
-def _span_partials(
+def _span_stats(
     graph: Graph, plan: _EdgePlan, grid: list[float], seed: int, replicates: int, workers: int
-) -> Iterator[list[list[tuple[RunningMoments, RunningMoments]]]]:
+) -> Iterator[list[RunningMoments]]:
     """``_block_stats`` of every span, in span order.
 
     With a pool, spans are submitted as results are taken, so at most
@@ -763,12 +720,12 @@ def estimate_moments(
 ) -> MomentEstimate:
     """Monte Carlo estimate of E(S) and E(S^2) from i.i.d. realizations.
 
-    Deterministic in (seed, replicates): the worker count and the span
-    budget change only how replicates are drawn and scheduled, in spans of
-    whole merge blocks or sub-spans of one, never what a replicate computes,
-    the 8192-replicate merge blocks or their merge order.  More than
-    ``MAX_REPLICATES`` replicates or ``MAX_WORKERS`` workers are refused
-    before any work.
+    Deterministic in (seed, replicates): the estimate is formed from the
+    exact sums of the replicates' integer sizes, so the worker count and
+    the span budget change only how replicates are drawn and scheduled,
+    never a bit of the result.  The means are correctly rounded.  More
+    than ``MAX_REPLICATES`` replicates or ``MAX_WORKERS`` workers are
+    refused before any work.
     """
     p = _check_probability(p)
     replicates = _check_replicates(replicates)
@@ -782,25 +739,23 @@ def _estimates(
 ) -> list[MomentEstimate]:
     """:func:`estimate_moments` at each point of the sorted ``grid``, from one stream set.
 
-    Checked arguments, on the graph's edge plan.  Each point's block
-    partials are merged in block order, span after span.
+    Checked arguments, on the graph's edge plan.  Each point's span sums
+    are added as the spans arrive.
     """
-    accs = [(RunningMoments(), RunningMoments()) for _ in grid]
-    for span in _span_partials(graph, plan, grid, seed, replicates, workers):
-        for (acc_s, acc_s2), partials in zip(accs, span):
-            for part_s, part_s2 in partials:
-                acc_s.merge(part_s)
-                acc_s2.merge(part_s2)
+    totals = [RunningMoments() for _ in grid]
+    for span in _span_stats(graph, plan, grid, seed, replicates, workers):
+        for total, stats in zip(totals, span):
+            total.merge(stats)
     return [
         MomentEstimate(
-            mean_s=acc_s.mean,
-            se_s=acc_s.standard_error,
-            mean_s2=acc_s2.mean,
-            se_s2=acc_s2.standard_error,
+            mean_s=total.mean_s,
+            se_s=total.se_s,
+            mean_s2=total.mean_s2,
+            se_s2=total.se_s2,
             replicates=replicates,
             seed=seed,
         )
-        for acc_s, acc_s2 in accs
+        for total in totals
     ]
 
 

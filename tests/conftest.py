@@ -1,4 +1,7 @@
+import math
 from collections import deque
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +49,25 @@ def open_distances(graph, config, x):
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
+
+
+def assert_exact_estimate(estimate, sizes):
+    """``estimate``'s moments are those of the integer ``sizes``, from exact rationals.
+
+    Each mean is its exact rational mean correctly rounded, and each standard
+    error lies within 1 ulp of the square root of its exact rational
+    variance over n, taken to 50 digits.
+    """
+    n, values = len(sizes), [int(v) for v in sizes]
+    for mean, se, xs in ((estimate.mean_s, estimate.se_s, values),
+                         (estimate.mean_s2, estimate.se_s2, [v * v for v in values])):
+        total, squares = sum(xs), sum(x * x for x in xs)
+        assert mean == float(Fraction(total, n))
+        var = Fraction(n * squares - total * total, n * n * (n - 1))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = (Decimal(var.numerator) / Decimal(var.denominator)).sqrt()
+        assert abs(Fraction(se) - Fraction(exact)) <= Fraction(math.ulp(se))
 
 
 @pytest.fixture(scope="session")

@@ -196,13 +196,13 @@ GOLDEN_STDOUT = [
     ("oracle --graph complete(12) --p 0.5 --format json", 2,
      "099c025f3f460f920e84cd72fb3bdc47de198a2e237315202544cd328d17006a"),
     ("simulate --graph octahedron --p 0.3 --reps 3000 --seed 5", 0,
-     "b55224cb0bc4526534b12a0fca6923cd386ec1ca7ae23d783b4a0747aff3ac7a"),
+     "6699bd9b7b0288f572b5197e087944fa6c56d0d40f719969d8e6710a3a049bf0"),
     ("simulate --graph cube --p 0.6 --reps 2000 --workers 2 --format json", 0,
-     "91455111e35f8d514a0721ab51c5d8d88c5bfa9a8759eb7c39e6239caf19068f"),
+     "11bad97622a2beaf7de09c8914eb45a1a238568725365a1381c539ed1b625ee8"),
     ("sweep --graph tetrahedron --p-grid 0:1:0.25 --reps 2000 --oracle", 0,
-     "057b03e1de1b1bf30bf47225b31663070fdee685098c61f70dcfb54670d29335"),
+     "c3d99f1a28ba64d9fccafab3158ca9b722bcea0d250b3245437ab599f592a64e"),
     ("sweep --graph cube --p-grid 0.2:0.4:0.2 --reps 1500 --seed 7 --format json", 0,
-     "fd95d875dff837e7cb0c0599c0292091204b3222f3485fdfcef5501e8be6be87"),
+     "40dad771184cdfc87559b822ed122e3289b2b08564361a36592de8f72810bd2b"),
     ("dominance --graph complete(3) --p 0.5 --reps 2000", 0,
      "bd2d269a9976f04fd9b2ae3acdc1c73d5f40eba57a977a01ae47b93ffd8c7885"),
     ("dominance --graph cube --p 0.3 --reps 1500 --seed 2 --format json", 0,

@@ -18,7 +18,6 @@ from percmoments import (
 from percmoments import coupling, montecarlo
 from percmoments.cli import main
 from percmoments.coupling import _birth_counts, branching_generation_samples
-from percmoments.montecarlo import _BLOCK
 
 
 def birth_matrix(graph, p, seed, replicates):
@@ -202,12 +201,12 @@ def test_dominance_report_is_seeded(tetrahedron):
 
 @pytest.mark.parametrize("name,p", [("dodecahedron", 0.45), ("octahedron", 0.3), ("cube", 1.0)])
 def test_block_birth_counts_match_replayed_replicates(name, p):
-    # replicates on both sides of the first block boundary, and the last one
+    # replicates on both sides of replicate 8192, and the last one
     g = generate_builtin(name)
-    seed, reps = 13, _BLOCK + 50
+    seed, reps = 13, 8192 + 50
     counts = birth_matrix(g, p, seed, reps)
     assert counts.shape == (g.n_vertices, reps)
-    for r in list(range(_BLOCK - 50, reps)) + [0, 1]:
+    for r in list(range(8192 - 50, reps)) + [0, 1]:
         x, cfg = replicate_realization(g, p, seed, r)
         assert tuple(counts[:, r]) == run_birth_process(g, cfg, x).counts
 
@@ -217,7 +216,7 @@ def test_birth_blocks_follow_the_span_budget(name, p, monkeypatch):
     # 203-replicate blocks under a small budget: not a multiple of 8, so the
     # packed frontier of each block ends in padding bits
     g = generate_builtin(name)
-    seed, reps = 13, _BLOCK + 50
+    seed, reps = 13, 8192 + 50
     widths = []
     draws = coupling._span_flags
 
@@ -245,7 +244,7 @@ def test_birth_block_width_is_the_tighter_budget():
 @pytest.mark.parametrize("name,p", [("dodecahedron", 0.45), ("icosahedron", 0.3)])
 def test_dominance_rows_do_not_depend_on_the_birth_block_width(name, p, monkeypatch):
     g = generate_builtin(name)
-    reps, seed = _BLOCK + 808, 21
+    reps, seed = 8192 + 808, 21
     widths = []
     draws = coupling._span_flags
 
@@ -256,7 +255,7 @@ def test_dominance_rows_do_not_depend_on_the_birth_block_width(name, p, monkeypa
     monkeypatch.setattr(coupling, "_span_flags", spy)
     default = dominance_report(g, p, reps, seed).rows
     assert widths == [reps]
-    for width, blocks in ((203, [203] * 44 + [68]), (_BLOCK, [_BLOCK, 808])):
+    for width, blocks in ((203, [203] * 44 + [68]), (8192, [8192, 808])):
         widths.clear()
         monkeypatch.setattr(coupling, "_birth_width", lambda graph: width)
         assert dominance_report(g, p, reps, seed).rows == default
@@ -296,7 +295,7 @@ def test_branching_samples_match_the_full_array_loop(degree, p):
 @pytest.mark.parametrize("narrow", [False, True], ids=["default blocks", "203-replicate blocks"])
 def test_streamed_report_matches_whole_matrices(name, p, narrow, monkeypatch):
     g = generate_builtin(name)
-    reps, seed = _BLOCK + 50, 17
+    reps, seed = 8192 + 50, 17
     expected = matrix_dominance_rows(g, p, reps, seed)
     if narrow:  # blocks end in padding bits of a packed byte
         column = 2 * g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import edge_uniforms
+from conftest import assert_exact_estimate, edge_uniforms
 from percmoments import (
     BadParameterError,
     BoundParams,
@@ -23,7 +23,7 @@ from percmoments import (
 )
 from percmoments import bounds, montecarlo, rng
 from percmoments.coupling import run_birth_process
-from percmoments.montecarlo import _BLOCK, _block_cluster_sizes
+from percmoments.montecarlo import _block_cluster_sizes
 from percmoments.rng import derive_key, edge_draws, stream_uniforms
 
 
@@ -45,7 +45,7 @@ def test_endpoints_are_exact(tetrahedron):
     assert at0.mean_s2 == 1.0 and at0.se_s2 == 0.0
     at1 = estimate_moments(tetrahedron, 1.0, 5000, seed=0)
     assert at1.mean_s == 4.0 and at1.mean_s2 == 16.0
-    assert at1.se_s == 0.0
+    assert at1.se_s == 0.0 and at1.se_s2 == 0.0
 
 
 def test_same_seed_reproduces_and_seeds_matter(cube):
@@ -58,8 +58,8 @@ def test_same_seed_reproduces_and_seeds_matter(cube):
 
 @pytest.mark.parametrize("workers", [4, 16])
 def test_worker_count_never_changes_results(octahedron, workers):
-    # spans multiple blocks so merging order actually matters
-    reps = 2 * _BLOCK + 100
+    # several spans, whose sums are added in whatever order they finish
+    reps = 2 * 8192 + 100
     serial = estimate_moments(octahedron, 0.35, reps, seed=3, workers=1)
     parallel = estimate_moments(octahedron, 0.35, reps, seed=3, workers=workers)
     assert serial == parallel
@@ -70,7 +70,7 @@ def test_worker_count_never_changes_compacted_results(workers):
     # 300 edges, the size that once ran a compacting bool fixpoint: slow
     # replicates near criticality in every block, relaxed in packed spans
     g = _random_graph(200, 3, 1)
-    reps = 2 * _BLOCK + 100
+    reps = 2 * 8192 + 100
     serial = estimate_moments(g, 0.5, reps, seed=5, workers=1)
     assert estimate_moments(g, 0.5, reps, seed=5, workers=workers) == serial
 
@@ -78,12 +78,12 @@ def test_worker_count_never_changes_compacted_results(workers):
 def test_replicates_can_be_reconstructed(tetrahedron):
     p, seed = 0.37, 9
     block = _block_cluster_sizes(tetrahedron, p, seed, 0, 50)
-    later = _block_cluster_sizes(tetrahedron, p, seed, _BLOCK, _BLOCK + 10)
+    later = _block_cluster_sizes(tetrahedron, p, seed, 8192, 8192 + 10)
     for i in (0, 17, 49):
         x, cfg = replicate_realization(tetrahedron, p, seed, i)
         assert cluster_of(tetrahedron, cfg, x).size == block[i]
     for j in range(10):
-        x, cfg = replicate_realization(tetrahedron, p, seed, _BLOCK + j)
+        x, cfg = replicate_realization(tetrahedron, p, seed, 8192 + j)
         assert cluster_of(tetrahedron, cfg, x).size == later[j]
 
 
@@ -233,28 +233,29 @@ def test_oversized_worker_counts_are_refused_before_a_pool(k3, monkeypatch):
 # move a single bit unnoticed.  Recorded with four edge flags per mixed word
 # (see percmoments.rng); every kernel change before that kept them.  The
 # random rows were re-recorded when the random graphs' pairings moved to the
-# counter streams.
+# counter streams.  The standard errors moved in their last bit when the
+# statistics became exact integer sums; no mean moved.
 GOLDEN_ESTIMATES = [
-    ("dodecahedron", 0.35, 2 * _BLOCK + 100, 3,
+    ("dodecahedron", 0.35, 2 * 8192 + 100, 3,
      (3.9296893957777237, 0.026189307642352694, 26.74781606406212, 0.3617381534237796)),
     ("random(60,3,5)", 0.5, 5000, 11,
-     (13.4874, 0.18404962129985522, 351.2474, 7.875895341110928)),
+     (13.4874, 0.18404962129985522, 351.2474, 7.875895341110929)),
     # 300 edges: the dense kernel alone (D x _DENSE_SWITCH >= |E|)
-    ("random(200,3,1)", 0.45, 2 * _BLOCK + 100, 3,
-     (11.13728463965057, 0.11357541032386603, 336.65948798835234, 7.303098618524659)),
+    ("random(200,3,1)", 0.45, 2 * 8192 + 100, 3,
+     (11.13728463965057, 0.11357541032386602, 336.65948798835234, 7.303098618524659)),
     # 1500 edges: a sparse phase first, then the dense kernel for the columns left open
-    ("random(1000,3,1)", 0.45, 2 * _BLOCK + 100, 3,
+    ("random(1000,3,1)", 0.45, 2 * 8192 + 100, 3,
      (13.265105556903665, 0.16868561624206482, 644.9841057995632, 21.273149604104876)),
-    ("random(1000,3,1)", 0.6, 2 * _BLOCK + 100, 3,
-     (484.85397961659794, 2.5181122617860847, 339600.2609196797, 1851.6334092300929)),
+    ("random(1000,3,1)", 0.6, 2 * 8192 + 100, 3,
+     (484.85397961659794, 2.5181122617860847, 339600.2609196797, 1851.6334092300926)),
 ]
 # Every point of a sweep draws from the streams of its seed, so each row is
 # the seed's estimate_moments (recorded when sweeps moved from one derived
 # seed per point to one stream set).
 GOLDEN_SWEEP = [  # icosahedron, 10000 replicates, seed 7
-    (0.1, 7, (1.7791, 0.012472605004070271, 4.7207, 0.08371230450771618)),
+    (0.1, 7, (1.7791, 0.012472605004070271, 4.7207, 0.08371230450771619)),
     (0.3, 7, (6.2663, 0.03805657973762399, 53.7481, 0.48611901403728375)),
-    (0.5, 7, (10.8923, 0.024909277753717013, 124.8463, 0.3643742643099937)),
+    (0.5, 7, (10.8923, 0.02490927775371701, 124.8463, 0.3643742643099937)),
 ]
 
 
@@ -265,13 +266,19 @@ def _values(est):
 @pytest.mark.parametrize("name,p,reps,seed,expected", GOLDEN_ESTIMATES)
 def test_estimates_match_pinned_values(name, p, reps, seed, expected):
     g = _graph(name)
-    assert _values(estimate_moments(g, p, reps, seed)) == expected
+    estimate = estimate_moments(g, p, reps, seed)
+    assert _values(estimate) == expected
+    # the pins are the exact rationals of the run's sizes, rounded
+    assert_exact_estimate(estimate, _block_cluster_sizes(g, p, seed, 0, reps))
 
 
 def test_sweep_matches_pinned_values():
-    result = sweep(generate_builtin("icosahedron"), [0.5, 0.1, 0.3], 10000, seed=7)
+    g = generate_builtin("icosahedron")
+    result = sweep(g, [0.5, 0.1, 0.3], 10000, seed=7)
     got = [(row.p, row.estimate.seed, _values(row.estimate)) for row in result.rows]
     assert got == GOLDEN_SWEEP
+    for row in result.rows:
+        assert_exact_estimate(row.estimate, _block_cluster_sizes(g, row.p, 7, 0, 10000))
 
 
 # ---------------------------------------------------------------- block kernel
@@ -308,7 +315,7 @@ def _tied_p(key, edge, opens):
 
 
 @pytest.mark.parametrize("name,width", [("icosahedron", 21), ("random(60,6,2)", 8),
-                                        ("random(1000,3,1)", _BLOCK + 3)])
+                                        ("random(1000,3,1)", 8192 + 3)])
 def test_slot_draw_twin_rows_equal_their_first_rows(name, width):
     # the twin rows are copied through the scratch, in pieces on the widest
     # span here; a tied lane, decided after the draw, reaches both rows
@@ -365,7 +372,7 @@ def test_one_pull_step_is_one_birth_generation(name, p):
 
 
 @pytest.mark.parametrize("n,width", [(1, 1), (3, 13), (5, 7), (20, 8), (20, 40_003),
-                                     (1000, _BLOCK), (1000, 4099)])
+                                     (1000, 8192), (1000, 4099)])
 def test_packed_starts_match_the_one_hot_reference(n, width):
     starts = np.random.default_rng(n * width).integers(0, n, size=width)
     work = montecarlo._Workspace()
@@ -414,7 +421,7 @@ def test_a_block_holds_no_unpacked_vertex_matrix(monkeypatch):
     estimate_moments(g, 0.6, 64, 3)
     tracemalloc.start()
     try:
-        estimate_moments(g, 0.6, _BLOCK, 3)
+        estimate_moments(g, 0.6, 8192, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -440,9 +447,9 @@ def test_bit_total_grows_with_every_set_bit(shape):
 
 @pytest.mark.parametrize("name", ["octahedron", "dodecahedron", "icosahedron", "random(200,3,0)"])
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
-@pytest.mark.parametrize("lo, hi", [(0, _BLOCK), (4 * _BLOCK, 40_000)])
+@pytest.mark.parametrize("lo, hi", [(0, 8192), (4 * 8192, 40_000)])
 def test_packed_full_blocks_match_per_replicate_clusters(name, p, lo, hi):
-    # full-width blocks of a 40 000-replicate run: 8192 columns, then the last 7232
+    # wide spans: 8192 columns, and 7232 starting at replicate 32768
     g = _graph(name)
     sizes = _block_cluster_sizes(g, p, 11, lo, hi)
     work = montecarlo._Workspace()
@@ -493,7 +500,7 @@ def test_two_phase_sizes_match_per_replicate_clusters(p, monkeypatch):
     g = _graph("random(660,3,1)")
     assert not montecarlo._goes_dense(g, 1, 1)
     calls = _sparse_spy(monkeypatch)
-    for lo, hi in ((5, 42), (_BLOCK - 70, _BLOCK + 71)):
+    for lo, hi in ((5, 42), (8192 - 70, 8192 + 71)):
         sizes = _block_cluster_sizes(g, p, 21, lo, hi)
         np.testing.assert_array_equal(sizes, _reference_sizes(g, p, 21, lo, hi))
     if p in (0.0, 1.0):  # constant flags: no word to draw, no sparse phase
@@ -520,11 +527,11 @@ def test_a_span_mixes_its_streams_once(p, monkeypatch):
         return stream_keys(seed, first_stream, n_streams, *args)
 
     monkeypatch.setattr(montecarlo, "_stream_keys", spy)
-    sizes = _block_cluster_sizes(g, p, 21, _BLOCK - 70, _BLOCK + 71)
+    sizes = _block_cluster_sizes(g, p, 21, 8192 - 70, 8192 + 71)
     ((width, dense),) = calls
     assert 0 < dense < width == 141
     assert mixed == [141]
-    np.testing.assert_array_equal(sizes, _reference_sizes(g, p, 21, _BLOCK - 70, _BLOCK + 71))
+    np.testing.assert_array_equal(sizes, _reference_sizes(g, p, 21, 8192 - 70, 8192 + 71))
 
 
 @settings(max_examples=12, deadline=None)
@@ -549,7 +556,7 @@ def test_solids_never_enter_the_sparse_phase(name, monkeypatch):
     assert montecarlo._goes_dense(g, 1, 1)
     calls = _sparse_spy(monkeypatch)
     for p in (0.3, 0.5, 0.9):
-        estimate_moments(g, p, _BLOCK + 3, seed=1)
+        estimate_moments(g, p, 8192 + 3, seed=1)
     sweep(g, [0.2, 0.7], 1000, seed=2)
     assert calls == []
 
@@ -578,11 +585,10 @@ def test_sweep_rows_are_point_estimates_on_lane_spans(name, workers, monkeypatch
     lanes = montecarlo._edge_lanes
     monkeypatch.setattr(montecarlo, "_edge_lanes",
                         lambda keys, *args: stores.append(keys.size) or lanes(keys, *args))
-    # unsorted, both ends, a repeated point; three merge blocks, so three
-    # spans with three workers
+    # unsorted, both ends, a repeated point; three spans with three workers
     grid = [0.7, 0.0, 0.35, 1.0, 0.35, 0.1, 0.55]
-    _assert_rows_are_point_estimates(g, grid, 2 * _BLOCK + 100, 11, workers)
-    assert sum(stores) == 2 * _BLOCK + 100 and len(stores) == (1 if workers == 1 else 3)
+    _assert_rows_are_point_estimates(g, grid, 2 * 8192 + 100, 11, workers)
+    assert sum(stores) == 2 * 8192 + 100 and len(stores) == (1 if workers == 1 else 3)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -600,7 +606,7 @@ def test_sweep_rows_are_point_estimates_on_two_phase_spans(workers, monkeypatch)
         return sizes, dense
 
     monkeypatch.setattr(montecarlo, "_sparse_sizes", spy)
-    reps = 2 * _BLOCK + 100
+    reps = 2 * 8192 + 100
     result = sweep(g, [0.6, 0.3, 0.45], reps, 5, workers=workers)
     by_p = {p: [(width, dense) for q, width, dense in phases if q == p] for p in (0.3, 0.45, 0.6)}
     assert all(dense == 0 for _, dense in by_p[0.3] + by_p[0.45])
@@ -668,13 +674,13 @@ def test_a_sweep_mixes_each_span_once(monkeypatch):
 
 
 # ---------------------------------------------------------------- span schedule
-# A span is the replicates of one draw and one fixpoint: whole merge blocks
-# as the byte budget allows, or a sub-span of one block when a block does
-# not fit.  Neither the budget nor the worker count may move a bit.
+# A span is the replicates of one draw and one fixpoint: as many as the
+# byte budget allows, and at least one span per worker where there are
+# replicates enough.  Neither the budget nor the worker count may move a bit.
 
 
 @pytest.mark.parametrize("name", ["dodecahedron", "random(80,3,4)", "random(660,3,1)"])
-@pytest.mark.parametrize("reps", [2, _BLOCK + 1, 2 * _BLOCK + 100])
+@pytest.mark.parametrize("reps", [2, 41, 8192 + 1, 2 * 8192 + 100])
 def test_span_budget_and_workers_never_change_results(name, reps, monkeypatch):
     g = _graph(name)  # 30, 120 and 990 edges, the last above the dense switch
     sparse = not montecarlo._goes_dense(g, 1, 1)
@@ -688,35 +694,40 @@ def test_span_budget_and_workers_never_change_results(name, reps, monkeypatch):
 
     monkeypatch.setattr(montecarlo, "_span_flags", spy)
     reference = repr(estimate_moments(g, 0.45, reps, seed=9))
-    blocks = -(-reps // _BLOCK)
     column = 2 * g.n_edges + g.n_vertices + 8 * montecarlo._COLUMN_WORDS
-    tiny = 200 * column  # 200-replicate sub-spans: no |E| x 8192 matrix
-    for budget in (tiny, montecarlo._SPAN_BYTES, 1 << 40):
+    # spans of 1 and 3 replicates take 1-6 s a call at 8193 replicates
+    spans = (1, 3, 200) if reps < 100 else (200,)
+    for budget in [span * column for span in spans] + [montecarlo._SPAN_BYTES, 1 << 40]:
         monkeypatch.setattr(montecarlo, "_SPAN_BYTES", budget)
         for workers in (1, 2, 3):
             widths.clear()
             got = estimate_moments(g, 0.45, reps, seed=9, workers=workers)
             assert repr(got) == reference, (budget, workers)
+            step = min(montecarlo._span_width(g), -(-reps // workers))
             if sparse:  # draws only for the dense phase, at most one per span
                 assert sum(widths) < reps or reps == 2
-                assert max(widths, default=0) <= (200 if budget == tiny else reps)
+                assert max(widths, default=0) <= step
                 continue
-            assert sum(widths) == reps
-            if budget == tiny:
-                assert max(widths) == min(reps, 200)
-            elif workers == 1:  # one draw per call
-                assert widths == [reps]
-            else:  # a span for each worker, as far as there are blocks
-                assert len(widths) >= min(workers, blocks)
+            # one draw per span, the last span the remainder
+            full, rest = divmod(reps, step)
+            assert sorted(widths, reverse=True) == [step] * full + [rest] * (rest > 0)
+            assert len(widths) >= min(workers, reps)
 
 
-def test_spans_are_streamed_on_block_bounds(k3):
+def test_spans_are_streamed_and_cover_the_run(k3):
     # 2^30 replicates: spans come one at a time, never as a list of all
     spans = montecarlo._spans(k3, montecarlo.MAX_REPLICATES, montecarlo.MAX_WORKERS)
     assert not isinstance(spans, (list, tuple))
     (lo, hi), (lo2, _) = next(spans), next(spans)
-    assert lo == 0 and hi == lo2 and hi % _BLOCK == 0
-    assert hi <= montecarlo._span_width(k3)
+    assert lo == 0 and hi == lo2 and hi <= montecarlo._span_width(k3)
+    g = _graph("random(1000,3,1)")
+    for reps in (2, 3, 41, 8192, 8257, 40_000):
+        for workers in (1, 2, 3, 64):
+            bounds = list(montecarlo._spans(g, reps, workers))
+            assert bounds[0][0] == 0 and bounds[-1][1] == reps
+            assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+            assert all(0 < hi - lo <= montecarlo._span_width(g) for lo, hi in bounds)
+            assert len(bounds) >= min(workers, reps)
 
 
 # ---------------------------------------------------------------- workspaces
@@ -736,12 +747,12 @@ def test_repeated_calls_make_no_new_workspace(workers, monkeypatch):
     monkeypatch.setattr(montecarlo, "_Workspace", Counted)
     monkeypatch.setattr(montecarlo, "_FREE", [])
     g = _random_graph(1000, 3, 1)  # above the dense switch: both phases run
-    first = estimate_moments(g, 0.6, 2 * _BLOCK, 3, workers=workers)
-    assert estimate_moments(g, 0.6, 2 * _BLOCK, 3, workers=workers) == first
+    first = estimate_moments(g, 0.6, 2 * 8192, 3, workers=workers)
+    assert estimate_moments(g, 0.6, 2 * 8192, 3, workers=workers) == first
     assert 1 <= len(made) <= workers
     count = len(made)
     kept = [(work, dict(work._buffers)) for work in montecarlo._FREE]
-    assert estimate_moments(g, 0.6, 2 * _BLOCK, 3, workers=workers) == first
+    assert estimate_moments(g, 0.6, 2 * 8192, 3, workers=workers) == first
     assert len(made) == count
     if workers == 1:  # the same spans again: not a buffer grows
         assert [(work, dict(work._buffers)) for work in montecarlo._FREE] == kept
@@ -751,13 +762,13 @@ def test_threads_never_share_a_workspace(monkeypatch):
     # more threads than cores, switching often: a workspace handed to two
     # spans at once would mix their buffers and move a result
     g = _graph("random(200,3,1)")
-    serial = estimate_moments(g, 0.5, 8 * _BLOCK, seed=4)
+    serial = estimate_moments(g, 0.5, 8 * 8192, seed=4)
     monkeypatch.setattr(montecarlo, "_FREE", [])
     saved = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            assert estimate_moments(g, 0.5, 8 * _BLOCK, seed=4, workers=8) == serial
+            assert estimate_moments(g, 0.5, 8 * 8192, seed=4, workers=8) == serial
     finally:
         sys.setswitchinterval(saved)
     idle = montecarlo._FREE
@@ -769,7 +780,7 @@ def test_idle_workspaces_stay_within_their_bound(monkeypatch):
     for bound in (montecarlo._KEEP_BYTES, 6 * 2**20):  # room for all four, then for one
         monkeypatch.setattr(montecarlo, "_KEEP_BYTES", bound)
         monkeypatch.setattr(montecarlo, "_FREE", [])
-        estimate_moments(g, 0.6, 4 * _BLOCK, 3, workers=4)
+        estimate_moments(g, 0.6, 4 * 8192, 3, workers=4)
         idle = [work.nbytes for work in montecarlo._FREE]
         assert 0 < sum(idle) <= bound
         assert max(idle) > 2**20  # a span's buffers, not an empty workspace
