@@ -20,14 +20,15 @@ of open flags (``_span_flags``, the bits :func:`percmoments.rng.edge_draws`
 gives) and one fixpoint find together, at each grid point.  Its width is
 at most ``_span_width``, from one byte budget, ``_SPAN_BYTES``, counted per
 replicate column as a byte for each of the 2 |E| slot flags and N
-membership flags (eight times their packed size, and as much as a sweep's
-lane store, below, takes with them up to D = 7) and ``_COLUMN_WORDS``
-8-byte per-replicate words, so no matrix grows past the budget however many
-edges the graph has.  On small graphs a call of tens of thousands of
-replicates is one draw and one fixpoint; with ``workers > 1`` spans are
-narrowed until there are at least ``workers`` of them.  Spans come from a
-generator and their sums are added as they arrive, so a call holds a few
-spans' sums, never one per span of the run.
+membership flags (eight times their packed size, and exactly a sweep's
+byte counts, below) and ``_COLUMN_WORDS`` 8-byte per-replicate words, so
+no matrix grows past the budget however many edges the graph has.  On
+small graphs a call of tens of thousands of replicates is one draw and one
+fixpoint; with ``workers > 1`` spans are narrowed until each worker has
+one, but not below the columns of ``_SCRATCH_BYTES`` (``_span_step``),
+and the pool has no more threads than spans.  Spans come from a generator
+and their sums are added as they arrive, so a call holds a few spans'
+sums, never one per span of the run.
 
 Cluster sizes are computed for a whole span at once, in two phases.  Sizes
 are integers fixed by connectivity, and each edge flag is a pure function
@@ -88,19 +89,29 @@ bit.  Spans are the outer loop and the sorted grid the inner one
 one), so each span's keys and starts are mixed once for the whole grid,
 and each point's span sums are added up.
 
-* **Lane store.**  On a span whose generation 0 is dense, a grid of more
-  than one point mixes the flag words once, into 16-bit lanes kept
-  edge-major, (|E| x replicates) uint16
-  (:func:`percmoments.rng._edge_lanes`), 2 bytes per edge and replicate.
-  Each point compares them with its lane limit and packs them into the
-  slot rows (:func:`percmoments.rng._lane_flags`, ties decided by their
-  tail words there).  A span that starts sparse runs the two phases above
-  at each point, on its once-mixed keys and starts.
-* **Warm start.**  Each edge is monotone in ``p`` on fixed streams, so a
-  cluster at ``p`` lies within the cluster at any larger ``p``, and a
-  fixpoint started from any membership between the start vertex and that
-  cluster ends at it.  So on a lane span each point relaxes the previous
-  point's final membership in place, and the start bits are packed once.
+* **Counts of open points.**  On a span whose generation 0 is dense, the
+  sorted grid runs in windows of up to 127 points
+  (:data:`percmoments.rng._GRID_WINDOW`).  Each window mixes the flag
+  words once and writes, for each edge and replicate, the number of the
+  window's points at which the edge is open, a byte at each of its two
+  slots (:func:`percmoments.rng._edge_grid`: one 65 536-entry table per
+  window maps a lane to its count, and only the lanes that tie with a
+  point's lane limit have their tail words mixed, which place them
+  exactly).  A span that starts sparse runs the two phases above at each
+  point, on its once-mixed keys and starts.
+* **Bottleneck fixpoint.**  Each edge is monotone in ``p`` on fixed
+  streams, so an edge open at ``c`` points is open at the last ``c``, and
+  a vertex is in its column's cluster at the last ``c`` points, where
+  ``c`` is the best, over the paths from the start vertex, of the least
+  edge count on the path: the bottleneck path with which Newman & Ziff,
+  PRL 85, 4104 (2000), give every ``p`` of one realization.  That is the
+  slot-pull fixpoint above with minimum and maximum for AND and OR, on a
+  byte per vertex and replicate, and the start vertex counts every point.
+  One fixpoint gives the whole window: the size at the ``k``-th of ``K``
+  points is the number of vertices whose count is at least ``K - k``,
+  read through the scratch.  A later window starts from the
+  clusters at the previous window's last point, which lie within its
+  clusters at every point of it.
 
 Every buffer a span fills, from its stream keys to its sizes, is a named
 buffer of a workspace (``_Workspace``) that later spans reuse: a span takes
@@ -130,9 +141,9 @@ from .graphs import Graph
 from .oracle import moment_polynomial
 from .percolation import EdgeConfig
 from .rng import (
+    _GRID_WINDOW,
     _edge_flags,
-    _edge_lanes,
-    _lane_flags,
+    _edge_grid,
     _pair_flags,
     _start_uniforms,
     _stream_keys,
@@ -414,16 +425,24 @@ def _column_counts(member: np.ndarray, out: np.ndarray, work: _Workspace) -> Non
 
 
 def _relax_edges(
-    plan: _EdgePlan, open_slots: np.ndarray, src: np.ndarray, dst: np.ndarray, work: _Workspace
+    plan: _EdgePlan,
+    open_slots: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    work: _Workspace,
+    meet: np.ufunc = np.bitwise_and,
+    join: np.ufunc = np.bitwise_or,
 ) -> None:
     """Pull ``src`` across one open edge into ``dst``, per replicate column.
 
-    ``dst[v] |= src[plan.neighbors[d, v]] & open_slots[d, v]`` for every
-    vertex and slot, the rows pulled into the workspace's scratch.  With
-    ``src is dst`` a pass may cross several edges (the fixpoint's in-place
-    pass); with distinct arrays it is one exact BFS step.  The matrices
-    are uint8 with eight replicate columns packed per byte; every
-    operation acts on each bit lane alone.
+    ``dst[v] = join(dst[v], meet(src[plan.neighbors[d, v]], open_slots[d,
+    v]))`` for every vertex and slot, the rows pulled into the workspace's
+    scratch.  With ``src is dst`` a pass may cross several edges (the
+    fixpoint's in-place pass); with distinct arrays it is one exact BFS
+    step.  The matrices are uint8.  With the default AND and OR, eight
+    replicate columns are packed per byte and every operation acts on each
+    bit lane alone; with minimum and maximum, a byte is one column's count
+    of grid points (``_grid_sizes``).
     """
     n, width = dst.shape
     rows = max(1, min(n, _PIECE_BYTES // width))
@@ -431,21 +450,23 @@ def _relax_edges(
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         piece = pulled[: hi - lo]
+        into = dst[lo:hi]
         for far, is_open in zip(plan.neighbors, open_slots):
             # indices are in range; mode="clip" spares take a buffered copy
             np.take(src, far[lo:hi], axis=0, out=piece, mode="clip")
-            piece &= is_open[lo:hi]
-            dst[lo:hi] |= piece
+            meet(piece, is_open[lo:hi], out=piece)
+            join(into, piece, out=into)
 
 
 def _bit_total(member: np.ndarray) -> int:
-    """A sum of the packed matrix that grows whenever a pass sets a bit.
+    """A sum of the uint8 matrix that grows whenever a pass raises a byte.
 
-    Passes only set bits, so every word of the matrix only grows, and the
-    matrix changed iff the sum of its words did.  The bytes are summed as
-    uint32 words (the last few alone) into uint64, which cannot wrap below
-    2^32 words and reads the matrix once, where copying it and comparing
-    the copy read it three times; a sum of uint64 words could wrap.
+    Passes only set bits, or raise counts, so every word of the matrix
+    only grows, and the matrix changed iff the sum of its words did.  The
+    bytes are summed as uint32 words (the last few alone) into uint64,
+    which cannot wrap below 2^32 words and reads the matrix once, where
+    copying it and comparing the copy read it three times; a sum of uint64
+    words could wrap.
     """
     flat = member.reshape(-1)
     cut = flat.size - flat.size % 4
@@ -453,18 +474,23 @@ def _bit_total(member: np.ndarray) -> int:
 
 
 def _fixpoint(
-    plan: _EdgePlan, open_slots: np.ndarray, member: np.ndarray, work: _Workspace
+    plan: _EdgePlan,
+    open_slots: np.ndarray,
+    member: np.ndarray,
+    work: _Workspace,
+    meet: np.ufunc = np.bitwise_and,
+    join: np.ufunc = np.bitwise_or,
 ) -> None:
-    """Relax the packed ``member`` in place, by passes, until a pass sets no bit.
+    """Relax ``member`` in place, by passes of :func:`_relax_edges`, until a pass changes nothing.
 
-    Started from any membership between each column's start vertex and its
-    open cluster, it ends at that cluster: a cold start is the start
-    vertices alone (``_packed_starts``), a warm one the clusters of a
-    smaller ``p`` on the same streams.
+    Started from the start vertices alone (``_packed_starts``), or from any
+    membership between them and their open clusters, it ends at those
+    clusters; on counts, at each vertex's best count over the paths from
+    its start vertex (``_grid_sizes``).
     """
     total = _bit_total(member)
     while True:
-        _relax_edges(plan, open_slots, member, member, work)
+        _relax_edges(plan, open_slots, member, member, work, meet, join)
         total, before = _bit_total(member), total
         if total == before:
             return
@@ -567,7 +593,28 @@ def _block_cluster_sizes(graph: Graph, p: float, seed: int, lo: int, hi: int) ->
     return _point_sizes(graph, _edge_plan(graph), p, keys, starts, work)
 
 
-def _lane_sizes(
+def _level_counts(levels: np.ndarray, level: int, out: np.ndarray, work: _Workspace) -> None:
+    """How many rows of each column of the uint8 ``levels`` reach ``level``, into int64 ``out``.
+
+    Pieces of at most 255 rows pass through the workspace's scratch as
+    bools, summed down the rows in one-byte lanes, and their counts are
+    added up in ``out``.
+    """
+    n, width = levels.shape
+    rows = max(1, min(n, 255, _SCRATCH_BYTES // width))
+    lanes = work("lane sums", width, np.uint8)
+    for r0 in range(0, n, rows):
+        piece = levels[r0 : r0 + rows]
+        reached = work("scratch", piece.shape, bool)
+        np.greater_equal(piece, level, out=reached)
+        reached.view(np.uint8).sum(axis=0, dtype=np.uint8, out=lanes)
+        if r0:
+            out += lanes
+        else:
+            out[:] = lanes
+
+
+def _grid_sizes(
     graph: Graph,
     plan: _EdgePlan,
     grid: list[float],
@@ -577,29 +624,35 @@ def _lane_sizes(
 ) -> Iterator[np.ndarray]:
     """Cluster sizes of the span whose streams are ``keys`` at each point of the sorted ``grid``.
 
-    For spans whose generation 0 is dense.  The flag words are mixed once,
-    into the workspace's lane store (:func:`percmoments.rng._edge_lanes`),
-    and each point's flags come from the store
-    (:func:`percmoments.rng._lane_flags`), written at both slots of each
-    edge.  Each edge is monotone in ``p``, so a point's clusters hold the
-    previous point's, and its fixpoint starts from their membership: the
-    start vertices are packed once.  Each point's sizes are the workspace's,
-    valid until the next is yielded.
+    For spans whose generation 0 is dense.  The grid runs in windows of up
+    to ``_GRID_WINDOW`` points, each one draw of edge counts
+    (:func:`percmoments.rng._edge_grid`, written at both slots of each
+    edge) and one fixpoint of vertex counts with minimum and maximum for
+    AND and OR; see the module docstring.  The start vertex counts every
+    point of the first window, and each later window starts from the
+    clusters at the previous window's last point.  Each point's sizes are
+    the workspace's, valid until the next is yielded.
     """
-    n_edges, width = graph.n_edges, keys.size
-    nbytes = -(-width // 8)
-    scratch_words = min(_SCRATCH_BYTES // 8, 2 * n_edges * width)
-    lanes = _edge_lanes(keys, n_edges, work("lanes", (n_edges, width), np.uint16),
-                        work("scratch", scratch_words, np.uint64))
-    member = _packed_starts(graph.n_vertices, starts, work)
-    flags = work("flags", (2 * n_edges, nbytes), np.uint8)
-    open_slots = flags.reshape(graph.degree, graph.n_vertices, nbytes)
-    for p in grid:
-        _lane_flags(lanes, keys, p, plan.slots, flags, work("scratch", scratch_words, np.uint64))
-        _fixpoint(plan, open_slots, member, work)
+    n, width = graph.n_vertices, keys.size
+    counts = work("edge counts", (2 * graph.n_edges, width), np.uint8)
+    levels = work("levels", (n, width), np.uint8)
+    levels.fill(0)
+    scratch_words = min(_SCRATCH_BYTES // 8, 2 * graph.n_edges * width)
+    for k0 in range(0, len(grid), _GRID_WINDOW):
+        window = grid[k0 : k0 + _GRID_WINDOW]
+        if k0:
+            np.minimum(levels, 1, out=levels)
+            levels *= np.uint8(len(window))
+        else:
+            levels[starts, work.ramp(width)] = len(window)
+        _edge_grid(keys, graph.n_edges, window, plan.slots, counts,
+                   work("scratch", scratch_words, np.uint64))
+        open_slots = counts.reshape(graph.degree, n, width)
+        _fixpoint(plan, open_slots, levels, work, np.minimum, np.maximum)
         sizes = work("sizes", width, np.int64)
-        _column_counts(member, sizes, work)
-        yield sizes
+        for level in range(len(window), 0, -1):
+            _level_counts(levels, level, sizes, work)
+            yield sizes
 
 
 def replicate_realization(
@@ -623,26 +676,39 @@ def replicate_realization(
     return int(starts[0]), EdgeConfig(open_flags=tuple(flags.tolist()), p=p)
 
 
-def _span_width(graph: Graph) -> int:
-    """Replicates one draw and fixpoint may take: ``_SPAN_BYTES`` over a column's bytes."""
+def _column_bytes(graph: Graph) -> int:
+    """Bytes one replicate column of a span is counted for (see ``_span_width``)."""
     # A byte per open flag, two per edge for its two slots, and per vertex
     # is eight times what a packed column of the flag and membership
     # matrices (or of the visited bitset that shares the membership's
-    # buffer) holds, so the budget bounds them with room to spare: room
-    # that a sweep's lane store, 2 bytes per edge, takes up to D = 7.
-    # Nothing unpacked grows with the span: the size readout passes through
-    # the fixed _SCRATCH_BYTES.
-    column = 2 * graph.n_edges + graph.n_vertices + 8 * _COLUMN_WORDS
-    return max(1, _SPAN_BYTES // column)
+    # buffer) holds, and exactly what a sweep's byte counts hold: an edge's
+    # at its two slots and a vertex's level (_grid_sizes).  Nothing else
+    # unpacked grows with the span: the size readout passes through the
+    # fixed _SCRATCH_BYTES.
+    return 2 * graph.n_edges + graph.n_vertices + 8 * _COLUMN_WORDS
+
+
+def _span_width(graph: Graph) -> int:
+    """Replicates one draw and fixpoint may take: ``_SPAN_BYTES`` over a column's bytes."""
+    return max(1, _SPAN_BYTES // _column_bytes(graph))
+
+
+def _span_step(graph: Graph, replicates: int, workers: int) -> int:
+    """The width of every span of a run but the last.
+
+    At most ``_span_width``.  With ``workers > 1`` spans are narrowed until
+    each worker has one, but not below ``_SCRATCH_BYTES`` of columns: a
+    narrower span's fixed set-up, some 0.2-0.4 ms of small numpy calls and
+    a thread, costs more than its share of the work saves (2000 replicates
+    on the dodecahedron took 0.8 ms as one span and 37 ms as 64).
+    """
+    floor = _SCRATCH_BYTES // _column_bytes(graph)
+    return min(_span_width(graph), max(floor, -(-replicates // workers)))
 
 
 def _spans(graph: Graph, replicates: int, workers: int) -> Iterator[tuple[int, int]]:
-    """``[lo, hi)`` of each span of a run, in order.
-
-    A span is at most ``_span_width`` wide, and narrow enough that there
-    are at least ``workers`` spans when the run has that many replicates.
-    """
-    step = min(_span_width(graph), -(-replicates // workers))
+    """``[lo, hi)`` of each span of a run, in order, ``_span_step`` wide."""
+    step = _span_step(graph, replicates, workers)
     return ((lo, min(lo + step, replicates)) for lo in range(0, replicates, step))
 
 
@@ -652,17 +718,18 @@ def _block_stats(
     """Moment sums of the span [lo, hi) at each point of ``grid``, in grid order.
 
     The pool's worker body.  ``grid`` is sorted.  The span's keys and
-    starts are mixed once, for every point, and each point is one draw and
-    one fixpoint: from its lane store, warm, when generation 0 is dense and
-    the grid has more than one point (:func:`_lane_sizes`), and cold
-    otherwise (:func:`_point_sizes`; one point, as :func:`estimate_moments`
-    has, would mix and read its lanes once).  Its buffers come from an idle
+    starts are mixed once, for every point.  When generation 0 is dense and
+    the grid has more than one point, each window of the grid is one draw
+    of edge counts and one fixpoint (:func:`_grid_sizes`); otherwise each
+    point is one cold draw and fixpoint on packed bits
+    (:func:`_point_sizes`; one point, as :func:`estimate_moments` has,
+    moves an eighth of the bytes so).  Its buffers come from an idle
     workspace, given back at the end.
     """
     with _borrowed_workspace() as work:
         keys, starts = _span_starts(graph, seed, lo, hi, work)
         if len(grid) > 1 and _goes_dense(graph, hi - lo, hi - lo):
-            point_sizes = _lane_sizes(graph, plan, grid, keys, starts, work)
+            point_sizes = _grid_sizes(graph, plan, grid, keys, starts, work)
         else:
             point_sizes = (_point_sizes(graph, plan, p, keys, starts, work) for p in grid)
         stats = [RunningMoments() for _ in grid]
@@ -676,19 +743,21 @@ def _span_stats(
 ) -> Iterator[list[RunningMoments]]:
     """``_block_stats`` of every span, in span order.
 
-    With a pool, spans are submitted as results are taken, so at most
-    ``2 * workers`` spans are in flight and no list of all spans is built.
+    The pool has a thread per span, up to ``workers``, and none for a
+    single span.  Spans are submitted as results are taken, so at most
+    ``2 * threads`` spans are in flight and no list of all spans is built.
     """
     spans = _spans(graph, replicates, workers)
-    if workers == 1:
+    threads = min(workers, -(-replicates // _span_step(graph, replicates, workers)))
+    if threads == 1:
         for lo, hi in spans:
             yield _block_stats(graph, plan, grid, seed, lo, hi)
         return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
         for lo, hi in spans:
             pending.append(pool.submit(_block_stats, graph, plan, grid, seed, lo, hi))
-            if len(pending) > 2 * workers:
+            if len(pending) > 2 * threads:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()

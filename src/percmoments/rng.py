@@ -52,21 +52,24 @@ word, lane and tail depend only on the edge, never on where its row sits.
 
 Every realization of the package is drawn by :func:`edge_draws` or by
 its private parts, which write the counter positions of an edge's words
-(:func:`_word_offsets`, :func:`_tail_flags`) and the thresholds
-(:func:`_threshold`) in one place: :func:`_edge_flags` draws the packed
-flags of any set of stream keys, :func:`_pair_flags` draws single
-(stream, edge) words and lanes, the bits ``_edge_flags`` would give them,
-and :func:`_edge_lanes` keeps the lanes of a set of keys, edge-major, from
-which :func:`_lane_flags` gives ``_edge_flags``' bits at any ``p``
-without mixing a flag word again.  The Monte Carlo kernel mixes each
-span's keys and start draws once (:func:`_stream_keys`,
-:func:`_start_uniforms`), reads the edges its sparse phase reaches
-through ``_pair_flags``, and hands ``_edge_flags`` the keys of the
-replicates that phase left open and no others; a sweep of several
-points keeps a lane store for each span whose generation 0 is dense (a
-Platonic solid's, say) and draws every point's flags from it; the
-dominance birth counts draw whole blocks through the same
-``_edge_flags``.  :func:`_stream_keys`, :func:`_start_uniforms` and
+(:func:`_word_offsets`, :func:`_tail_words`) and the thresholds
+(:func:`_ticks`, :func:`_threshold`) in one place: :func:`_edge_flags`
+draws the packed flags of any set of stream keys, :func:`_pair_flags`
+draws single (stream, edge) words and lanes, the bits ``_edge_flags``
+would give them, and :func:`_edge_grid` gives, for a sorted grid of up to
+``_GRID_WINDOW`` points, the number of them at which each edge is open, as
+``_edge_flags`` draws it at each point, from one mixing of the flag
+words: a table of the 2^16 lane values (:func:`_grid_table`) gives each
+lane's count, and a lane that ties with a point's lane limit is placed
+among the thresholds by its 53-bit uniform, its tail word read.  The
+Monte Carlo kernel mixes each span's keys and start draws once
+(:func:`_stream_keys`, :func:`_start_uniforms`), reads the edges its
+sparse phase reaches through ``_pair_flags``, and hands ``_edge_flags``
+the keys of the replicates that phase left open and no others; a sweep
+of several points draws the counts of each window of its grid through
+``_edge_grid`` on each span whose generation 0 is dense (a Platonic
+solid's, say); the dominance birth counts draw whole blocks through the
+same ``_edge_flags``.  :func:`_stream_keys`, :func:`_start_uniforms` and
 :func:`_edge_flags` take optional output and scratch arrays, so the Monte
 Carlo kernel draws into buffers it reuses; the only new array of a
 span's size is the counter column that :func:`_stream_keys` multiplies
@@ -101,6 +104,10 @@ _LANES = 4
 # Bits of the edge's 53-bit uniform below its 16-bit lane, read from its
 # tail word when the lane ties with the threshold's top 16 bits.
 _TAIL_BITS = 37
+# Most points of one _edge_grid: a count of them takes seven bits of a
+# byte, below the bit that marks a tied lane in its table.
+_GRID_WINDOW = 127
+_TIED = 0x80
 # Bytes of one chunk of mixed words in edge_draws; with its scratch twin,
 # 1 MB of working set, small enough to stay in a 2 MB per-core L2 cache.
 _CHUNK_BYTES = 1 << 19
@@ -193,13 +200,18 @@ def uniform_matrix(seed: int, first_stream: int, n_streams: int, n_draws: int) -
     return (z >> np.uint64(11)).astype(np.float64) * _U53
 
 
+def _ticks(p: float) -> int:
+    """``T = ceil(p * 2^53)``: an edge is open at ``p`` iff its 53-bit uniform is below it."""
+    return math.ceil(p * 2.0**53)
+
+
 def _threshold(p: float) -> tuple[np.uint16, np.uint64]:
     """The lane and tail limits of ``T = ceil(p * 2^53)``, for ``0 < p < 1``.
 
     An edge is open iff its lane is below ``T >> 37``, or equals it and its
     tail word is below ``(T mod 2^37) << 27`` (see the module docstring).
     """
-    t = math.ceil(p * 2.0**53)
+    t = _ticks(p)
     tail = (t & ((1 << _TAIL_BITS) - 1)) << (64 - _TAIL_BITS)
     return np.uint16(t >> _TAIL_BITS), np.uint64(tail)
 
@@ -214,8 +226,8 @@ def _word_offsets(words: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     return offsets
 
 
-def _tail_flags(keys: np.ndarray, edges: np.ndarray, tail: np.uint64) -> np.ndarray:
-    """Whether the tail word of edge ``edges[i]`` in stream ``keys[i]`` is below ``tail``.
+def _tail_words(keys: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """The tail word of edge ``edges[i]`` in stream ``keys[i]``.
 
     Edge ``e``'s tail word sits at counter position ``2^64 - 1 - e``, which
     no start or flag word of a stream uses.
@@ -223,7 +235,12 @@ def _tail_flags(keys: np.ndarray, edges: np.ndarray, tail: np.uint64) -> np.ndar
     c = np.uint64(_MASK) - np.asarray(edges, dtype=np.uint64)
     z = np.uint64(_GOLDEN) * c + keys
     _mix64_inplace(z, np.empty_like(z))
-    return z < tail
+    return z
+
+
+def _tail_flags(keys: np.ndarray, edges: np.ndarray, tail: np.uint64) -> np.ndarray:
+    """Whether the tail word of edge ``edges[i]`` in stream ``keys[i]`` is below ``tail``."""
+    return _tail_words(keys, edges) < tail
 
 
 def _start_uniforms(
@@ -346,35 +363,6 @@ def _mixed_chunks(
             yield lo, hi, c0, c1, z, tmp
 
 
-def _constant_flags(out: np.ndarray, n_streams: int, p: float) -> np.ndarray:
-    """Fill the packed flags ``out`` of ``n_streams`` streams for ``p`` of 0 or 1."""
-    out.fill(0xFF if p == 1.0 else 0)
-    if n_streams % 8:  # padding bits stay 0, as packbits leaves them
-        out[:, -1] &= np.uint8((1 << n_streams % 8) - 1)
-    return out
-
-
-def _open_tied(
-    out: np.ndarray,
-    row_of: np.ndarray,
-    keys: np.ndarray,
-    edges: list[np.ndarray],
-    streams: list[np.ndarray],
-    tail: np.uint64,
-) -> None:
-    """Set the bits of the tied lanes ``(edges[k][i], streams[k][i])`` whose tail words open them.
-
-    Edge ``e``'s bits go to rows ``row_of[..., e]`` of the packed ``out``.
-    """
-    if not edges:
-        return
-    edge, stream = np.concatenate(edges), np.concatenate(streams)
-    opened = _tail_flags(keys[stream], edge, tail)
-    edge, stream = edge[opened], stream[opened]
-    bits = np.left_shift(1, stream & 7).astype(np.uint8)
-    np.bitwise_or.at(out, (row_of[..., edge], stream >> 3), bits)
-
-
 def _edge_flags(
     keys: np.ndarray,
     n_edges: int,
@@ -404,7 +392,10 @@ def _edge_flags(
     width = -(-n_streams // 8)
     open_edges = np.empty((n_edges, width), dtype=np.uint8) if out is None else out
     if p == 0.0 or p == 1.0:
-        return _constant_flags(open_edges, n_streams, p)
+        open_edges.fill(0xFF if p == 1.0 else 0)
+        if n_streams % 8:  # padding bits stay 0, as packbits leaves them
+            open_edges[:, -1] &= np.uint8((1 << n_streams % 8) - 1)
+        return open_edges
     lane, tail = _threshold(p)
     if row_of is None:
         row_of = np.arange(n_edges)
@@ -440,74 +431,98 @@ def _edge_flags(
         open_edges[dest, c0 // 8 : c0 // 8 + nbytes] = (
             by_lane.view(np.uint8).reshape(-1, 2 * n16)[: dest.size, :nbytes]
         )
-    _open_tied(open_edges, row_of, keys, tied_edges, tied_streams, tail)
+    if tied_edges:
+        edge, stream = np.concatenate(tied_edges), np.concatenate(tied_streams)
+        opened = _tail_flags(keys[stream], edge, tail)
+        edge, stream = edge[opened], stream[opened]
+        bits = np.left_shift(1, stream & 7).astype(np.uint8)
+        np.bitwise_or.at(open_edges, (row_of[edge], stream >> 3), bits)
     return open_edges
 
 
-def _edge_lanes(
+def _grid_table(ticks: list[int]) -> np.ndarray:
+    """Per 16-bit lane value, the count of the sorted ``ticks`` at which it opens its edge.
+
+    Entry ``v`` counts the ``T`` above ``v << 37``, those whose lane limit
+    rounded up, ``ceil(T / 2^37)``, is above ``v``: whatever its tail word,
+    an edge whose lane is ``v`` is open at those points and closed at the
+    rest, unless some ``T`` lies strictly between ``v << 37`` and ``(v +
+    1) << 37``, its lane limit ``v`` with a nonzero tail limit.  Then the
+    tail word decides, and the entry also holds ``_TIED``.  ``p`` of 0 and
+    1 (``T`` of 0 and ``2^53``) tie with no lane.  The counts fall in runs,
+    filled a point at a time.
+    """
+    table = np.empty(1 << 16, dtype=np.uint8)
+    below = 0
+    for k, t in enumerate(ticks):
+        above = -(-t >> _TAIL_BITS)
+        table[below:above] = len(ticks) - k
+        below = max(below, above)
+    table[below:] = 0
+    for t in ticks:
+        if t & ((1 << _TAIL_BITS) - 1):
+            table[t >> _TAIL_BITS] |= _TIED
+    return table
+
+
+def _edge_grid(
     keys: np.ndarray,
     n_edges: int,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """The 16-bit lanes of the streams ``keys``, edge-major: an (edges x streams) uint16 store.
-
-    ``[e, i]`` is edge ``e``'s lane in stream ``keys[i]``, the top 16 bits
-    of its uniform, into ``out`` if given.  The words are mixed in chunks
-    through ``scratch`` (:func:`_mixed_chunks`), and each lane goes to its
-    edge's row.  :func:`_lane_flags` turns the store into the flags of any
-    ``p``, so a caller that draws the same streams at many ``p`` mixes
-    their words once.
-    """
-    lanes = np.empty((n_edges, keys.size), dtype=np.uint16) if out is None else out
-    for lo, hi, c0, c1, z, _ in _mixed_chunks(keys, -(-n_edges // _LANES), scratch):
-        words = z[: (hi - lo) * (c1 - c0)].view(np.uint16).reshape(hi - lo, -1)
-        for lane in range(_LANES):
-            dest = lanes[_LANES * lo + lane : _LANES * hi : _LANES, c0:c1]
-            dest[...] = words[: dest.shape[0], lane::_LANES]  # rows past the edges are cut
-    return lanes
-
-
-def _lane_flags(
-    lanes: np.ndarray,
-    keys: np.ndarray,
-    p: float,
+    grid: list[float],
     row_of: np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
 ) -> np.ndarray:
-    """Bit-packed open flags at ``p`` from the lane store of the streams ``keys``.
+    """How many points of the sorted ``grid`` open each edge in each stream ``keys[i]``.
 
-    ``lanes`` is :func:`_edge_lanes`' store of ``keys``; edge ``e``'s
-    flags go to rows ``row_of[..., e]`` of the uint8 ``out``, the bits
-    :func:`_edge_flags` gives.  Rows of lanes are compared with the lane
-    limit in chunks of the 1-D ``scratch``, seen as bools (a new row if it
-    holds less), and packed along the streams: edge-major already, so
-    nothing is unzipped.  A tied lane
-    is found by :func:`_true_indices` and decided by its tail word, as in
-    :func:`_edge_flags`.
+    Column ``i`` of rows ``row_of[..., e]`` of the uint8 ``out`` gets the
+    number of points at which edge ``e`` is open in stream ``keys[i]``, as
+    :func:`_edge_flags` draws it: each edge is monotone in ``p``, so it is
+    open at exactly the last that many points.  ``grid`` has at most
+    ``_GRID_WINDOW`` points, so a count takes the bits below ``_TIED``.
+
+    The flag words are mixed once, in chunks through the 1-D uint64
+    ``scratch`` (:func:`_mixed_chunks`), and each lane is looked up in the
+    :func:`_grid_table` of the grid's thresholds, 64 KB; the chunk's counts
+    are regrouped edge-major in its spent words and written to both rows of
+    each edge.  A lane the table marks tied is gathered with its value over
+    the chunks, and its tail word gives its 53-bit uniform, which the
+    thresholds place exactly at the end.
     """
-    n_edges, n_streams = lanes.shape
-    if p == 0.0 or p == 1.0:
-        return _constant_flags(out, n_streams, p)
-    lane, tail = _threshold(p)
-    flags = scratch.view(bool)
-    if flags.size < n_streams:
-        flags = np.empty(n_streams, dtype=bool)
-    rows = min(n_edges, flags.size // n_streams)
-    tied_edges, tied_streams = [], []
-    for lo in range(0, n_edges, rows):
-        chunk = lanes[lo : lo + rows]
-        below = flags[: chunk.size].reshape(chunk.shape)
-        np.less(chunk, lane, out=below)
-        out[row_of[..., lo : lo + rows]] = np.packbits(below, axis=1, bitorder="little")
-        np.equal(chunk, lane, out=below)
-        ties = _true_indices(below.reshape(-1))
-        if ties.size:
-            edge, stream = np.divmod(ties, n_streams)
-            tied_edges.append(lo + edge)
-            tied_streams.append(stream)
-    _open_tied(out, row_of, keys, tied_edges, tied_streams, tail)
+    ticks = [_ticks(p) for p in grid]
+    table = _grid_table(ticks)
+    tied = []
+    for lo, hi, c0, c1, z, tmp in _mixed_chunks(keys, -(-n_edges // _LANES), scratch):
+        rows, cols = hi - lo, c1 - c0
+        size = rows * cols
+        # lane l of word [w, s] at [w, 4 s + l], its count likewise in tmp's front half
+        lanes = z[:size].view(np.uint16)
+        counts = tmp.view(np.uint8)[: lanes.size]
+        # numpy takes the uint16 indices as intp words: half a chunk's bytes
+        # of them at a time.  They are in range, and clip spares a copy.
+        step = _CHUNK_BYTES // 16
+        for i in range(0, lanes.size, step):
+            np.take(table, lanes[i : i + step], out=counts[i : i + step], mode="clip")
+        flags = tmp.view(bool)[lanes.size : 2 * lanes.size]
+        np.greater_equal(counts, np.uint8(_TIED), out=flags)
+        at = _true_indices(flags)
+        if at.size:
+            w, rest = np.divmod(at, _LANES * cols)
+            edge = _LANES * (lo + w) + (rest & (_LANES - 1))
+            keep = edge < n_edges
+            tied.append((edge[keep], c0 + (rest[keep] >> 2), lanes[at[keep]]))
+        # the lanes are spent: their words take the counts, [w, l, s] for edge 4 w + l
+        by_edge = z.view(np.uint8)[: lanes.size].reshape(rows, _LANES, cols)
+        np.copyto(by_edge, counts.reshape(rows, cols, _LANES).transpose(0, 2, 1))
+        dest = row_of[..., _LANES * lo : _LANES * hi]
+        dest = dest[..., : n_edges - _LANES * lo]  # the last word may have lanes past the edges
+        out[dest, c0:c1] = by_edge.reshape(_LANES * rows, cols)[: dest.shape[-1]]
+    if tied:
+        edge, stream, lane = (np.concatenate(parts) for parts in zip(*tied))
+        uniform = lane.astype(np.uint64) << np.uint64(_TAIL_BITS)
+        uniform |= _tail_words(keys[stream], edge) >> np.uint64(64 - _TAIL_BITS)
+        closed = np.searchsorted(np.array(ticks, dtype=np.uint64), uniform, side="right")
+        out[row_of[..., edge], stream] = len(ticks) - closed
     return out
 
 

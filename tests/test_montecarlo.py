@@ -1,4 +1,5 @@
 import functools
+import math
 import sys
 import tracemalloc
 
@@ -563,10 +564,10 @@ def test_solids_never_enter_the_sparse_phase(name, monkeypatch):
 
 # ---------------------------------------------------------------- one stream set
 # A sweep draws every point from the streams of its seed: each span's keys
-# and starts are mixed once for the grid, spans whose generation 0 is dense
-# keep their flag words as 16-bit lanes, and there each point's fixpoint
-# starts from the previous point's clusters.  So row p is estimate_moments
-# at p, bit for bit.
+# and starts are mixed once for the grid, and on spans whose generation 0
+# is dense each window of up to 127 points is one draw of per-edge counts
+# of open points and one bottleneck fixpoint.  So row p is
+# estimate_moments at p, bit for bit.
 
 
 def _assert_rows_are_point_estimates(g, grid, reps, seed, workers):
@@ -582,13 +583,16 @@ def _assert_rows_are_point_estimates(g, grid, reps, seed, workers):
 def test_sweep_rows_are_point_estimates_on_lane_spans(name, workers, monkeypatch):
     g = generate_builtin(name)
     stores = []
-    lanes = montecarlo._edge_lanes
-    monkeypatch.setattr(montecarlo, "_edge_lanes",
-                        lambda keys, *args: stores.append(keys.size) or lanes(keys, *args))
-    # unsorted, both ends, a repeated point; three spans with three workers
+    edge_grid = montecarlo._edge_grid
+    monkeypatch.setattr(montecarlo, "_edge_grid",
+                        lambda keys, *args: stores.append(keys.size) or edge_grid(keys, *args))
+    # unsorted, both ends, a repeated point; several spans with three workers
     grid = [0.7, 0.0, 0.35, 1.0, 0.35, 0.1, 0.55]
-    _assert_rows_are_point_estimates(g, grid, 2 * 8192 + 100, 11, workers)
-    assert sum(stores) == 2 * 8192 + 100 and len(stores) == (1 if workers == 1 else 3)
+    reps = 2 * 8192 + 100
+    _assert_rows_are_point_estimates(g, grid, reps, 11, workers)
+    spans = list(montecarlo._spans(g, reps, workers))
+    assert len(spans) == 1 if workers == 1 else len(spans) > 1
+    assert sum(stores) == reps and len(stores) == len(spans)  # one store per span
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -620,23 +624,82 @@ _BUILTINS = ["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron",
              "complete(6)", "hypercube(4)"]
 
 
+def _tie_at(key, edge, low):
+    """A p whose threshold's top 16 bits are edge ``edge``'s lane in stream ``key``.
+
+    Its low 37 bits are ``low``, not 0, so the edge's tail word decides it.
+    """
+    word = rng._mix64_scalar(key + rng._GOLDEN * (edge // 4 + 2))
+    return ((word >> 16 * (edge % 4) & 0xFFFF) << 37 | low) * 2.0**-53
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     name=st.sampled_from(_BUILTINS),
-    grid=st.lists(st.one_of(st.sampled_from(_EDGE_P), st.floats(0.0, 1.0)),
-                  min_size=2, max_size=6).map(sorted),
+    points=st.lists(st.one_of(st.sampled_from(_EDGE_P), st.floats(0.0, 1.0)), max_size=8),
+    spread=st.integers(122, 160),
     seed=st.integers(0, 2**32),
     lo=st.integers(0, 2**20),
     width=st.integers(1, 70),
+    tie=st.tuples(st.integers(0, 69), st.integers(0, 10**6), st.integers(1, 2**37 - 2**13 - 1)),
 )
-def test_warm_started_sizes_equal_cold_ones(name, grid, seed, lo, width):
+def test_warm_started_sizes_equal_cold_ones(name, points, spread, seed, lo, width, tie):
+    # the grid kernel, window by window, against a cold draw and fixpoint
+    # per point.  Every grid holds 0, 1, a repeated point, more than one
+    # window's points, and p and p + 2^-40, which share a lane limit that
+    # one of the span's lanes ties with: their tail words decide it.
     g = generate_builtin(name)
     assert montecarlo._goes_dense(g, 1, 1)
+    r, edge, low = lo + tie[0] % width, tie[1] % g.n_edges, tie[2]
+    p_tie = _tie_at(derive_key(seed, r), edge, low)
+    assert math.ceil((p_tie + 2.0**-40) * 2**53) >> 37 == math.ceil(p_tie * 2**53) >> 37
+    grid = sorted(points + [0.0, 1.0, 0.5, 0.5, p_tie, p_tie + 2.0**-40]
+                  + [i / spread for i in range(spread + 1)])
+    assert len(grid) > montecarlo._GRID_WINDOW
     work = montecarlo._Workspace()
     keys, starts = montecarlo._span_starts(g, seed, lo, lo + width, work)
-    warm = montecarlo._lane_sizes(g, montecarlo._edge_plan(g), grid, keys, starts, work)
-    for p, sizes in zip(grid, warm, strict=True):
-        np.testing.assert_array_equal(sizes, _block_cluster_sizes(g, p, seed, lo, lo + width))
+    tails = rng._tail_words
+    tied = []
+    rng._tail_words = lambda keys, edges: tied.append(edges.size) or tails(keys, edges)
+    try:
+        got = [sizes.copy() for sizes in
+               montecarlo._grid_sizes(g, montecarlo._edge_plan(g), grid, keys, starts, work)]
+    finally:
+        rng._tail_words = tails
+    assert sum(tied) >= 1  # the pair ties at both points: the tie rule ran
+    assert len(got) == len(grid)
+    cold = {}
+    for p, sizes in zip(grid, got):
+        if p not in cold:
+            cold[p] = _block_cluster_sizes(g, p, seed, lo, lo + width)
+        np.testing.assert_array_equal(sizes, cold[p])
+
+
+@functools.lru_cache(maxsize=None)
+def _point_estimate(name, p, reps, seed):
+    return estimate_moments(generate_builtin(name), p, reps, seed)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("name", ["dodecahedron", "complete(8)", "hypercube(4)"])
+def test_long_sweeps_run_in_windows(name, workers, monkeypatch):
+    # 300 points: three windows of the grid kernel per span, each span
+    # mixing its flag words once per window; the row at p is still
+    # estimate_moments at p (at any worker count, which moves no bit)
+    g = generate_builtin(name)
+    windows = []
+    edge_grid = montecarlo._edge_grid
+    monkeypatch.setattr(montecarlo, "_edge_grid",
+                        lambda keys, n, grid, *args: windows.append(len(grid))
+                        or edge_grid(keys, n, grid, *args))
+    grid = [i / 299 for i in range(300)]
+    reps, seed = 2 * 8192 + 100, 4
+    result = sweep(g, grid, reps, seed, workers=workers)
+    spans = len(list(montecarlo._spans(g, reps, workers)))
+    assert spans == 1 if workers == 1 else spans > 1
+    assert sorted(windows) == sorted([127, 127, 46] * spans)
+    for row in result.rows:
+        assert row.estimate == _point_estimate(name, row.p, reps, seed), row.p
 
 
 def test_sweep_moments_never_decrease_along_the_grid(cube):
@@ -652,7 +715,7 @@ def test_a_sweep_mixes_each_span_once(monkeypatch):
     g = generate_builtin("dodecahedron")
     grid = [i / 40 for i in range(41)]
     reps = 3000  # one span
-    keyed, laned, drawn, mixed = [], [], [], []
+    keyed, gridded, drawn, mixed = [], [], [], []
 
     def spy(name, into, size):
         original = getattr(montecarlo, name)
@@ -660,12 +723,12 @@ def test_a_sweep_mixes_each_span_once(monkeypatch):
                             lambda *args: into.append(size(*args)) or original(*args))
 
     spy("_stream_keys", keyed, lambda seed, first, n, *rest: n)
-    spy("_edge_lanes", laned, lambda keys, *rest: keys.size)
+    spy("_edge_grid", gridded, lambda keys, *rest: keys.size)
     spy("_edge_flags", drawn, lambda keys, *rest: keys.size)
     mix = rng._mix64_inplace
     monkeypatch.setattr(rng, "_mix64_inplace", lambda z, tmp: mixed.append(z.size) or mix(z, tmp))
     result = sweep(g, grid, reps, seed=5)
-    assert keyed == [reps] and laned == [reps] and drawn == []
+    assert keyed == [reps] and gridded == [reps] and drawn == []
     # keys, start words and flag words, each once; besides them only the
     # tail words of tied lanes, about 2^-16 of the lanes per point
     words = (2 + -(-g.n_edges // 4)) * reps
@@ -703,7 +766,7 @@ def test_span_budget_and_workers_never_change_results(name, reps, monkeypatch):
             widths.clear()
             got = estimate_moments(g, 0.45, reps, seed=9, workers=workers)
             assert repr(got) == reference, (budget, workers)
-            step = min(montecarlo._span_width(g), -(-reps // workers))
+            step = montecarlo._span_step(g, reps, workers)
             if sparse:  # draws only for the dense phase, at most one per span
                 assert sum(widths) < reps or reps == 2
                 assert max(widths, default=0) <= step
@@ -711,7 +774,9 @@ def test_span_budget_and_workers_never_change_results(name, reps, monkeypatch):
             # one draw per span, the last span the remainder
             full, rest = divmod(reps, step)
             assert sorted(widths, reverse=True) == [step] * full + [rest] * (rest > 0)
-            assert len(widths) >= min(workers, reps)
+            # a span per worker, unless that narrows spans below the floor
+            floor = montecarlo._SCRATCH_BYTES // column
+            assert len(widths) >= min(workers, reps // floor) or step == montecarlo._span_width(g)
 
 
 def test_spans_are_streamed_and_cover_the_run(k3):
@@ -720,14 +785,45 @@ def test_spans_are_streamed_and_cover_the_run(k3):
     assert not isinstance(spans, (list, tuple))
     (lo, hi), (lo2, _) = next(spans), next(spans)
     assert lo == 0 and hi == lo2 and hi <= montecarlo._span_width(k3)
-    g = _graph("random(1000,3,1)")
-    for reps in (2, 3, 41, 8192, 8257, 40_000):
-        for workers in (1, 2, 3, 64):
-            bounds = list(montecarlo._spans(g, reps, workers))
-            assert bounds[0][0] == 0 and bounds[-1][1] == reps
-            assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
-            assert all(0 < hi - lo <= montecarlo._span_width(g) for lo, hi in bounds)
-            assert len(bounds) >= min(workers, reps)
+    for name in ("random(1000,3,1)", "dodecahedron"):
+        g = _graph(name)
+        width = montecarlo._span_width(g)
+        floor = montecarlo._SCRATCH_BYTES // montecarlo._column_bytes(g)
+        assert 0 < floor < width  # 258 of 8256 columns, 7281 of 233 016
+        for reps in (2, 3, 41, 8192, 8257, 40_000, 10**6):
+            for workers in (1, 2, 3, 64):
+                bounds = list(montecarlo._spans(g, reps, workers))
+                assert bounds[0][0] == 0 and bounds[-1][1] == reps
+                assert all(hi == lo for (_, hi), (lo, _) in zip(bounds, bounds[1:]))
+                widths = [hi - lo for lo, hi in bounds]
+                assert all(0 < w <= width for w in widths)
+                # all as wide as the first but the last, and no span is cut
+                # below the floor for workers: a run narrower than it is one span
+                assert set(widths[:-1]) <= {widths[0]} and widths[-1] <= widths[0]
+                assert len(bounds) == 1 or widths[0] >= floor
+                # a span per worker where the floor leaves replicates enough
+                assert len(bounds) >= min(workers, reps // floor)
+                if workers == 1:
+                    assert widths[0] == min(reps, width)
+
+
+@pytest.mark.parametrize("reps, threads", [(2000, None), (7281, None), (3 * 7281, 3),
+                                           (40_000, 6)])
+def test_the_pool_has_no_more_threads_than_spans(reps, threads, monkeypatch):
+    # the dodecahedron's floor is 7281 replicates: a short run is one span,
+    # run in the calling thread, and a longer one gets a thread per span
+    g = generate_builtin("dodecahedron")
+    pools = []
+    executor = montecarlo.ThreadPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return executor(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", spy)
+    got = estimate_moments(g, 0.35, reps, 1, workers=64)
+    assert pools == ([] if threads is None else [threads])
+    assert got == estimate_moments(g, 0.35, reps, 1)
 
 
 # ---------------------------------------------------------------- workspaces

@@ -345,6 +345,45 @@ def test_tied_lanes_are_decided_by_their_tail_words(edge):
         assert rng._pair_flags(keys[stream : stream + 1], np.array([edge]), p).tolist() == [is_open]
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    first=st.integers(0, 2**40),
+    n_streams=st.integers(1, 40),
+    n_edges=st.integers(1, 40),
+    points=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), _dyadic_p),
+                    max_size=rng._GRID_WINDOW - 4),
+    tie=st.tuples(st.integers(0, 39), st.integers(0, 39), st.integers(0, 2**37 - 1)),
+    scratch_words=st.sampled_from([2, 16, 250, rng._CHUNK_BYTES // 4]),
+    perm_seed=st.integers(0, 2**16),
+)
+def test_edge_grid_counts_the_points_that_open_each_edge(
+    seed, first, n_streams, n_edges, points, tie, scratch_words, perm_seed
+):
+    # counts of open grid points against the whole-word uniforms of
+    # conftest, at both rows of each edge under a permuted row map.  The
+    # grid ties with one drawn lane at its uniform and one tick above it
+    # (closed, then open) and at a tail limit of 0 (no tie: closed).
+    stream, edge = tie[0] % n_streams, tie[1] % n_edges
+    key = derive_key(seed, first + stream)
+    lane = _lane_of(key, edge)
+    tail = rng._mix64_scalar(key + rng._GOLDEN * (2**64 - 1 - edge)) >> 27
+    ties = [(lane << 37 | tail) * 2.0**-53, ((lane << 37 | tail) + 1) * 2.0**-53,
+            (lane << 37) * 2.0**-53, (lane << 37 | tie[2]) * 2.0**-53]
+    grid = sorted(points + ties)
+    assert len(grid) <= rng._GRID_WINDOW
+    keys = rng._stream_keys(seed, first, n_streams)
+    row_of = np.random.default_rng(perm_seed).permutation(2 * n_edges).reshape(2, n_edges)
+    out = np.full((2 * n_edges, n_streams), 0xFF, dtype=np.uint8)
+    scratch = np.empty(scratch_words, dtype=np.uint64)
+    rng._edge_grid(keys, n_edges, grid, row_of, out, scratch)
+    u = edge_uniforms(seed, first, n_streams, n_edges).T
+    expected = (u[None] < np.array(grid)[:, None, None]).sum(axis=0)
+    np.testing.assert_array_equal(out[row_of[0]], expected)
+    np.testing.assert_array_equal(out[row_of[1]], expected)
+    assert out[row_of[0, edge], stream] == sum(p > ties[0] for p in grid)
+
+
 def test_pair_flags_match_every_lane_of_the_dense_draw():
     # every lane position 0-3, a last word with unused lanes, and rows in a
     # permuted order: a pair's flag is the bit of its edge's row
